@@ -9,7 +9,7 @@ from a fixed minor, and mixtures whose large amplitudes defeat it.
 
 import numpy as np
 
-from hyqent import (SymbolicMomentProvider, ThermalMomentProvider, apply_thermal,
+from hyqent import (SymbolicMomentProvider, apply_thermal,
                     ThermalChannelParams, cat_witness_determinants,
                     geometric_mixture_s1, mixed24_s1, optimal_alpha, s1_minor,
                     s2_minor, squeezed_s1, sv_moment_matrix, thermal_s1,
@@ -43,7 +43,7 @@ for alpha in (0.3, 0.8, 1.5):
 # --- truly hybrid states ---------------------------------------------------------
 params = ThermalChannelParams(2 / 3, 0.1)
 thermal = apply_thermal(binary_coherent(0.44).payload, params)
-mm = sv_moment_matrix(ThermalMomentProvider(thermal), 2, qudit_dim=2)
+mm = sv_moment_matrix(SymbolicMomentProvider(thermal), 2, qudit_dim=2)
 print(f"\nthermal-channel output (truly hybrid), eta=2/3, n_th=0.1, alpha=0.44:")
 print(f"  generic-path s1 = {s1_minor(mm):+.8f}")
 print(f"  closed form     = {thermal_s1(0.44, 2 / 3, 0.1):+.8f}")

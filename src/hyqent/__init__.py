@@ -32,8 +32,7 @@ from .measures import (SchmidtDecomposition, TangleReport, ckw, concurrence,
                        entanglement_of_formation, entropy_of_entanglement,
                        log_negativity, majorizes, negativity, schmidt)
 from .witness import (MatrixMomentProvider, MomentMatrix, SymbolicMomentProvider,
-                      ThermalMomentProvider, WitnessRegion,
-                      cat_witness_determinants, geometric_mixture_s1,
+                      WitnessRegion, cat_witness_determinants, geometric_mixture_s1,
                       heaviside_half, mixed24_s1, optimal_alpha, principal_minor,
                       qudit_mode_operators, s1_minor, s2_minor, squeezed_s1,
                       sv_moment_matrix, sv_multi_indices, swap_operator,

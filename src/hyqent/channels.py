@@ -349,23 +349,10 @@ class ThermalHybridState:
             for bi in branches:
                 for bj in branches:
                     if bi.ket.kind != COHERENT or bj.ket.kind != COHERENT:
-                        raise UnsupportedKet("thermal channel needs coherent kets")
+                        raise UnsupportedKet("exact dyad moments need coherent kets")
                     out.append((p * bi.c * np.conj(bj.c), (bi.m, bj.m),
                                 (bi.ket.alpha, bj.ket.alpha)))
         return out
-
-    def moment(self, k, l, qudit_word=None):
-        """Exact <a^dag^k a^l (x) qudit_word> of the channel output."""
-        d = self.base.qudit_dim
-        if qudit_word is None:
-            qudit_word = np.eye(d, dtype=complex)
-        total = 0.0 + 0.0j
-        for weight, (m, mp), (ai, aj) in self.dyad_terms():
-            qf = qudit_word[mp, m]
-            if qf == 0:
-                continue
-            total += weight * qf * thermal_dyad_moments(ai, aj, self.params, (k, l))
-        return total
 
     def truncated_density(self, n_cut, weight_tol=DEFAULT_WEIGHT_TOL, tail_tol=1e-8):
         """Kraus-route truncation; a cross-check, not the state itself."""

@@ -16,9 +16,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, catalog, channels, compression, fock, measures, witness
+from . import __version__, catalog, channels, composite, compression, fock, measures, witness
 from .catalog import FAMILIES, DiscreteKet, ModalMixture, NamedState
 from .composite import DensityMatrix
+from .errors import UnsupportedKet
 from .kets import HybridState, InfiniteHybridFamily, ModalPure, SymbolicKet
 
 ENV_NCUT = "HYQENT_NCUT"
@@ -166,15 +167,12 @@ def _bipartite(rho):
 
 
 def _generic_s_minor(payload, which):
-    if isinstance(payload, HybridState):
+    try:
         provider = witness.SymbolicMomentProvider(payload)
-        d = payload.qudit_dim
-    elif isinstance(payload, channels.ThermalHybridState):
-        provider = witness.ThermalMomentProvider(payload)
-        d = payload.base.qudit_dim
-    else:
-        raise Inapplicable("moment witnesses need a (possibly thermal) hybrid state")
-    mm = witness.sv_moment_matrix(provider, 2, qudit_dim=d)
+    except (TypeError, UnsupportedKet) as exc:
+        raise Inapplicable(f"moment witnesses need a coherent-family (possibly thermal) "
+                           f"hybrid state: {exc}") from exc
+    mm = witness.sv_moment_matrix(provider, 2, qudit_dim=provider.qudit_dim)
     return witness.s1_minor(mm) if which == 1 else witness.s2_minor(mm)
 
 
@@ -322,10 +320,10 @@ def cmd_classify(args):
 
 
 TOLERANCES = {
-    "dependence_tol": 1e-12,   # Gram-Schmidt rank threshold
-    "trace_tol": 1e-10,
-    "hermitian_tol": 1e-12,
-    "eigenvalue_clip": 1e-10,
+    "dependence_tol": compression.DEPENDENCE_TOL,   # Gram-Schmidt rank threshold
+    "trace_tol": composite.TRACE_TOL,
+    "hermitian_tol": composite.HERMITIAN_TOL,
+    "eig_tol": composite.EIG_TOL,
 }
 
 

@@ -71,13 +71,6 @@ class SymbolicKet:
             raise ValueError("photon-addition order must be >= 0")
         return cls(PHOTON_ADDED, alpha=complex(alpha), k=int(k))
 
-    def amplitude_scale(self):
-        """Rough coherent-amplitude scale, used only for cutoff suggestions."""
-        if self.kind == FOCK:
-            return np.sqrt(self.n)
-        extra = np.sinh(self.r) ** 2 if self.kind == DISPLACED_SQUEEZED else self.k
-        return np.sqrt(abs(self.alpha) ** 2 + extra)
-
     def to_fock(self, n_cut, tail_tol=1e-8):
         """Numerical truncated-Fock realization of the ket."""
         if self.kind == COHERENT:

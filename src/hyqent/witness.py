@@ -12,11 +12,11 @@ from math import comb, factorial
 import numpy as np
 from scipy.optimize import brentq
 
-from .channels import ThermalHybridState, thermal_dyad_moments
+from .channels import ThermalChannelParams, ThermalHybridState, thermal_dyad_moments
 from .composite import DensityMatrix
-from .errors import InconsistentMoments, NumericInconsistency, UnsupportedKet
-from .fock import mode_operators, overlap_coherent
-from .kets import COHERENT, HybridState
+from .errors import InconsistentMoments, NumericInconsistency
+from .fock import mode_operators
+from .kets import HybridState
 
 INCONCLUSIVE_BAND = 1e-12
 
@@ -129,6 +129,22 @@ def s2_minor(mm):
 # moment providers
 
 
+def _ladder_word(lo, hi, powers):
+    """hi^p lo^q hi^r lo^s for powers (p, q, r, s)."""
+    p, q, r, s = powers
+    power = np.linalg.matrix_power
+    return power(hi, p) @ power(lo, q) @ power(hi, r) @ power(lo, s)
+
+
+@lru_cache(maxsize=None)
+def _qudit_word(d, powers):
+    """Word in the d-level adapted operators, cached across providers and read-only."""
+    b, bd = qudit_mode_operators(d)
+    word = _ladder_word(b, bd, powers)
+    word.flags.writeable = False
+    return word
+
+
 class MatrixMomentProvider:
     """Moments evaluated by matrix products on a two-subsystem density matrix.
 
@@ -162,26 +178,23 @@ class MatrixMomentProvider:
         else:
             raise ValueError("qudit_mode must be 'adapted' or 'embedded'")
         a, _, _ = mode_operators(d_mode - 1)
-        self._a, self._ad = a, a.conj().T
-        self._b, self._bd = b, bd
+        self._ladders = {"a": (a, a.conj().T), "b": (b, bd)}
+        self._words = {}
         self._rho = matrix
         dims = [0, 0]
         dims[self.mode_subsystem] = d_mode
         dims[qudit_subsystem] = d_qudit
         self._dims = tuple(dims)
 
-    @lru_cache(maxsize=4096)
     def _word(self, which, powers):
-        lo, hi = (self._a, self._ad) if which == "a" else (self._b, self._bd)
-        p, q, r, s = powers
-        def power(m, k):
-            return np.linalg.matrix_power(m, k)
-        return power(hi, p) @ power(lo, q) @ power(hi, r) @ power(lo, s)
+        powers = tuple(powers)
+        if (which, powers) not in self._words:
+            self._words[which, powers] = _ladder_word(*self._ladders[which], powers)
+        return self._words[which, powers]
 
     def __call__(self, a_word, b_word):
-        wa = self._word("a", tuple(a_word))
-        t, u, v, w = b_word
-        wb = self._word("b", (t, u, v, w))
+        wa = self._word("a", a_word)
+        wb = self._word("b", b_word)
         if self.mode_subsystem == 1:
             op = np.kron(wb, wa)
         else:
@@ -195,78 +208,34 @@ def _normal_order_pairs(p, q, r, s):
             for t in range(min(q, r) + 1)]
 
 
-def _coherent_word(beta, alpha, a_word):
-    """<beta| a^dag^p a^q a^dag^r a^s |alpha> from the normal-ordered form."""
-    total = 0.0 + 0.0j
-    for coeff, k, l in _normal_order_pairs(*a_word):
-        total += coeff * np.conj(beta) ** k * alpha**l
-    return total * overlap_coherent(alpha, beta)
-
-
 class SymbolicMomentProvider:
-    """Exact moments of a coherent-family hybrid state, no truncation.
+    """Exact moments of a coherent-family hybrid state or its thermal-channel output.
 
-    Mode words reduce to normal order and hit coherent dyads in closed form;
-    qudit words are evaluated with the d-level adapted operators.
+    A plain HybridState is read as the output of the identity channel
+    (eta = 1, n_th = 0).  Mode words reduce to normal order and every
+    normal-ordered pair of every coherent dyad goes through the Gaussian
+    closed form thermal_dyad_moments; qudit words are evaluated with the
+    d-level adapted operators.  No truncation enters.
     """
 
     def __init__(self, state):
-        if not isinstance(state, HybridState):
-            raise TypeError("SymbolicMomentProvider needs a HybridState")
-        self.qudit_dim = state.qudit_dim
-        self._b, self._bd = qudit_mode_operators(state.qudit_dim)
-        terms = []
-        for p, branches in state.terms:
-            for bi in branches:
-                for bj in branches:
-                    if bi.ket.kind != COHERENT or bj.ket.kind != COHERENT:
-                        raise UnsupportedKet("symbolic moments need coherent kets")
-                    terms.append((p * bi.c * np.conj(bj.c), (bi.m, bj.m),
-                                  (bi.ket.alpha, bj.ket.alpha)))
-        self._terms = terms
-
-    def _qudit_word(self, b_word):
-        t, u, v, w = b_word
-        def power(m, k):
-            return np.linalg.matrix_power(m, k)
-        return power(self._bd, t) @ power(self._b, u) @ power(self._bd, v) @ power(self._b, w)
-
-    def __call__(self, a_word, b_word):
-        wb = self._qudit_word(tuple(b_word))
-        total = 0.0 + 0.0j
-        for weight, (m, mp), (ai, aj) in self._terms:
-            qf = wb[mp, m]
-            if qf == 0:
-                continue
-            total += weight * qf * _coherent_word(aj, ai, a_word)
-        return complex(total)
-
-
-class ThermalMomentProvider:
-    """Exact moments of a thermal-channel output, via the Gaussian closed forms."""
-
-    def __init__(self, state):
-        if not isinstance(state, ThermalHybridState):
-            raise TypeError("ThermalMomentProvider needs a ThermalHybridState")
+        if isinstance(state, HybridState):
+            state = ThermalHybridState(state, ThermalChannelParams(1.0, 0.0))
+        elif not isinstance(state, ThermalHybridState):
+            raise TypeError("SymbolicMomentProvider needs a HybridState or a ThermalHybridState")
         self.qudit_dim = state.base.qudit_dim
-        self._b, self._bd = qudit_mode_operators(self.qudit_dim)
         self._terms = state.dyad_terms()
         self._params = state.params
 
-    def _qudit_word(self, b_word):
-        t, u, v, w = b_word
-        def power(m, k):
-            return np.linalg.matrix_power(m, k)
-        return power(self._bd, t) @ power(self._b, u) @ power(self._bd, v) @ power(self._b, w)
-
     def __call__(self, a_word, b_word):
-        wb = self._qudit_word(tuple(b_word))
+        wb = _qudit_word(self.qudit_dim, tuple(b_word))
+        pairs = _normal_order_pairs(*a_word)
         total = 0.0 + 0.0j
         for weight, (m, mp), (ai, aj) in self._terms:
             qf = wb[mp, m]
             if qf == 0:
                 continue
-            for coeff, k, l in _normal_order_pairs(*a_word):
+            for coeff, k, l in pairs:
                 total += weight * qf * coeff * thermal_dyad_moments(ai, aj, self._params, (k, l))
         return complex(total)
 

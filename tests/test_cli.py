@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hyqent import composite, compression
 from hyqent.cli import main, validate_spec
 
 
@@ -61,6 +62,29 @@ def test_measure_ghz_tangle(tmp_path, capsys):
 def test_measure_inapplicable_exits_3(tmp_path, capsys):
     spec = write_spec(tmp_path, {"family": "qutrit-qumode", "params": {"alpha": 1.0}})
     assert main(["measure", spec, "--measure", "concurrence"]) == 3
+
+
+def test_moment_witness_on_squeezed_kets_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"family": "squeezed-binary-coherent",
+                                 "params": {"alpha": 1.0, "r": 0.3}})
+    assert main(["measure", spec, "--measure", "s1"]) == 3
+    err = capsys.readouterr().err
+    assert "moment witnesses need a coherent-family" in err
+    assert "coherent kets" in err
+
+
+def test_measure_header_reports_module_tolerances(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"family": "two-mode-cat",
+                                 "params": {"alpha": 1.0, "phi": np.pi}})
+    assert main(["measure", spec, "--measure", "concurrence"]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("# tolerances: ")][0]
+    assert json.loads(line[len("# tolerances: "):]) == {
+        "dependence_tol": compression.DEPENDENCE_TOL,
+        "trace_tol": composite.TRACE_TOL,
+        "hermitian_tol": composite.HERMITIAN_TOL,
+        "eig_tol": composite.EIG_TOL,
+    }
 
 
 def test_inline_hybrid_spec(tmp_path, capsys):

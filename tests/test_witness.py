@@ -1,15 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import random_ket
 from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider,
                     SymbolicKet, SymbolicMomentProvider, ThermalChannelParams,
-                    ThermalMomentProvider, apply_thermal, cat_witness_determinants,
+                    UnsupportedKet, apply_thermal, cat_witness_determinants, default_cutoff,
                     geometric_mixture_s1, heaviside_half, mixed24_s1, optimal_alpha,
                     principal_minor, qudit_mode_operators, s1_minor, s2_minor,
                     squeezed_s1, sv_moment_matrix, sv_multi_indices, swap_witness,
                     thermal_s1, thermal_threshold, witness_region)
-from hyqent.catalog import binary_coherent, mixed24, squeezed_binary_coherent
+from hyqent.catalog import (binary_coherent, mixed24, qutrit_qumode,
+                            squeezed_binary_coherent)
 from hyqent.composite import DensityMatrix
 
 
@@ -190,8 +194,35 @@ def test_thermal_s1_and_threshold():
 def test_thermal_generic_path_matches_closed_form():
     params = ThermalChannelParams(0.55, 0.8)
     state = apply_thermal(binary_coherent(0.9).payload, params)
-    mm = sv_moment_matrix(ThermalMomentProvider(state), 2, qudit_dim=2)
+    mm = sv_moment_matrix(SymbolicMomentProvider(state), 2, qudit_dim=2)
     assert s1_minor(mm) == pytest.approx(thermal_s1(0.9, 0.55, 0.8), abs=1e-12)
+
+
+def test_thermal_qutrit_moments_match_kraus_oracle():
+    # d = 3 through the thermal route: exact dyad moments vs. truncated Kraus output
+    state = apply_thermal(qutrit_qumode(0.6).payload, ThermalChannelParams(0.6, 0.2))
+    exact = sv_moment_matrix(SymbolicMomentProvider(state), 2, qudit_dim=3)
+    rho = state.truncated_density(default_cutoff(0.6))
+    oracle = sv_moment_matrix(MatrixMomentProvider(rho, mode_subsystem=1), 2, qudit_dim=3)
+    assert exact.index_map == oracle.index_map
+    assert np.abs(exact.matrix - oracle.matrix).max() < 1e-7
+
+
+def test_symbolic_provider_rejects_other_payloads():
+    with pytest.raises(TypeError):
+        SymbolicMomentProvider(DensityMatrix.from_ket(np.array([1.0, 0, 0, 0]), (2, 2)))
+    with pytest.raises(UnsupportedKet):
+        SymbolicMomentProvider(squeezed_binary_coherent(0.6, 0.3).payload)
+
+
+def test_matrix_provider_is_freed_after_use():
+    rho = binary_coherent(0.7).payload.to_fock_density(20)
+    prov = MatrixMomentProvider(rho, mode_subsystem=1)
+    sv_moment_matrix(prov, 2, qudit_dim=2)
+    ref = weakref.ref(prov)
+    del prov
+    gc.collect()
+    assert ref() is None
 
 
 def test_geometric_mixture_s1_series_and_bound():
