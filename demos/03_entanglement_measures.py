@@ -8,15 +8,15 @@ distribution of tripartite states.
 
 import numpy as np
 
-from hyqent import (DensityMatrix, ckw, compress_modal, compress_vector,
-                    concurrence, entropy_of_entanglement, schmidt)
+from hyqent import (DensityMatrix, ckw, compress_vector, concurrence,
+                    entropy_of_entanglement, schmidt)
 from hyqent.catalog import qutrit_qumode, tripartite_qqm, two_mode_cat
 
 # --- two-mode cat concurrence ------------------------------------------------
 print("two-mode cat concurrence (compressed Wootters vs closed form):")
 for alpha in (0.5, 1.0):
     for phi in (0.0, np.pi / 2, np.pi):
-        v, dims = compress_modal(two_mode_cat(alpha, phi).payload)
+        v, dims = compress_vector(two_mode_cat(alpha, phi).payload)
         got = concurrence(DensityMatrix.from_ket(v, dims))
         e = np.exp(-4 * alpha**2)
         closed = (1 - e) / (1 + e * np.cos(phi))

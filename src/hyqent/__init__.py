@@ -15,8 +15,7 @@ from .channels import (KrausSet, ThermalChannelParams, ThermalHybridState,
                        qubit_loss_kraus, thermal_dyad_moments, thermal_kraus)
 from .composite import DensityMatrix, partial_trace, partial_transpose, purity, tensor
 from .compression import (Classification, GramCoefficients, classify, compress,
-                       compress_modal, compress_modal_mixture, compress_vector,
-                       inverse_gram_schmidt, ket_expansion)
+                          compress_vector, inverse_gram_schmidt, ket_expansion)
 from .errors import (CutoffTooSmall, DegenerateNormalization, InconsistentMoments,
                      NumericInconsistency, UnsupportedKet)
 from .fock import (WignerField, beamsplit, coherent_ket, coherent_tail_weight,
@@ -27,7 +26,7 @@ from .gaussian import (GaussianState, beamsplitter_symplectic, gaussian_entropy,
                        gaussian_log_negativity, phase_symplectic, ppt_condition,
                        squeezer_symplectic, symplectic_eigenvalues,
                        symplectic_form, thermal_cov, tmss_cov, vacuum_cov)
-from .kets import HybridState, InfiniteHybridFamily, ModalPure, SymbolicKet, overlap
+from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet, overlap
 from .measures import (SchmidtDecomposition, TangleReport, ckw, concurrence,
                        entanglement_of_formation, entropy_of_entanglement,
                        log_negativity, majorizes, negativity, schmidt)

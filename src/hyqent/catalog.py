@@ -1,9 +1,10 @@
 """Constructors for the named states of the toolbox.
 
 Every constructor returns a NamedState with a stable string id (also used by
-the command-line front end), its parameters, and a payload: a HybridState, a
-ModalPure / modal mixture, a plain DV ket with dims, or one of the
-truly-hybrid descriptors.
+the command-line front end), its parameters, and a payload: a HybridState on
+its site layout (qudit-qumode, two qumodes, one qumode, or the qubus's qumode
+and two qubits), a plain DV ket with dims, or one of the truly-hybrid
+descriptors.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ import numpy as np
 
 from .channels import ThermalChannelParams, apply_thermal
 from .errors import DegenerateNormalization
-from .kets import HybridState, InfiniteHybridFamily, ModalPure, SymbolicKet, overlap
+from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet
 
 
 @dataclass(frozen=True)
@@ -21,14 +22,6 @@ class DiscreteKet:
 
     vector: np.ndarray
     dims: tuple
-
-
-@dataclass(frozen=True)
-class ModalMixture:
-    """Convex mixture of ModalPure states on a common site layout."""
-
-    weights: tuple
-    pures: tuple
 
 
 @dataclass(frozen=True)
@@ -50,9 +43,9 @@ def two_mode_cat(alpha, phi):
     if norm < 1e-14:
         raise DegenerateNormalization("two-mode cat norm vanishes (phi=pi, alpha->0)")
     ka, kb = SymbolicKet.coherent(alpha), SymbolicKet.coherent(-alpha)
-    pure = ModalPure(("mode", "mode"),
-                     [(1.0 / np.sqrt(norm), (ka, ka)),
-                      (np.exp(1j * phi) / np.sqrt(norm), (kb, kb))])
+    pure = HybridState.pure((MODE, MODE),
+                            [(1.0 / np.sqrt(norm), (ka, ka)),
+                             (np.exp(1j * phi) / np.sqrt(norm), (kb, kb))])
     return NamedState("two-mode-cat", {"alpha": alpha, "phi": phi}, pure)
 
 
@@ -228,21 +221,17 @@ def project_to_cat(state, sign=+1):
     Returns the normalized single-mode cat superposition with its success
     probability; the two probabilities resolve the identity on the qubit.
     """
-    if not isinstance(state, HybridState) or not state.is_pure or state.qudit_dim != 2:
+    if state.qudit_dim != 2 or not state.is_pure:
         raise ValueError("cat projection needs a pure qubit-qumode state")
     sgn = 1.0 if sign >= 0 else -1.0
     comps = {}
     for b in state.terms[0][1]:
         w = b.c / np.sqrt(2.0) * (sgn if b.m == 1 else 1.0)
         comps[b.ket] = comps.get(b.ket, 0.0) + w
-    norm_sq = 0.0
-    items = list(comps.items())
-    for ki, ci in items:
-        for kj, cj in items:
-            norm_sq += (np.conj(ci) * cj * overlap(ki, kj)).real
+    norm_sq = HybridState.pure((MODE,), [(c, (k,)) for k, c in comps.items()]).norm_squared()
     if norm_sq < 1e-14:
         raise DegenerateNormalization("cat projection has vanishing success probability")
-    pure = ModalPure(("mode",), [(c / np.sqrt(norm_sq), (k,)) for k, c in items])
+    pure = HybridState.pure((MODE,), [(c / np.sqrt(norm_sq), (k,)) for k, c in comps.items()])
     return NamedState("cat-projection", {"sign": int(sgn)}, pure,
                       extra={"success_probability": float(norm_sq)})
 
@@ -293,16 +282,14 @@ def qubus_state(alpha, theta, eta):
     k0 = SymbolicKet.coherent(np.sqrt(eta) * alpha)
     kp = SymbolicKet.coherent(np.sqrt(eta) * alpha * np.exp(1j * theta))
     km = SymbolicKet.coherent(np.sqrt(eta) * alpha * np.exp(-1j * theta))
-    sites = ("mode", 2, 2)
 
     def psi(s):
-        return ModalPure(sites, [
-            (0.5, (k0, 0, 0)), (s * 0.5, (k0, 1, 1)),
-            (s * 0.5 * np.exp(-1j * varphi), (kp, 1, 0)),
-            (0.5 * np.exp(1j * varphi), (km, 0, 1)),
-        ])
+        return [(0.5, (k0, 0, 0)), (s * 0.5, (k0, 1, 1)),
+                (s * 0.5 * np.exp(-1j * varphi), (kp, 1, 0)),
+                (0.5 * np.exp(1j * varphi), (km, 0, 1))]
 
-    mix = ModalMixture((f, 1.0 - f), (psi(+1.0), psi(-1.0)))
+    terms = [(w, psi(s)) for w, s in [(f, +1.0), (1.0 - f, -1.0)] if w > 0]
+    mix = HybridState((MODE, 2, 2), terms)
     return NamedState("qubus", {"alpha": alpha, "theta": theta, "eta": eta}, mix,
                       extra={"fidelity": f})
 

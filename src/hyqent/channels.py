@@ -108,6 +108,7 @@ def amplitude_damp(state, eta):
     form with weights (1 +- tau)/2, tau = exp(-2(1-eta)|alpha|^2); other terms
     go through an exact environment Gram-Schmidt expansion.
     """
+    d = state.qudit_dim
     if not 0.0 <= eta <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     if eta == 1.0:
@@ -120,7 +121,7 @@ def amplitude_damp(state, eta):
         else:
             pieces = _damp_pure_term(branches, eta)
         out_terms.extend((p * w, bs) for w, bs in pieces if p * w > 1e-15)
-    return HybridState(state.qudit_dim, out_terms)
+    return HybridState(d, out_terms)
 
 
 def _is_balanced_opposite(branches):
@@ -363,6 +364,7 @@ class ThermalHybridState:
 
 def apply_thermal(state, params):
     """Thermal channel on the qumode side; identity when eta=1 and n_th has no effect."""
+    state.qudit_dim  # rejects layouts other than (d, "mode")
     for _, branches in state.terms:
         _coherent_branches(branches)
     return ThermalHybridState(state, params)

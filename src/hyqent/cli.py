@@ -17,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, catalog, channels, composite, compression, fock, measures, witness
-from .catalog import FAMILIES, DiscreteKet, ModalMixture, NamedState
+from .catalog import FAMILIES, DiscreteKet, NamedState
 from .composite import DensityMatrix
 from .errors import UnsupportedKet
-from .kets import HybridState, InfiniteHybridFamily, ModalPure, SymbolicKet
+from .kets import HybridState, InfiniteHybridFamily, SymbolicKet
 
 ENV_NCUT = "HYQENT_NCUT"
 
@@ -140,11 +140,6 @@ def build_state(family, params):
 def _to_density(payload):
     if isinstance(payload, HybridState):
         return compression.compress(payload)
-    if isinstance(payload, ModalPure):
-        v, dims = compression.compress_modal(payload)
-        return DensityMatrix.from_ket(v / np.linalg.norm(v), dims)
-    if isinstance(payload, ModalMixture):
-        return compression.compress_modal_mixture(payload.weights, payload.pures)
     if isinstance(payload, DiscreteKet):
         return DensityMatrix.from_ket(payload.vector, payload.dims)
     raise Inapplicable("state has no finite density-matrix description")
@@ -153,8 +148,6 @@ def _to_density(payload):
 def _pure_vector(payload):
     if isinstance(payload, HybridState) and payload.is_pure:
         return compression.compress_vector(payload)
-    if isinstance(payload, ModalPure):
-        return compression.compress_modal(payload)
     if isinstance(payload, DiscreteKet):
         return payload.vector, payload.dims
     raise Inapplicable("measure needs a pure state")
@@ -180,9 +173,10 @@ def _measure_value(name, named):
     payload = named.payload
     if name == "concurrence":
         rho = _bipartite(_to_density(payload))
-        if rho.dims != (2, 2):
-            raise Inapplicable(f"concurrence needs an effective 2x2 state, got {rho.dims}")
-        return measures.concurrence(rho)
+        try:
+            return measures.concurrence(rho)
+        except ValueError as exc:  # not an effective two-qubit state
+            raise Inapplicable(str(exc)) from exc
     if name == "negativity":
         return measures.negativity(_bipartite(_to_density(payload)))
     if name == "log_negativity":
@@ -293,29 +287,25 @@ def cmd_classify(args):
     spec = load_spec(args.spec)
     named = build_state(spec["family"], spec["params"])
     payload = named.payload
-    cls = compression.classify(payload) if not isinstance(payload, (DiscreteKet, ModalMixture)) \
-        else None
     print(f"family: {named.id}")
     if isinstance(payload, (InfiniteHybridFamily, channels.ThermalHybridState)):
         print("classification: truly-hybrid (infinite qumode family by construction)")
         return 0
-    if cls is not None:
-        label = cls.kind + (f"({cls.term_count})" if cls.kind == "mixed-dv-like" else "")
-        print(f"classification: {label}")
     if isinstance(payload, HybridState):
-        rho = compression.compress(payload)
-        coeffs = compression.ket_expansion(payload.kets())
-        print(f"effective dimensions: {rho.dims[0]} x {rho.dims[1]}")
-        print("gram coefficients (rows = kets, columns = orthonormal basis):")
-        for row in coeffs.matrix:
-            print("  [" + ", ".join(_format_complex(z) for z in row) + "]")
-    elif isinstance(payload, ModalPure):
-        v, dims = compression.compress_modal(payload)
-        print(f"effective dimensions: {' x '.join(str(d) for d in dims)}")
-    elif isinstance(payload, (DiscreteKet, ModalMixture)):
-        rho = _to_density(payload)
-        print("classification: discrete-variable state")
-        print(f"effective dimensions: {' x '.join(str(d) for d in rho.dims)}")
+        cls = compression.classify(payload)
+        label = cls.kind + (f"({cls.term_count})" if cls.kind == "mixed-dv-like" else "")
+    else:
+        label = "discrete-variable state"
+    print(f"classification: {label}")
+    rho = _to_density(payload)
+    print(f"effective dimensions: {' x '.join(str(d) for d in rho.dims)}")
+    if isinstance(payload, HybridState):
+        expansions = compression.site_expansions(payload)
+        for axis, _, coeffs in expansions:
+            where = f" of site {axis}" if len(expansions) > 1 else ""
+            print(f"gram coefficients{where} (rows = kets, columns = orthonormal basis):")
+            for row in coeffs.matrix:
+                print("  [" + ", ".join(_format_complex(z) for z in row) + "]")
     return 0
 
 

@@ -8,12 +8,14 @@ finite-dimensional density matrices, where the full DV toolbox applies.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .composite import DensityMatrix
-from .kets import HybridState, InfiniteHybridFamily, ModalPure, overlap
+from .kets import MODE, HybridState, InfiniteHybridFamily, overlap
 
 DEPENDENCE_TOL = 1e-12
 
@@ -64,7 +66,7 @@ def inverse_gram_schmidt(gram, dependence_tol=DEPENDENCE_TOL):
         r = len(pivots)
         if r:
             # <psi_k|psi_i> = sum_j conj(A_kj) A_ij for the pivot rows k
-            lower = rows[np.ix_(pivots, range(r))].conj()
+            lower = rows[pivots, :r].conj()
             x = solve_triangular(lower, gram[pivots, i], lower=True)
             rows[i, :r] = x
         residual = gram[i, i].real - float(np.sum(np.abs(rows[i, :r]) ** 2))
@@ -87,95 +89,81 @@ def ket_expansion(kets, dependence_tol=DEPENDENCE_TOL):
     return inverse_gram_schmidt(gram, dependence_tol=dependence_tol)
 
 
-def compress_vector(state):
-    """Effective DV ket of a pure HybridState, with its (d, r) dims.
+def site_expansions(state):
+    """(axis, kets, GramCoefficients) for each mode site of a HybridState.
 
-    The qumode kets are replaced by their orthonormal expansion; all overlaps,
-    and hence all entanglement properties, are preserved exactly.
+    A site's kets are its distinct kets in order of first appearance over all
+    terms; each site gets one ket_expansion.
+    """
+    out = []
+    for axis, site in enumerate(state.sites):
+        if site == MODE:
+            kets = list(dict.fromkeys(b.values[axis] for _, bs in state.terms for b in bs))
+            out.append((axis, kets, ket_expansion(kets)))
+    return out
+
+
+def _term_vectors(state):
+    """Compressed vector of every term of a HybridState, and the effective dims.
+
+    Each mode site becomes its orthonormal basis, and each branch lands by
+    index: its qudit levels select one entry per qudit axis, and the rows of
+    its kets (their outer product, with several mode sites) fill the mode axes.
+    """
+    sites = state.sites
+    dims, rows = list(sites), {}
+    for axis, kets, coeffs in site_expansions(state):
+        dims[axis] = coeffs.basis_size
+        rows[axis] = dict(zip(kets, coeffs.matrix))
+    vectors = [np.zeros(prod(dims), dtype=complex) for _ in state.terms]
+    if len(rows) == 1:  # one mode site: every branch fills a strided slice
+        (axis, row_of), = rows.items()
+        step = prod(dims[axis + 1:])
+        span = dims[axis] * step
+        qudit = [(a, prod(dims[a + 1:])) for a, s in enumerate(sites) if s != MODE]
+        for v, (_, branches) in zip(vectors, state.terms):
+            for c, values in branches:
+                start = 0
+                for a, stride in qudit:
+                    start += values[a] * stride
+                v[start:start + span:step] += c * row_of[values[axis]]
+    else:
+        for v, (_, branches) in zip(vectors, state.terms):
+            view = v.reshape(dims)
+            for c, values in branches:
+                index = tuple(slice(None) if s == MODE else x for s, x in zip(sites, values))
+                view[index] += c * reduce(np.multiply.outer, [rows[a][values[a]] for a in rows])
+    return vectors, tuple(dims)
+
+
+def compress_vector(state):
+    """Effective DV ket of a pure HybridState, with its dims.
+
+    The qumode kets of each mode site are replaced by their orthonormal
+    expansion; all overlaps, and hence all entanglement properties, are
+    preserved exactly.
     """
     if not state.is_pure:
         raise ValueError("compress_vector needs a pure (single-term) state")
-    kets = state.kets()
-    coeffs = ket_expansion(kets)
-    index = {k: i for i, k in enumerate(kets)}
-    d, r = state.qudit_dim, coeffs.basis_size
-    v = np.zeros(d * r, dtype=complex)
-    for b in state.terms[0][1]:
-        v[b.m * r:(b.m + 1) * r] += b.c * coeffs.matrix[index[b.ket]]
-    return v, (d, r)
+    vectors, dims = _term_vectors(state)
+    return vectors[0], dims
 
 
 def compress(state):
-    """Effective DV density matrix of a HybridState on qudit x span(kets)."""
-    kets = state.kets()
-    coeffs = ket_expansion(kets)
-    index = {k: i for i, k in enumerate(kets)}
-    d, r = state.qudit_dim, coeffs.basis_size
-    rho = np.zeros((d * r, d * r), dtype=complex)
-    for p, branches in state.terms:
-        v = np.zeros(d * r, dtype=complex)
-        for b in branches:
-            v[b.m * r:(b.m + 1) * r] += b.c * coeffs.matrix[index[b.ket]]
+    """Effective DV density matrix of a HybridState, one factor per site.
+
+    Terms on a layout of mode sites only are normalized through the ket
+    overlaps, so their vectors are renormalized first.
+    """
+    vectors, dims = _term_vectors(state)
+    if all(s == MODE for s in state.sites):
+        vectors = [v / np.linalg.norm(v) for v in vectors]
+        if state.is_pure:
+            return DensityMatrix.from_ket(vectors[0], dims)
+    n = vectors[0].size
+    rho = np.zeros((n, n), dtype=complex)
+    for (p, _), v in zip(state.terms, vectors):
         rho += p * np.outer(v, v.conj())
-    return DensityMatrix(rho, (d, r))
-
-
-def _modal_expansions(sites, branch_lists):
-    """Per-mode-site Gram expansions shared across all listed branches."""
-    per_site = {}
-    for axis, s in enumerate(sites):
-        if s != "mode":
-            continue
-        kets = []
-        for branches in branch_lists:
-            for _, values in branches:
-                if values[axis] not in kets:
-                    kets.append(values[axis])
-        per_site[axis] = (kets, ket_expansion(kets))
-    return per_site
-
-
-def _modal_vector(sites, branches, per_site):
-    dims = []
-    for axis, s in enumerate(sites):
-        dims.append(per_site[axis][1].basis_size if s == "mode" else int(s))
-    v = np.zeros(int(np.prod(dims)), dtype=complex)
-    for c, values in branches:
-        factors = []
-        for axis, s in enumerate(sites):
-            if s == "mode":
-                kets, coeffs = per_site[axis]
-                factors.append(coeffs.matrix[kets.index(values[axis])])
-            else:
-                e = np.zeros(int(s), dtype=complex)
-                e[int(values[axis])] = 1.0
-                factors.append(e)
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        v += c * term
-    return v, tuple(dims)
-
-
-def compress_modal(pure):
-    """Effective DV ket of a ModalPure state (kets compressed per mode site)."""
-    per_site = _modal_expansions(pure.sites, [pure.branches])
-    v, dims = _modal_vector(pure.sites, pure.branches, per_site)
-    return v, dims
-
-
-def compress_modal_mixture(weights, pures):
-    """Joint compression of a mixture of ModalPure states on common sites."""
-    sites = pures[0].sites
-    if any(p.sites != sites for p in pures):
-        raise ValueError("mixture components must share the same site layout")
-    per_site = _modal_expansions(sites, [p.branches for p in pures])
-    rho = None
-    dims = None
-    for w, p in zip(weights, pures):
-        v, dims = _modal_vector(sites, p.branches, per_site)
-        add = w * np.outer(v, v.conj())
-        rho = add if rho is None else rho + add
     return DensityMatrix(rho, dims)
 
 
@@ -208,6 +196,4 @@ def classify(state):
         if state.is_pure:
             return Classification(Classification.PURE, 1)
         return Classification(Classification.MIXED, state.term_count)
-    if isinstance(state, ModalPure):
-        return Classification(Classification.PURE, 1)
     raise TypeError(f"cannot classify {type(state).__name__}")

@@ -1,4 +1,4 @@
-"""Symbolic qumode kets with analytic overlaps, and hybrid qudit-qumode states.
+"""Symbolic qumode kets with analytic overlaps, and the hybrid state container.
 
 Closed-form overlaps are the backbone of the compression machinery: wherever a
 pair of kets has an exact overlap, no Fock truncation enters the effective
@@ -7,6 +7,7 @@ finite-dimensional description.
 
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,8 @@ COHERENT = "coherent"
 FOCK = "fock"
 DISPLACED_SQUEEZED = "displaced_squeezed"
 PHOTON_ADDED = "photon_added_coherent"
+
+MODE = "mode"  # site holding a qumode ket; any other site is a qudit dimension
 
 
 @dataclass(frozen=True)
@@ -143,51 +146,98 @@ def overlap(bra, ket):
     raise UnsupportedKet(f"no analytic overlap for pair ({a.kind}, {b.kind})")
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One (coefficient, qudit level, qumode ket) component of a pure term."""
+class Branch(NamedTuple):
+    """One component of a pure term: a coefficient and one value per site.
+
+    values holds an int level for each qudit site and a SymbolicKet for each
+    mode site.  On the (d, MODE) layout, m and ket name the two values.
+    """
 
     c: complex
-    m: int
-    ket: SymbolicKet
+    values: tuple
+
+    @property
+    def m(self):
+        return self.values[0]
+
+    @property
+    def ket(self):
+        return self.values[1]
+
+
+class Term(NamedTuple):
+    """Probability p of the pure superposition held by branches."""
+
+    p: float
+    branches: tuple
+
+
+def _site_values(sites, values):
+    values = tuple(v if s == MODE else int(v) for s, v in zip(sites, values))
+    if len(values) != len(sites) or not all(
+            isinstance(v, SymbolicKet) if s == MODE else 0 <= v < s for s, v in zip(sites, values)):
+        raise ValueError(f"branch values {values} do not fit sites {sites}: one SymbolicKet "
+                         f"per mode site and one in-range level per qudit site")
+    return values
 
 
 class HybridState:
-    """Convex mixture of pure qudit-qumode superpositions.
+    """Convex mixture of pure terms on an ordered tuple of sites.
 
-    rho = sum_n p_n |psi_n><psi_n| with |psi_n> = sum_m c_nm |m> |ket_nm>,
-    one branch per qudit level at most.  Because the qudit levels are
-    orthogonal, sum_m |c_nm|^2 = 1 normalizes each term exactly regardless of
-    the qumode overlaps.
+    rho = sum_n p_n |psi_n><psi_n| with |psi_n> = sum_b c_nb |values_nb>.  Each
+    site is a qudit dimension (int) or MODE; each branch holds one level per
+    qudit site and one SymbolicKet per mode site.  HybridState(d, terms) with
+    (c, m, ket) branches is shorthand for the qudit-qumode layout (d, MODE);
+    HybridState(sites, terms) takes (c, values) branches.
+
+    Branches of one term must differ in some qudit level.  They are then
+    orthogonal, so sum_b |c_nb|^2 = 1 normalizes each term exactly.  A layout
+    of mode sites only has no levels to tell branches apart: its terms are
+    normalized through the ket overlaps, go unchecked here, and compression
+    renormalizes them.
     """
 
-    def __init__(self, qudit_dim, terms):
-        d = int(qudit_dim)
+    def __init__(self, sites, terms):
+        if not isinstance(sites, (tuple, list)):
+            sites = (sites, MODE)
+            terms = [(p, [(c, (m, ket)) for c, m, ket in branches]) for p, branches in terms]
+        sites = tuple(s if s == MODE else int(s) for s in sites)
+        qudit_axes = [a for a, s in enumerate(sites) if s != MODE]
         norm_terms = []
         total_p = 0.0
         for p, branches in terms:
             p = float(p)
             if p <= 0:
                 raise ValueError("term probabilities must be positive")
-            bs = tuple(Branch(complex(c), int(m), ket) for (c, m, ket) in branches)
-            levels = [b.m for b in bs]
-            if len(set(levels)) != len(levels):
-                raise ValueError("duplicate qudit level within one term")
-            if any(b.m < 0 or b.m >= d for b in bs):
-                raise ValueError("qudit level out of range")
-            csum = sum(abs(b.c) ** 2 for b in bs)
-            if abs(csum - 1.0) > 1e-12:
-                raise ValueError(f"branch coefficients have norm^2 {csum}, expected 1")
-            norm_terms.append((p, bs))
+            bs = tuple(Branch(complex(c), _site_values(sites, values)) for c, values in branches)
+            if qudit_axes:
+                levels = [tuple(b.values[a] for a in qudit_axes) for b in bs]
+                if len(set(levels)) != len(levels):
+                    raise ValueError("duplicate qudit level within one term")
+                csum = sum(abs(b.c) ** 2 for b in bs)
+                if abs(csum - 1.0) > 1e-12:
+                    raise ValueError(f"branch coefficients have norm^2 {csum}, expected 1")
+            norm_terms.append(Term(p, bs))
             total_p += p
         if abs(total_p - 1.0) > 1e-12:
             raise ValueError(f"term probabilities sum to {total_p}, expected 1")
-        self.qudit_dim = d
+        self.sites = sites
         self.terms = tuple(norm_terms)
 
     @classmethod
-    def pure(cls, qudit_dim, branches):
-        return cls(qudit_dim, [(1.0, branches)])
+    def pure(cls, sites, branches):
+        return cls(sites, [(1.0, branches)])
+
+    @property
+    def qudit_dim(self):
+        """d of the qudit-qumode layout (d, MODE); other layouts raise TypeError.
+
+        This is the one layout check: every function that reads branches as
+        (c, m, ket) takes qudit_dim first.
+        """
+        if len(self.sites) != 2 or self.sites[0] == MODE or self.sites[1] != MODE:
+            raise TypeError(f"needs a qudit-qumode state on sites (d, 'mode'), got {self.sites}")
+        return self.sites[0]
 
     @property
     def term_count(self):
@@ -197,14 +247,29 @@ class HybridState:
     def is_pure(self):
         return len(self.terms) == 1
 
+    @property
+    def weights(self):
+        """The term probabilities p_n."""
+        return tuple(t.p for t in self.terms)
+
+    @property
+    def pures(self):
+        """The terms read as pure components, each with its branches."""
+        return self.terms
+
     def kets(self):
-        """Distinct qumode kets in order of first appearance."""
-        seen = []
-        for _, branches in self.terms:
-            for b in branches:
-                if b.ket not in seen:
-                    seen.append(b.ket)
-        return seen
+        """Distinct qumode kets, over all mode sites, in order of first appearance."""
+        mode_axes = [a for a, s in enumerate(self.sites) if s == MODE]
+        return list(dict.fromkeys(b.values[a] for _, branches in self.terms
+                                  for b in branches for a in mode_axes))
+
+    def norm_squared(self):
+        """sum_n p_n <psi_n|psi_n> from the analytic overlaps; 1 when normalized."""
+        def braket(v1, v2):
+            return np.prod([overlap(a, b) if s == MODE else float(a == b)
+                            for s, a, b in zip(self.sites, v1, v2)])
+        return sum(p * (np.conj(c1) * c2 * braket(v1, v2)).real
+                   for p, branches in self.terms for c1, v1 in branches for c2, v2 in branches)
 
     def to_fock_density(self, n_cut, tail_tol=1e-8):
         """Truncated-Fock qudit x mode density matrix (cross-check path)."""
@@ -221,7 +286,7 @@ class HybridState:
         return DensityMatrix(rho, (d, n_cut + 1), trace_tol=1e-6)
 
     def __repr__(self):
-        return f"HybridState(d={self.qudit_dim}, terms={self.term_count})"
+        return f"HybridState(sites={self.sites}, terms={self.term_count})"
 
 
 @dataclass(frozen=True)
@@ -246,45 +311,3 @@ class InfiniteHybridFamily:
         kept = sum(p for p, _ in terms)
         state = HybridState(self.qudit_dim, [(p / kept, bs) for p, bs in terms])
         return state, 1.0 - kept
-
-
-class ModalPure:
-    """Pure state on an ordered list of sites, each a qudit or a qumode.
-
-    sites: tuple of ints (qudit dimension) or the string 'mode'.
-    branches: (coefficient, values) with one int per qudit site and one
-    SymbolicKet per mode site.  Used for the multi-mode catalog states; the
-    bipartite HybridState stays the primary container.
-    """
-
-    def __init__(self, sites, branches):
-        self.sites = tuple(sites)
-        norm = []
-        for c, values in branches:
-            values = tuple(values)
-            if len(values) != len(self.sites):
-                raise ValueError("branch length does not match site count")
-            for s, v in zip(self.sites, values):
-                if s == "mode":
-                    if not isinstance(v, SymbolicKet):
-                        raise ValueError("mode sites need SymbolicKet values")
-                elif not (0 <= int(v) < int(s)):
-                    raise ValueError("qudit level out of range")
-            norm.append((complex(c), values))
-        self.branches = tuple(norm)
-
-    def norm_squared(self):
-        total = 0.0 + 0.0j
-        for c1, v1 in self.branches:
-            for c2, v2 in self.branches:
-                total += np.conj(c1) * c2 * self._branch_overlap(v1, v2)
-        return total.real
-
-    def _branch_overlap(self, v1, v2):
-        out = 1.0 + 0.0j
-        for s, a, b in zip(self.sites, v1, v2):
-            if s == "mode":
-                out *= overlap(a, b)
-            elif a != b:
-                return 0.0 + 0.0j
-        return out

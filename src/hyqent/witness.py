@@ -223,7 +223,7 @@ class SymbolicMomentProvider:
             state = ThermalHybridState(state, ThermalChannelParams(1.0, 0.0))
         elif not isinstance(state, ThermalHybridState):
             raise TypeError("SymbolicMomentProvider needs a HybridState or a ThermalHybridState")
-        self.qudit_dim = state.base.qudit_dim
+        self.qudit_dim = state.base.qudit_dim  # rejects layouts other than (d, "mode")
         self._terms = state.dyad_terms()
         self._params = state.params
 

@@ -40,7 +40,7 @@ def test_criterion_01_cat_concurrence_surface():
     for alpha in (0.25, 0.5, 1.0, 1.5, 2.0):
         for k in range(8):
             phi = k * np.pi / 4.0
-            v, dims = hq.compress_modal(two_mode_cat(alpha, phi).payload)
+            v, dims = hq.compress_vector(two_mode_cat(alpha, phi).payload)
             got = hq.concurrence(hq.DensityMatrix.from_ket(v, dims))
             e = np.exp(-4.0 * alpha**2)
             want = (1.0 - e) / (1.0 + e * np.cos(phi))

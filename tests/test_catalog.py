@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyqent import (DegenerateNormalization, DensityMatrix, SymbolicKet, ckw,
-                    compress_modal, compress_modal_mixture, concurrence)
+                    compress, compress_vector, concurrence)
 from hyqent.catalog import (FAMILIES, g_interaction_matrix, g_interaction_state,
                             ghz, jcm_generate, mixed24, project_to_cat,
                             qubus_fidelity, qubus_state, tripartite_qmm,
@@ -17,7 +17,7 @@ def test_two_mode_cat_norm_and_degenerate_corner():
 
 
 def test_two_mode_cat_phi_pi_is_bell_like():
-    v, dims = compress_modal(two_mode_cat(0.5, np.pi).payload)
+    v, dims = compress_vector(two_mode_cat(0.5, np.pi).payload)
     assert concurrence(DensityMatrix.from_ket(v, dims)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -96,7 +96,7 @@ def test_qubus_theta_zero_factors():
     named = qubus_state(1.0, 0.0, 0.8)
     assert named.extra["fidelity"] == pytest.approx(1.0)
     mix = named.payload
-    rho = compress_modal_mixture(mix.weights, mix.pures)
+    rho = compress(mix)
     # the bus occupies a single coherent ket: one-dimensional first factor
     assert rho.dims[0] == 1
     # remaining two-qubit state is the equal mixture of |Phi+-> rotated pieces;
@@ -109,7 +109,7 @@ def test_qubus_theta_zero_factors():
 def test_qubus_mixture_is_valid_state():
     named = qubus_state(0.9, 0.2, 0.7)
     mix = named.payload
-    rho = compress_modal_mixture(mix.weights, mix.pures)
+    rho = compress(mix)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-10
     assert rho.dims[1:] == (2, 2)
 

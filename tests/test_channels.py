@@ -83,6 +83,14 @@ def test_amplitude_damp_concurrence_monotone_in_loss():
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_total_loss_concurrence_is_zero():
+    # eta = 0 maps every ket to the vacuum: a qubit times one qumode ket
+    rho = compress(amplitude_damp(binary_coherent(0.9).payload, 0.0))
+    assert rho.dims == (2, 1)
+    assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
+    assert negativity(rho) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_thermal_dyad_moment_examples():
     params = ThermalChannelParams(0.5, 1.0)
     val = thermal_dyad_moments(-1.0, -1.0, params, (1, 1))

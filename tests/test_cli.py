@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hyqent import composite, compression
-from hyqent.cli import main, validate_spec
+from hyqent.catalog import FAMILIES
+from hyqent.cli import MEASURES, main, validate_spec
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -212,3 +213,66 @@ def test_classify_qubit_qumode_with_parsed_kets(tmp_path, capsys):
     bad["params"] = dict(doc["params"], ket0={"kind": "nope"})
     spec = write_spec(tmp_path, bad, "bad.json")
     assert main(["classify", spec]) == 2
+
+
+def test_classify_qubus_is_a_finite_mixture(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"family": "qubus",
+                                 "params": {"alpha": 1.0, "theta": 0.2, "eta": 0.9}})
+    assert main(["classify", spec]) == 0
+    out = capsys.readouterr().out
+    assert "classification: mixed-dv-like(2)" in out
+    assert "effective dimensions: 3 x 2 x 2" in out
+
+
+def test_total_loss_concurrence_is_zero(tmp_path, capsys):
+    # eta = 0 leaves a qubit times the vacuum: effective dims (2, 1), C = 0
+    spec = write_spec(tmp_path, {"family": "damped-binary-coherent",
+                                 "params": {"alpha": 0.9, "eta": 0.0}})
+    assert main(["measure", spec, "--measure", "concurrence"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(0.0, abs=1e-12)
+
+
+# one valid point per family
+FAMILY_POINTS = {
+    "two-mode-cat": {"alpha": 0.7, "phi": 1.0},
+    "qubit-qumode": {},
+    "binary-coherent": {"alpha": 0.9},
+    "squeezed-binary-coherent": {"alpha": 0.9, "r": 0.4},
+    "damped-binary-coherent": {"alpha": 0.9, "eta": 0.6},
+    "qutrit-qumode": {"alpha": 0.9},
+    "mixed-23": {"p": 0.4, "alpha": 0.9},
+    "mixed-24": {"p": 0.4, "alpha": 0.9},
+    "geometric-mixture": {"x": 0.5, "alpha": 0.6},
+    "thermal-output": {"alpha": 0.9, "eta": 0.7, "n_th": 0.3},
+    "ghz": {},
+    "w": {},
+    "tripartite-qqm": {"q": 0.5},
+    "tripartite-qmm": {"q_phi": 0.3, "q_psi": 0.6},
+    "jcm": {"alpha": 1.0, "varphi": 0.3},
+    "qubus": {"alpha": 1.0, "theta": 0.2, "eta": 0.9},
+}
+
+# codes of the multi-site states (two qumodes; qumode bus and two qubits),
+# which the site layout decides
+PINNED_CODES = {
+    ("two-mode-cat", "s1"): 3, ("two-mode-cat", "s2"): 3,
+    ("two-mode-cat", "concurrence"): 0, ("two-mode-cat", "entropy"): 0,
+    ("two-mode-cat", "negativity"): 0,
+    ("qubus", "s1"): 3, ("qubus", "s2"): 3, ("qubus", "entropy"): 3,
+    ("qubus", "concurrence"): 3, ("qubus", "tau_res"): 3, ("qubus", "purity"): 0,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("measure", MEASURES)
+def test_family_measure_pair_exits_cleanly(tmp_path, capsys, family, measure):
+    spec = write_spec(tmp_path, {"family": family, "params": FAMILY_POINTS[family]})
+    code = main(["measure", spec, "--measure", measure])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert np.isfinite(float(out.splitlines()[0]))
+    else:
+        assert code in (2, 3)
+        assert err.startswith("error: ")
+    if (family, measure) in PINNED_CODES:
+        assert code == PINNED_CODES[family, measure]

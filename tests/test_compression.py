@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyqent import (Classification, DensityMatrix, HybridState, SymbolicKet,
-                    classify, compress, compress_modal, compress_vector,
+                    classify, compress, compress_vector,
                     inverse_gram_schmidt, ket_expansion, log_negativity, negativity,
                     overlap, purity)
 from hyqent.catalog import (binary_coherent, geometric_mixture, mixed23, mixed24,
-                            qutrit_qumode, thermal_output, two_mode_cat)
+                            qubus_state, qutrit_qumode, thermal_output, two_mode_cat)
 
 
 def test_three_ket_rows_match_the_triangular_construction(rng):
@@ -138,7 +140,100 @@ def test_geometric_truncation_records_weight():
     assert classify(truncated).kind == Classification.MIXED
 
 
-def test_compress_modal_two_mode_cat():
-    v, dims = compress_modal(two_mode_cat(1.0, 0.0).payload)
+def test_compress_vector_two_mode_cat():
+    v, dims = compress_vector(two_mode_cat(1.0, 0.0).payload)
     assert dims == (2, 2)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_multi_site_compression_matches_kron_expansion():
+    """Branches placed by index agree with the Kronecker product of their factors."""
+    mix = qubus_state(1.1, 0.7, 0.8).payload
+    kets = mix.kets()
+    rows = ket_expansion(kets).matrix
+    expect = 0
+    for p, branches in mix.terms:
+        v = sum(c * np.kron(rows[kets.index(ket)], np.kron(np.eye(2)[q1], np.eye(2)[q2]))
+                for c, (ket, q1, q2) in branches)
+        expect = expect + p * np.outer(v, v.conj())
+    rho = compress(mix)
+    assert rho.dims == (3, 2, 2)
+    assert np.abs(rho.matrix - expect).max() < 1e-15
+
+
+# --- compression does not depend on the order of terms and branches ----------
+#
+# The Gram-Schmidt basis follows ket order, so matrices differ between
+# orderings; the spectrum, purity and negativity do not.
+
+# well separated amplitudes (unit spacing times a scale >= 0.8) keep the Gram
+# matrices well conditioned
+PALETTE = (0.0, 1.0, -1.0, 1j, -1j)
+
+
+def _invariants(state):
+    rho = compress(state)
+    return np.linalg.eigvalsh(rho.matrix), purity(rho), negativity(rho)
+
+
+def _assert_same_invariants(a, b):
+    spec_a, pur_a, neg_a = _invariants(a)
+    spec_b, pur_b, neg_b = _invariants(b)
+    assert spec_a.shape == spec_b.shape
+    assert np.abs(spec_a - spec_b).max() < 1e-12
+    assert abs(pur_a - pur_b) < 1e-12
+    assert abs(neg_a - neg_b) < 1e-12
+
+
+def _reordered(state, term_order, branch_orders):
+    terms = [state.terms[i] for i in term_order]
+    return HybridState(state.sites, [
+        (p, [branches[j] for j in order])
+        for (p, branches), order in zip(terms, branch_orders)])
+
+
+@st.composite
+def qudit_qumode_mixtures(draw):
+    d = draw(st.integers(2, 3))
+    scale = draw(st.floats(0.8, 1.5))
+    n_terms = draw(st.integers(1, 3))
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(n_terms)]
+    terms = []
+    for w in weights:
+        levels = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+        amps = [complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1))) for _ in levels]
+        norm = np.sqrt(sum(abs(a) ** 2 for a in amps))
+        if norm < 1e-3:
+            amps, norm = [1.0] * len(levels), np.sqrt(len(levels))
+        branches = [(a / norm, m, SymbolicKet.coherent(scale * draw(st.sampled_from(PALETTE))))
+                    for a, m in zip(amps, levels)]
+        terms.append((w / sum(weights), branches))
+    return HybridState(d, terms)
+
+
+def _orders(draw, state):
+    term_order = draw(st.permutations(range(state.term_count)))
+    branch_orders = [draw(st.permutations(range(len(state.terms[i].branches))))
+                     for i in term_order]
+    return term_order, branch_orders
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_qudit_qumode_compression_ignores_ordering(data):
+    state = data.draw(qudit_qumode_mixtures())
+    _assert_same_invariants(state, _reordered(state, *_orders(data.draw, state)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), st.floats(0.3, 2.0), st.floats(0.1, 3.0), st.floats(0.5, 0.95))
+def test_qubus_compression_ignores_ordering(data, alpha, theta, eta):
+    state = qubus_state(alpha, theta, eta).payload
+    _assert_same_invariants(state, _reordered(state, *_orders(data.draw, state)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(0.3, 2.0), st.floats(0.0, 2 * np.pi))
+def test_two_mode_cat_compression_ignores_ordering(alpha, phi):
+    state = two_mode_cat(alpha, phi).payload
+    _assert_same_invariants(state, _reordered(state, [0], [[1, 0]]))

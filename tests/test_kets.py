@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from hyqent import HybridState, SymbolicKet, UnsupportedKet, displace, overlap, squeeze
+from hyqent import (MODE, HybridState, SymbolicKet, SymbolicMomentProvider,
+                    ThermalChannelParams, UnsupportedKet,
+                    amplitude_damp, apply_thermal, displace, overlap, squeeze)
+from hyqent.catalog import jcm_generate, project_to_cat, qubus_state, two_mode_cat
 
 
 def test_overlap_with_itself_is_one():
@@ -66,3 +69,46 @@ def test_to_fock_density_dims():
     rho = st.to_fock_density(18)
     assert rho.dims == (2, 19)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-8
+
+
+def test_shorthand_is_the_qudit_mode_layout():
+    ka, kb = SymbolicKet.coherent(0.6), SymbolicKet.coherent(-0.6)
+    short = HybridState.pure(2, [(0.6, 0, ka), (0.8, 1, kb)])
+    full = HybridState.pure((2, MODE), [(0.6, (0, ka)), (0.8, (1, kb))])
+    assert short.sites == full.sites == (2, MODE)
+    assert short.terms == full.terms
+    b = short.terms[0][1][1]
+    assert (b.c, b.m, b.ket) == (0.8, 1, kb)
+    assert short.qudit_dim == 2
+
+
+def test_multi_site_validation():
+    ket = SymbolicKet.coherent(1.0)
+    with pytest.raises(ValueError):
+        HybridState.pure((MODE, 2), [(1.0, (ket,))])  # one value per site
+    with pytest.raises(ValueError):
+        HybridState.pure((MODE, 2), [(1.0, (0, 1))])  # mode sites hold kets
+    with pytest.raises(ValueError):
+        HybridState.pure((MODE, 2), [(1.0, (ket, 2))])  # level out of range
+    with pytest.raises(ValueError):
+        HybridState.pure((MODE, 2), [(0.6, (ket, 0)), (0.8, (ket, 0))])  # same level
+    # qumode-only layouts are normalized through the overlaps
+    cat = two_mode_cat(0.8, 1.0).payload
+    assert cat.sites == (MODE, MODE)
+    assert cat.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("payload", [two_mode_cat(0.7, 1.0).payload,
+                                     qubus_state(1.0, 0.2, 0.9).payload,
+                                     project_to_cat(jcm_generate(1.0, 0.3).payload).payload],
+                         ids=["two-mode-cat", "qubus", "cat-projection"])
+def test_qudit_mode_functions_reject_other_layouts(payload):
+    calls = [lambda: payload.qudit_dim,
+             lambda: SymbolicMomentProvider(payload),
+             lambda: amplitude_damp(payload, 0.5),
+             lambda: apply_thermal(payload, ThermalChannelParams(0.5, 0.1)),
+             lambda: project_to_cat(payload),
+             lambda: payload.to_fock_density(10)]
+    for call in calls:
+        with pytest.raises(TypeError, match="qudit-qumode"):
+            call()

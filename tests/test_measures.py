@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_ket, random_unitary
-from hyqent import (DensityMatrix, ckw, compress_modal, concurrence,
+from hyqent import (DensityMatrix, ckw, compress_vector, concurrence,
                     entanglement_of_formation, entropy_of_entanglement,
                     log_negativity, majorizes, negativity, partial_transpose,
                     schmidt, tensor)
 from hyqent.catalog import (ghz, qutrit_qumode, tripartite_qmm, tripartite_qqm,
                             two_mode_cat, w_state)
-from hyqent.compression import compress_vector
 
 
 def bell():
@@ -98,14 +97,23 @@ def test_majorization_direction_and_incomparable():
 
 
 def test_concurrence_cat_family():
-    v, dims = compress_modal(two_mode_cat(0.7, np.pi).payload)
+    v, dims = compress_vector(two_mode_cat(0.7, np.pi).payload)
     assert concurrence(DensityMatrix.from_ket(v, dims)) == pytest.approx(1.0, abs=1e-10)
     al = 1.0
-    v, dims = compress_modal(two_mode_cat(al, 0.0).payload)
+    v, dims = compress_vector(two_mode_cat(al, 0.0).payload)
     expect = (1 - np.exp(-4 * al**2)) / (1 + np.exp(-4 * al**2))
     assert concurrence(DensityMatrix.from_ket(v, dims)) == pytest.approx(expect, abs=1e-10)
     with pytest.raises(ValueError):
         concurrence(DensityMatrix(np.eye(6, dtype=complex) / 6, (2, 3)))
+
+
+def test_concurrence_of_qubit_times_trivial_factor_is_zero(rng):
+    # dims (2, 1) and (1, 2) are product states, embedded into 2 x 2
+    for dims in ((2, 1), (1, 2)):
+        rho = DensityMatrix(random_density(rng, 2), dims)
+        assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        concurrence(DensityMatrix(random_density(rng, 3), (3, 1)))
 
 
 def test_negativity_bell_and_separable(rng):
