@@ -12,7 +12,6 @@ from .composite import DensityMatrix, partial_trace, partial_transpose
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SY, _SY)
-_E00 = np.diag([1.0, 0.0])  # |0><0|, pads a one-dimensional factor to a qubit
 
 
 def _binary_entropy(x):
@@ -103,17 +102,15 @@ def concurrence(rho):
     eigenvalues of rho itself are clipped to zero first.
 
     A qubit times a one-dimensional factor, dims (2, 1) or (1, 2), is a
-    product state (total loss compresses to one); it is embedded into 2 x 2
-    by zero padding and gives 0.
+    product state by construction (total loss compresses to one), so its
+    concurrence is exactly 0.
     """
     if isinstance(rho, DensityMatrix):
-        m = rho.matrix
-        if rho.dims == (2, 1):
-            m = np.kron(m, _E00)
-        elif rho.dims == (1, 2):
-            m = np.kron(_E00, m)
-        elif rho.dims != (2, 2):
+        if rho.dims in ((2, 1), (1, 2)):
+            return 0.0
+        if rho.dims != (2, 2):
             raise ValueError(f"concurrence needs dims (2, 2), got {rho.dims}")
+        m = rho.matrix
     else:
         m = np.asarray(rho, dtype=complex)
         if m.shape != (4, 4):

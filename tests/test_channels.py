@@ -1,7 +1,10 @@
+from fractions import Fraction
+from math import comb, factorial, sqrt
+
 import numpy as np
 import pytest
 
-from conftest import random_ket
+from conftest import random_density, random_ket
 from hyqent import (CutoffTooSmall, DensityMatrix, HybridState, SymbolicKet,
                     ThermalChannelParams, amplitude_damp, apply_kraus, apply_thermal,
                     beamsplit, choi_state, coherent_ket, compress,
@@ -135,6 +138,121 @@ def test_thermal_kraus_completeness_and_reduction():
         assert np.abs(op - expect).max() < 1e-10
     with pytest.raises(CutoffTooSmall):
         thermal_kraus(params, 10, n_env_cut=3)
+
+
+@pytest.mark.parametrize("eta, n_th", [(0.3, 0.4), (0.55, 1.0), (0.8, 0.7), (0.0, 0.5),
+                                         (1.0, 0.9)])
+def test_thermal_kraus_matches_beamsplitter_dilation(rng, eta, n_th):
+    """Independent route at n_th > 0: tr_env[U (rho x tau) U^dag] in Fock space.
+
+    tau keeps the thermal weights up to the same environment cutoff as the
+    Kraus set (not renormalized); with both modes cut at n_cut + n_env_cut
+    every photon-number block the input touches is complete.
+    """
+    params = ThermalChannelParams(eta, n_th)
+    n_cut, weight_tol = 5, 1e-4
+    n_env = params.env_cutoff(weight_tol)
+    dim = n_cut + n_env + 1
+    rho_in = random_density(rng, 2 * (n_cut + 1))
+    rho = np.zeros((2, dim, 2, dim), dtype=complex)
+    rho[:, :n_cut + 1, :, :n_cut + 1] = rho_in.reshape(2, n_cut + 1, 2, n_cut + 1)
+    tau = np.diag([params.thermal_weight(n) if n <= n_env else 0.0 for n in range(dim)])
+    u = np.kron(np.eye(2), beamsplit(np.arccos(np.sqrt(eta)), n_cut=dim - 1, n_cut2=dim - 1))
+    joint = np.kron(rho.reshape(2 * dim, 2 * dim), tau)
+    full = (u @ joint @ u.conj().T).reshape(2, dim, dim, 2, dim, dim)
+    oracle = np.einsum("aijbkj->aibk", full).reshape(2 * dim, 2 * dim)
+    ks = thermal_kraus(params, n_cut, weight_tol=weight_tol)
+    out = apply_kraus(DensityMatrix(rho_in, (2, n_cut + 1)), ks, 1)
+    assert out.dims == (2, dim)
+    assert np.abs(out.matrix - oracle).max() <= 1e-12
+
+
+def _pauli_depolarizer():
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]])]
+    return make_kraus_set([p / 2 for p in paulis])
+
+
+def _random_isometry_set():
+    # three dense 4 x 3 operators stacked into an isometry: every shift pair
+    # carries cross terms, none of which cancel
+    g = np.random.default_rng(5).normal(size=(12, 3, 2)) @ [1, 1j]
+    return make_kraus_set(np.linalg.qr(g)[0].reshape(3, 4, 3))
+
+
+KRAUS_SETS = {
+    "amplitude-damping": lambda: thermal_kraus(ThermalChannelParams(0.6, 0.0), 4),
+    "thermal": lambda: thermal_kraus(ThermalChannelParams(0.45, 0.8), 4),
+    "qubit-loss": lambda: qubit_loss_kraus(0.35),
+    "identity": lambda: identity_kraus(3),
+    "pauli-depolarizer": _pauli_depolarizer,
+    "random-isometry": _random_isometry_set,
+}
+
+
+@pytest.mark.parametrize("name", list(KRAUS_SETS))
+@pytest.mark.parametrize("layout", ["first", "second", "middle"])
+def test_apply_kraus_matches_dense_operator_sum(rng, name, layout):
+    ks = KRAUS_SETS[name]()
+    n_in = ks.input_dim
+    dims, subsystem = {"first": ((n_in, 2), 0), "second": ((2, n_in), 1),
+                       "middle": ((2, n_in, 2), 1)}[layout]
+    rho = DensityMatrix(random_density(rng, int(np.prod(dims))), dims)
+    lead, tail = np.eye(int(np.prod(dims[:subsystem]))), np.eye(int(np.prod(dims[subsystem + 1:])))
+    ref = sum(big @ rho.matrix @ big.conj().T
+              for big in (np.kron(np.kron(lead, k), tail) for k in ks.operators))
+    out = apply_kraus(rho, ks, subsystem)
+    assert out.dims == dims[:subsystem] + (ks.output_dim,) + dims[subsystem + 1:]
+    assert np.abs(out.matrix - ref).max() <= 1e-13, name
+
+
+def test_make_kraus_set_round_trips_dense_operators(rng):
+    ops = [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)), np.zeros((3, 2)),
+           np.array([[0, 0], [0, 0], [1, 0]])]
+    ks = make_kraus_set(ops)
+    assert (ks.input_dim, ks.output_dim) == (2, 3)
+    assert len(ks.operators) == 3
+    for got, want in zip(ks.operators, ops):
+        assert np.array_equal(got, want)
+
+
+def test_thermal_kraus_storage_and_exact_residual():
+    params = ThermalChannelParams(0.5, 1.0)
+    ks = thermal_kraus(params, 27)
+    assert ks.shifts.nbytes + ks.diagonals.nbytes + ks.owners.nbytes < 1e6
+    ops = ks.operators
+    assert len(ops) == 1513 and ops[0].shape == (61, 28)
+    assert all(np.count_nonzero(np.diag(op, -s)) == np.count_nonzero(op)
+               for op, s in zip(ops, ks.shifts))
+    assert abs(ks.completeness_residual - make_kraus_set(ops).completeness_residual) <= 1e-14
+    # every photon-number block of the input is complete, so sum K^dag K is
+    # the kept thermal weight on every level: the residual is the tail q^(N+1)
+    q = params.n_th / (1.0 + params.n_th)
+    assert ks.completeness_residual == pytest.approx(q ** (params.env_cutoff() + 1), abs=1e-15)
+
+
+def test_thermal_kraus_amplitudes_match_exact_sums():
+    """At eta = 1/2, psi_n[m, k] = sqrt(m! out! / (k! n! 2^(n+k))) times the
+    integer sum_i C(n, i) C(k, m-i) (-1)^(n-i).  Near n = 33, n_cut = 27 the
+    scaled terms of that sum reach 6e7 while every amplitude is at most 1;
+    the amplitudes must not carry that cancellation."""
+    n_cut = 27
+    params = ThermalChannelParams(0.5, 1.0)
+    ks = thermal_kraus(params, n_cut)
+    rows = [(n, m) for n in range(params.env_cutoff() + 1) for m in range(n + n_cut + 1)]
+    assert ks.shifts.tolist() == [n - m for n, m in rows]
+    worst = 0.0
+    for row, (n, m) in enumerate(rows):
+        if n < 28:
+            continue
+        for k in range(max(0, m - n), n_cut + 1):
+            total = sum(comb(n, i) * comb(k, m - i) * (-1) ** (n - i)
+                        for i in range(max(0, m - k), min(n, m) + 1))
+            exact = total * sqrt(Fraction(factorial(m) * factorial(n + k - m),
+                                          factorial(k) * factorial(n) * 2 ** (n + k)))
+            got = ks.diagonals[row, k] / sqrt(params.thermal_weight(n))
+            worst = max(worst, abs(got - exact))
+    assert worst <= 1e-13
 
 
 def test_thermal_eta_one_is_identity():

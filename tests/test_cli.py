@@ -232,6 +232,13 @@ def test_total_loss_concurrence_is_zero(tmp_path, capsys):
     assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_total_loss_concurrence_is_exactly_zero(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"family": "damped-binary-coherent",
+                                 "params": {"alpha": 0.9, "eta": 0.0}})
+    assert main(["measure", spec, "--measure", "concurrence"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[0]) == 0.0
+
+
 # one valid point per family
 FAMILY_POINTS = {
     "two-mode-cat": {"alpha": 0.7, "phi": 1.0},

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_ket, random_unitary
-from hyqent import (DensityMatrix, ckw, compress_vector, concurrence,
-                    entanglement_of_formation, entropy_of_entanglement,
+from hyqent import (DensityMatrix, amplitude_damp, ckw, compress, compress_vector,
+                    concurrence, entanglement_of_formation, entropy_of_entanglement,
                     log_negativity, majorizes, negativity, partial_transpose,
                     schmidt, tensor)
-from hyqent.catalog import (ghz, qutrit_qumode, tripartite_qmm, tripartite_qqm,
-                            two_mode_cat, w_state)
+from hyqent.catalog import (binary_coherent, ghz, qutrit_qumode, tripartite_qmm,
+                            tripartite_qqm, two_mode_cat, w_state)
 
 
 def bell():
@@ -114,6 +114,14 @@ def test_concurrence_of_qubit_times_trivial_factor_is_zero(rng):
         assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         concurrence(DensityMatrix(random_density(rng, 3), (3, 1)))
+
+
+def test_concurrence_of_qubit_times_trivial_factor_is_exactly_zero(rng):
+    # a product by construction: no padded 4 x 4 and no root noise
+    for dims in ((2, 1), (1, 2)):
+        assert concurrence(DensityMatrix(random_density(rng, 2), dims)) == 0.0
+    total_loss = compress(amplitude_damp(binary_coherent(0.9).payload, 0.0))
+    assert total_loss.dims == (2, 1) and concurrence(total_loss) == 0.0
 
 
 def test_negativity_bell_and_separable(rng):
