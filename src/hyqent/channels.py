@@ -7,7 +7,6 @@ The closed forms carry ground truth; the Kraus route carries generality.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
 
 import numpy as np
 
@@ -193,6 +192,18 @@ class ThermalChannelParams:
         return max(n, 0)
 
 
+def _pairing_weights(k, l, j):
+    """j! C(k, j) C(l, j) over broadcast integer arrays, zero for j > min(k, l).
+
+    The coefficient of every reordering sum of ladder operators, read exactly
+    from one table of falling factorials F[n, j] = j! C(n, j) as
+    F[k, j] F[l, j] / F[j, j].
+    """
+    n = np.arange(max(np.max(k), np.max(l), np.max(j)) + 1.0)
+    table = np.cumprod(np.column_stack([np.ones_like(n), n[:, None] - n[:-1]]), axis=1)
+    return table[k, j] * table[l, j] / table[j, j]
+
+
 def thermal_dyad_moments(alpha, beta, params, powers):
     """Exact moment tr[Y(|alpha><beta|) a^dag^k a^l] of a thermal-channel dyad.
 
@@ -204,18 +215,21 @@ def thermal_dyad_moments(alpha, beta, params, powers):
         <beta|alpha> * sum_j C(k,j) C(l,j) j! ((1-eta) n_th)^j
                        (sqrt(eta) conj(beta))^(k-j) (sqrt(eta) alpha)^(l-j)
 
-    No truncation enters anywhere.
+    alpha, beta and the powers (k, l) broadcast against each other, so one
+    call takes each dyad's overlap once for any number of moments; scalar
+    arguments give a 0-d value.  No truncation enters anywhere.
     """
-    k, l = powers
-    alpha, beta = complex(alpha), complex(beta)
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    k, l = (np.asarray(p)[..., None] for p in powers)
     s = np.sqrt(params.eta)
     t2n = (1.0 - params.eta) * params.n_th
     ov = np.exp(-abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(beta) * alpha)
-    total = 0.0 + 0.0j
-    for j in range(min(k, l) + 1):
-        total += (comb(k, j) * comb(l, j) * factorial(j) * t2n**j
-                  * (s * np.conj(beta)) ** (k - j) * (s * alpha) ** (l - j))
-    return ov * total
+    j = np.arange(np.minimum(k, l).max() + 1)
+    # exponents below zero only occur where the weight vanishes
+    terms = (_pairing_weights(k, l, j) * t2n**j
+             * (s * np.conj(beta))[..., None] ** np.maximum(k - j, 0)
+             * (s * alpha)[..., None] ** np.maximum(l - j, 0))
+    return ov * terms.sum(axis=-1)
 
 
 def thermal_kraus(params, n_cut, n_env_cut=None, weight_tol=DEFAULT_WEIGHT_TOL):

@@ -6,13 +6,12 @@ minor is nonnegative.  Mode a is always the CV subsystem, mode b the qudit.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .channels import ThermalChannelParams, ThermalHybridState, thermal_dyad_moments
+from .channels import (ThermalChannelParams, ThermalHybridState, _pairing_weights,
+                       thermal_dyad_moments)
 from .composite import DensityMatrix
 from .errors import InconsistentMoments, NumericInconsistency
 from .fock import mode_operators
@@ -80,21 +79,19 @@ S2_INDICES = ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 def sv_moment_matrix(provider, max_total_degree, qudit_dim=None, herm_tol=1e-8):
     """Matrix of moments of the partially transposed state.
 
-    provider(a_word, b_word) must return <a^dag^p a^q a^dag^r a^s  b^dag^t
-    b^u b^dag^v b^w> on the *original* state; the b-power swap that implements
-    the partial transposition happens here.  A provider inconsistent with
-    Hermiticity beyond herm_tol is rejected.
+    provider(a_words, b_words) receives integer arrays of shape (..., 4)
+    and must return, over the same leading shape, the moments
+    <a^dag^p a^q a^dag^r a^s  b^dag^t b^u b^dag^v b^w> of the *original*
+    state for a-words (p, q, r, s) and b-words (t, u, v, w).  It is called
+    once, with the (n, n, 4) words of the whole matrix; the b-power swap that
+    implements the partial transposition happens here.  A provider
+    inconsistent with Hermiticity beyond herm_tol is rejected.
     """
     idx = sv_multi_indices(max_total_degree, qudit_dim)
-    n = len(idx)
-    m = np.empty((n, n), dtype=complex)
-    for r, i in enumerate(idx):
-        for c, j in enumerate(idx):
-            if c < r:
-                continue
-            m[r, c] = provider((i[1], i[0], j[0], j[1]), (j[3], j[2], i[2], i[3]))
-            if c != r:
-                m[c, r] = provider((j[1], j[0], i[0], i[1]), (i[3], i[2], j[2], j[3]))
+    rows, cols = np.broadcast_arrays(np.array(idx)[:, None], np.array(idx)[None, :])
+    a_words = np.concatenate([rows[..., [1, 0]], cols[..., [0, 1]]], axis=-1)
+    b_words = np.concatenate([cols[..., [3, 2]], rows[..., [2, 3]]], axis=-1)
+    m = np.asarray(provider(a_words, b_words), dtype=complex)
     if np.abs(m - m.conj().T).max() > herm_tol:
         raise InconsistentMoments("moment provider is not Hermitian-consistent")
     if abs(m[0, 0] - 1.0) > herm_tol:
@@ -129,20 +126,20 @@ def s2_minor(mm):
 # moment providers
 
 
-def _ladder_word(lo, hi, powers):
-    """hi^p lo^q hi^r lo^s for powers (p, q, r, s)."""
-    p, q, r, s = powers
-    power = np.linalg.matrix_power
-    return power(hi, p) @ power(lo, q) @ power(hi, r) @ power(lo, s)
+def _ladder_words(lo, hi, words):
+    """Stacked hi^p lo^q hi^r lo^s over the distinct rows (p, q, r, s) of words.
 
-
-@lru_cache(maxsize=None)
-def _qudit_word(d, powers):
-    """Word in the d-level adapted operators, cached across providers and read-only."""
-    b, bd = qudit_mode_operators(d)
-    word = _ladder_word(b, bd, powers)
-    word.flags.writeable = False
-    return word
+    words has shape (..., 4); returns the stack and, over the leading shape,
+    each row's index into it.
+    """
+    words = np.asarray(words)
+    distinct, index = np.unique(words.reshape(-1, 4), axis=0, return_inverse=True)
+    lo_pow, hi_pow = ([np.linalg.matrix_power(x, n) for n in range(distinct.max() + 1)]
+                      for x in (lo, hi))
+    stack = np.empty((len(distinct),) + lo.shape, dtype=lo.dtype)
+    for i, (p, q, r, s) in enumerate(distinct):
+        stack[i] = hi_pow[p] @ lo_pow[q] @ hi_pow[r] @ lo_pow[s]
+    return stack, index.reshape(words.shape[:-1])
 
 
 class MatrixMomentProvider:
@@ -151,61 +148,38 @@ class MatrixMomentProvider:
     mode_subsystem selects which tensor factor carries the a operators; the
     other factor uses either d-level adapted ladder operators or, with
     qudit_mode='embedded', ordinary truncated bosonic operators after padding
-    the qudit into a larger Fock space.
+    the qudit into a larger Fock space.  rho is held as a (mode, qudit,
+    mode', qudit') tensor; a call contracts it once with each distinct
+    a-word and then traces every entry's qudit operator against its b-word.
     """
 
     def __init__(self, rho, mode_subsystem=1, qudit_mode="adapted", embed_pad=4):
         if len(rho.dims) != 2:
             raise ValueError("moment provider needs a bipartite state")
         self.mode_subsystem = int(mode_subsystem)
-        qudit_subsystem = 1 - self.mode_subsystem
-        d_mode = rho.dims[self.mode_subsystem]
-        d_qudit = rho.dims[qudit_subsystem]
-        matrix = rho.matrix
+        if self.mode_subsystem not in (0, 1):
+            raise ValueError("mode_subsystem must be 0 or 1")
+        t = rho.matrix.reshape(rho.dims + rho.dims)
+        if self.mode_subsystem == 1:
+            t = t.transpose(1, 0, 3, 2)
+        d_mode, d_qudit = t.shape[:2]
         if qudit_mode == "adapted":
             b, bd = qudit_mode_operators(d_qudit)
         elif qudit_mode == "embedded":
-            target = d_qudit + embed_pad
-            t = matrix.reshape(rho.dims + rho.dims)
-            pad = [(0, 0)] * 4
-            for ax in (qudit_subsystem, qudit_subsystem + 2):
-                pad[ax] = (0, target - d_qudit)
-            t = np.pad(t, pad)
-            matrix = t.reshape(int(np.prod(t.shape[:2])), -1)
-            d_qudit = target
-            b, _, _ = mode_operators(d_qudit - 1)
-            bd = b.conj().T
+            t = np.pad(t, [(0, 0), (0, embed_pad), (0, 0), (0, embed_pad)])
+            b, bd, _ = mode_operators(d_qudit + embed_pad - 1)
         else:
             raise ValueError("qudit_mode must be 'adapted' or 'embedded'")
-        a, _, _ = mode_operators(d_mode - 1)
-        self._ladders = {"a": (a, a.conj().T), "b": (b, bd)}
-        self._words = {}
-        self._rho = matrix
-        dims = [0, 0]
-        dims[self.mode_subsystem] = d_mode
-        dims[qudit_subsystem] = d_qudit
-        self._dims = tuple(dims)
+        a, ad, _ = mode_operators(d_mode - 1)
+        self._ladders = (a, ad), (b, bd)
+        self._rho = t
 
-    def _word(self, which, powers):
-        powers = tuple(powers)
-        if (which, powers) not in self._words:
-            self._words[which, powers] = _ladder_word(*self._ladders[which], powers)
-        return self._words[which, powers]
-
-    def __call__(self, a_word, b_word):
-        wa = self._word("a", a_word)
-        wb = self._word("b", b_word)
-        if self.mode_subsystem == 1:
-            op = np.kron(wb, wa)
-        else:
-            op = np.kron(wa, wb)
-        return complex(np.einsum("ij,ji->", self._rho, op))
-
-
-def _normal_order_pairs(p, q, r, s):
-    """a^dag^p a^q a^dag^r a^s = sum_t t! C(q,t) C(r,t) a^dag^(p+r-t) a^(q+s-t)."""
-    return [(factorial(t) * comb(q, t) * comb(r, t), p + r - t, q + s - t)
-            for t in range(min(q, r) + 1)]
+    def __call__(self, a_words, b_words):
+        wa, ia = _ladder_words(*self._ladders[0], a_words)
+        wb, ib = _ladder_words(*self._ladders[1], b_words)
+        # reduced[k, q, q'] = sum_{m, m'} rho[m, q, m', q'] wa_k[m', m]
+        reduced = np.tensordot(wa, self._rho, axes=([1, 2], [2, 0]))
+        return np.einsum("...qp,...pq->...", reduced[ia], wb[ib])
 
 
 class SymbolicMomentProvider:
@@ -214,8 +188,9 @@ class SymbolicMomentProvider:
     A plain HybridState is read as the output of the identity channel
     (eta = 1, n_th = 0).  Mode words reduce to normal order and every
     normal-ordered pair of every coherent dyad goes through the Gaussian
-    closed form thermal_dyad_moments; qudit words are evaluated with the
-    d-level adapted operators.  No truncation enters.
+    closed form thermal_dyad_moments, one broadcast call for all words and
+    dyads; qudit words are evaluated with the d-level adapted operators.
+    No truncation enters.
     """
 
     def __init__(self, state):
@@ -224,20 +199,26 @@ class SymbolicMomentProvider:
         elif not isinstance(state, ThermalHybridState):
             raise TypeError("SymbolicMomentProvider needs a HybridState or a ThermalHybridState")
         self.qudit_dim = state.base.qudit_dim  # rejects layouts other than (d, "mode")
-        self._terms = state.dyad_terms()
+        weights, levels, dyads = zip(*state.dyad_terms())
+        self._weights = np.array(weights)
+        self._m, self._mp = np.array(levels).T
+        self._alpha, self._beta = np.array(dyads, dtype=complex).T
         self._params = state.params
 
-    def __call__(self, a_word, b_word):
-        wb = _qudit_word(self.qudit_dim, tuple(b_word))
-        pairs = _normal_order_pairs(*a_word)
-        total = 0.0 + 0.0j
-        for weight, (m, mp), (ai, aj) in self._terms:
-            qf = wb[mp, m]
-            if qf == 0:
-                continue
-            for coeff, k, l in pairs:
-                total += weight * qf * coeff * thermal_dyad_moments(ai, aj, self._params, (k, l))
-        return complex(total)
+    def __call__(self, a_words, b_words):
+        wb, ib = _ladder_words(*qudit_mode_operators(self.qudit_dim), b_words)
+        # weight * tr[|m><m'| wb] per word and dyad
+        qudit = wb[:, self._mp, self._m][ib] * self._weights
+        # each power gets a trailing axis for the reordering index t
+        p, q, r, s = np.moveaxis(np.asarray(a_words), -1, 0)[..., None]
+        # a^dag^p a^q a^dag^r a^s = sum_t t! C(q,t) C(r,t) a^dag^(p+r-t) a^(q+s-t)
+        t = np.arange(np.minimum(q, r).max() + 1)
+        k, l = np.maximum(p + r - t, 0), np.maximum(q + s - t, 0)
+        # every dyad's moment for every normal-ordered power pair up to the largest
+        n = np.arange(max(k.max(), l.max()) + 1)
+        mode = thermal_dyad_moments(self._alpha, self._beta, self._params,
+                                    (n[:, None, None], n[None, :, None]))
+        return np.einsum("...t,...td,...d->...", _pairing_weights(q, r, t), mode[k, l], qudit)
 
 
 # ---------------------------------------------------------------------------

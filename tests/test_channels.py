@@ -116,11 +116,30 @@ def test_thermal_dyad_moments_match_kraus_numerics():
     dyad = np.einsum("ka,kb->ab", ka, kb.conj())
     dim = dyad.shape[0]
     a = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    for powers in [(0, 0), (1, 1), (0, 1), (2, 1), (2, 2)]:
+    all_powers = [(0, 0), (1, 1), (0, 1), (2, 1), (2, 2)]
+    for powers in all_powers:
         word = np.linalg.matrix_power(a.T, powers[0]) @ np.linalg.matrix_power(a, powers[1])
         numeric = np.trace(dyad @ word)
         closed = thermal_dyad_moments(al, be, params, powers)
         assert abs(numeric - closed) < 1e-8, powers
+    # one broadcast call over dyads x powers equals the scalar calls; at
+    # eta = 0 the output is thermal, <beta|alpha> delta_kl k! n_th^k, which
+    # needs 0**0 = 1
+    pairs = np.array([(al, be), (be, al), (0.3j, -0.2), (0.0, 0.7 - 0.1j)])
+    k, l = np.array(all_powers).T
+    for p in (params, ThermalChannelParams(0.0, 1.3)):
+        grid = thermal_dyad_moments(pairs[:, :1], pairs[:, 1:], p, (k, l))
+        assert grid.shape == (len(pairs), len(all_powers))
+        for (x, y), row in zip(pairs, grid):
+            for powers, value in zip(all_powers, row):
+                scalar = thermal_dyad_moments(x, y, p, powers)
+                assert np.ndim(scalar) == 0
+                assert abs(value - scalar) <= 1e-15, (p, powers)
+                if p.eta == 0.0:
+                    kk, ll = powers
+                    ov = np.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + np.conj(y) * x)
+                    assert scalar == pytest.approx(
+                        ov * (kk == ll) * factorial(kk) * 1.3**kk, abs=1e-15)
 
 
 def test_thermal_kraus_completeness_and_reduction():

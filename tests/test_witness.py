@@ -74,6 +74,29 @@ def test_matrix_provider_adapted_and_embedded_agree():
         mm = sv_moment_matrix(prov, 2, qudit_dim=2)
         assert s1_minor(mm) == pytest.approx(closed_s1(al), abs=1e-8), mode
         assert s2_minor(mm) == pytest.approx(closed_s2(al), abs=1e-8), mode
+    with pytest.raises(ValueError):
+        MatrixMomentProvider(rho, mode_subsystem=2)
+    with pytest.raises(ValueError):
+        MatrixMomentProvider(rho, qudit_mode="padded")
+
+
+def _swap_factors(rho):
+    d0, d1 = rho.dims
+    t = rho.matrix.reshape(d0, d1, d0, d1).transpose(1, 0, 3, 2)
+    return DensityMatrix(t.reshape(d0 * d1, d0 * d1), (d1, d0))
+
+
+@pytest.mark.parametrize("qudit_mode", ["adapted", "embedded"])
+@pytest.mark.parametrize("family", [binary_coherent, qutrit_qumode], ids=["d2", "d3"])
+def test_matrix_provider_mode_first_matches_mode_second(family, qudit_mode):
+    rho = family(0.8).payload.to_fock_density(20)
+    d = rho.dims[0]
+    second = sv_moment_matrix(MatrixMomentProvider(rho, mode_subsystem=1, qudit_mode=qudit_mode),
+                              2, qudit_dim=d)
+    first = sv_moment_matrix(MatrixMomentProvider(_swap_factors(rho), mode_subsystem=0,
+                                                  qudit_mode=qudit_mode), 2, qudit_dim=d)
+    assert first.index_map == second.index_map
+    assert np.abs(first.matrix - second.matrix).max() < 1e-13
 
 
 def test_s1_phase_independent():
@@ -90,7 +113,7 @@ def test_principal_minor_validation():
     with pytest.raises(ValueError):
         principal_minor(mm, [2, 1])
     with pytest.raises(InconsistentMoments):
-        sv_moment_matrix(lambda aw, bw: 1.0 if sum(aw) + sum(bw) == 0 else 1j, 1)
+        sv_moment_matrix(lambda aw, bw: np.where(aw.sum(-1) + bw.sum(-1) == 0, 1.0, 1j), 1)
 
 
 def test_heaviside_convention():
@@ -206,6 +229,17 @@ def test_thermal_qutrit_moments_match_kraus_oracle():
     oracle = sv_moment_matrix(MatrixMomentProvider(rho, mode_subsystem=1), 2, qudit_dim=3)
     assert exact.index_map == oracle.index_map
     assert np.abs(exact.matrix - oracle.matrix).max() < 1e-7
+
+
+def test_thermal_degree3_moments_match_kraus_oracle():
+    # degree 3 reorders a^dag^r past a^q with up to t = 3 contractions
+    state = apply_thermal(binary_coherent(0.9).payload, ThermalChannelParams(0.55, 0.4))
+    exact = sv_moment_matrix(SymbolicMomentProvider(state), 3, qudit_dim=2)
+    rho = state.truncated_density(default_cutoff(0.9))
+    oracle = sv_moment_matrix(MatrixMomentProvider(rho, mode_subsystem=1), 3, qudit_dim=2)
+    assert exact.matrix.shape == (25, 25)
+    assert exact.index_map == oracle.index_map
+    assert np.abs(exact.matrix - oracle.matrix).max() < 1e-6
 
 
 def test_symbolic_provider_rejects_other_payloads():
