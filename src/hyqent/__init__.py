@@ -26,7 +26,8 @@ from .gaussian import (GaussianState, beamsplitter_symplectic, gaussian_entropy,
                        gaussian_log_negativity, phase_symplectic, ppt_condition,
                        squeezer_symplectic, symplectic_eigenvalues,
                        symplectic_form, thermal_cov, tmss_cov, vacuum_cov)
-from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet, overlap
+from .kets import (MODE, HybridState, InfiniteHybridFamily, SymbolicKet, gram_matrix, overlap,
+                   overlaps)
 from .measures import (SchmidtDecomposition, TangleReport, ckw, concurrence,
                        entanglement_of_formation, entropy_of_entanglement,
                        log_negativity, majorizes, negativity, schmidt)

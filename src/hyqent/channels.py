@@ -12,7 +12,7 @@ import numpy as np
 
 from .composite import DensityMatrix
 from .errors import CutoffTooSmall, UnsupportedKet
-from .kets import COHERENT, HybridState, SymbolicKet
+from .kets import COHERENT, HybridState, SymbolicKet, pairing_weights
 
 DEFAULT_WEIGHT_TOL = 1e-10
 
@@ -192,18 +192,6 @@ class ThermalChannelParams:
         return max(n, 0)
 
 
-def _pairing_weights(k, l, j):
-    """j! C(k, j) C(l, j) over broadcast integer arrays, zero for j > min(k, l).
-
-    The coefficient of every reordering sum of ladder operators, read exactly
-    from one table of falling factorials F[n, j] = j! C(n, j) as
-    F[k, j] F[l, j] / F[j, j].
-    """
-    n = np.arange(max(np.max(k), np.max(l), np.max(j)) + 1.0)
-    table = np.cumprod(np.column_stack([np.ones_like(n), n[:, None] - n[:-1]]), axis=1)
-    return table[k, j] * table[l, j] / table[j, j]
-
-
 def thermal_dyad_moments(alpha, beta, params, powers):
     """Exact moment tr[Y(|alpha><beta|) a^dag^k a^l] of a thermal-channel dyad.
 
@@ -226,7 +214,7 @@ def thermal_dyad_moments(alpha, beta, params, powers):
     ov = np.exp(-abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(beta) * alpha)
     j = np.arange(np.minimum(k, l).max() + 1)
     # exponents below zero only occur where the weight vanishes
-    terms = (_pairing_weights(k, l, j) * t2n**j
+    terms = (pairing_weights(k, l, j) * t2n**j
              * (s * np.conj(beta))[..., None] ** np.maximum(k - j, 0)
              * (s * alpha)[..., None] ** np.maximum(l - j, 0))
     return ov * terms.sum(axis=-1)

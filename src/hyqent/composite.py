@@ -29,9 +29,16 @@ class DensityMatrix:
         tr = np.trace(matrix).real
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"trace {tr} is not 1 within {trace_tol}")
-        lo = float(np.linalg.eigvalsh(matrix).min())
-        if lo < -eig_tol:
-            raise ValueError(f"matrix has negative eigenvalue {lo}")
+        # M + eig_tol I has a Cholesky factor exactly when no eigenvalue of M lies
+        # below -eig_tol, up to rounding; only a failed factorization needs the spectrum
+        shifted = matrix.copy()
+        shifted.flat[::shifted.shape[0] + 1] += eig_tol
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(matrix).min())
+            if lo < -eig_tol:
+                raise ValueError(f"matrix has negative eigenvalue {lo}") from None
         self.matrix = matrix
         self.dims = dims
 

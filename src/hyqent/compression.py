@@ -12,10 +12,9 @@ from functools import reduce
 from math import prod
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .composite import DensityMatrix
-from .kets import MODE, HybridState, InfiniteHybridFamily, overlap
+from .kets import MODE, HybridState, InfiniteHybridFamily, gram_matrix
 
 DEPENDENCE_TOL = 1e-12
 
@@ -49,7 +48,8 @@ def inverse_gram_schmidt(gram, dependence_tol=DEPENDENCE_TOL):
     processed in order; each new ket either extends the orthonormal basis
     (positive residual) or, when its residual norm^2 falls below
     dependence_tol, is expressed in the basis built so far, reducing the
-    effective dimension instead of failing.
+    effective dimension instead of failing.  A new basis vector fills its
+    whole column at once, as in the column form of Cholesky factorization.
     """
     gram = np.asarray(gram, dtype=complex)
     n = gram.shape[0]
@@ -64,14 +64,12 @@ def inverse_gram_schmidt(gram, dependence_tol=DEPENDENCE_TOL):
     pivots = []
     for i in range(n):
         r = len(pivots)
-        if r:
-            # <psi_k|psi_i> = sum_j conj(A_kj) A_ij for the pivot rows k
-            lower = rows[pivots, :r].conj()
-            x = solve_triangular(lower, gram[pivots, i], lower=True)
-            rows[i, :r] = x
         residual = gram[i, i].real - float(np.sum(np.abs(rows[i, :r]) ** 2))
         if residual > dependence_tol:
-            rows[i, r] = np.sqrt(residual)
+            d = np.sqrt(residual)
+            rows[i, r] = d
+            # <psi_i|psi_j> = sum_k conj(A_ik) A_jk fixes the new column of every later row j
+            rows[i + 1:, r] = (gram[i, i + 1:] - rows[i + 1:, :r] @ rows[i, :r].conj()) / d
             pivots.append(i)
     r = len(pivots)
     return GramCoefficients(rows[:, :r], tuple(pivots))
@@ -79,14 +77,7 @@ def inverse_gram_schmidt(gram, dependence_tol=DEPENDENCE_TOL):
 
 def ket_expansion(kets, dependence_tol=DEPENDENCE_TOL):
     """GramCoefficients for a list of SymbolicKet built from analytic overlaps."""
-    n = len(kets)
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        gram[i, i] = 1.0
-        for j in range(i + 1, n):
-            gram[i, j] = overlap(kets[i], kets[j])
-            gram[j, i] = np.conj(gram[i, j])
-    return inverse_gram_schmidt(gram, dependence_tol=dependence_tol)
+    return inverse_gram_schmidt(gram_matrix(kets), dependence_tol=dependence_tol)
 
 
 def site_expansions(state):
@@ -104,7 +95,7 @@ def site_expansions(state):
 
 
 def _term_vectors(state):
-    """Compressed vector of every term of a HybridState, and the effective dims.
+    """Compressed vectors of the terms of a HybridState, one per row, and the effective dims.
 
     Each mode site becomes its orthonormal basis, and each branch lands by
     index: its qudit levels select one entry per qudit axis, and the rows of
@@ -115,7 +106,7 @@ def _term_vectors(state):
     for axis, kets, coeffs in site_expansions(state):
         dims[axis] = coeffs.basis_size
         rows[axis] = dict(zip(kets, coeffs.matrix))
-    vectors = [np.zeros(prod(dims), dtype=complex) for _ in state.terms]
+    vectors = np.zeros((state.term_count, prod(dims)), dtype=complex)
     if len(rows) == 1:  # one mode site: every branch fills a strided slice
         (axis, row_of), = rows.items()
         step = prod(dims[axis + 1:])
@@ -157,13 +148,10 @@ def compress(state):
     """
     vectors, dims = _term_vectors(state)
     if all(s == MODE for s in state.sites):
-        vectors = [v / np.linalg.norm(v) for v in vectors]
+        vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
         if state.is_pure:
             return DensityMatrix.from_ket(vectors[0], dims)
-    n = vectors[0].size
-    rho = np.zeros((n, n), dtype=complex)
-    for (p, _), v in zip(state.terms, vectors):
-        rho += p * np.outer(v, v.conj())
+    rho = (vectors.T * state.weights) @ vectors.conj()
     return DensityMatrix(rho, dims)
 
 

@@ -6,7 +6,7 @@ finite-dimensional description.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -97,53 +97,121 @@ class SymbolicKet:
         raise UnsupportedKet(f"unknown ket kind {self.kind}")
 
 
-def _pac_norm_sq(k, alpha):
-    # <alpha| a^k a^dag^k |alpha> = k! L_k(-|alpha|^2)
-    x = abs(alpha) ** 2
-    return sum(factorial(j) * comb(k, j) ** 2 * x ** (k - j) for j in range(k + 1))
+@lru_cache(maxsize=8)
+def _falling_factorials(n_max):
+    """Read-only table F[n, j] = j! C(n, j) = n (n-1) ... (n-j+1) for n, j <= n_max."""
+    n = np.arange(n_max + 1.0)
+    table = np.cumprod(np.column_stack([np.ones_like(n), n[:, None] - n[:-1]]), axis=1)
+    table.flags.writeable = False
+    return table
 
 
-def _pac_cross(k, alpha, l, beta):
-    # <alpha| a^k a^dag^l |beta>, reordered into normal order
-    tot = 0.0 + 0.0j
-    for j in range(min(k, l) + 1):
-        tot += (factorial(j) * comb(k, j) * comb(l, j)
-                * np.conj(alpha) ** (l - j) * beta ** (k - j))
-    return tot * fock.overlap_coherent(beta, alpha)
+def pairing_weights(k, l, j):
+    """j! C(k, j) C(l, j) over broadcast integer arrays, zero for j > min(k, l).
+
+    The coefficient of every reordering sum of ladder operators, read exactly
+    from one table of falling factorials as F[k, j] (F[l, j] / F[j, j]); the
+    quotient is C(l, j), so nothing overflows before the weight itself.
+    """
+    table = _falling_factorials(int(max(np.max(k), np.max(l), np.max(j))))
+    return table[k, j] * (table[l, j] / table[j, j])
+
+
+LADDER = (COHERENT, FOCK, PHOTON_ADDED)
+MAX_ORDER = 166  # the largest order whose pairing weights stay below the double range
+# ordered (bra, ket) kind pairs with a closed-form overlap
+CLOSED_FORM = ({(a, b) for a in LADDER for b in LADDER}
+               - {(FOCK, PHOTON_ADDED), (PHOTON_ADDED, FOCK)}
+               | {(DISPLACED_SQUEEZED, DISPLACED_SQUEEZED)})
+
+
+def _require_closed_form(bras, kets):
+    """Raise UnsupportedKet unless every (bra, ket) pair has a closed-form overlap."""
+    for a in dict.fromkeys(k.kind for k in bras):
+        for b in dict.fromkeys(k.kind for k in kets):
+            if (a, b) not in CLOSED_FORM:
+                raise UnsupportedKet(f"no analytic overlap for pair ({a}, {b})")
+    squeezing_b, squeezing_k = ([(k.r, k.theta) for k in side if k.kind == DISPLACED_SQUEEZED]
+                                for side in (bras, kets))
+    if squeezing_b and squeezing_k and not np.isclose(np.array(squeezing_b)[:, None],
+                                                      np.array(squeezing_k)).all():
+        raise UnsupportedKet("displaced-squeezed overlaps need equal squeezing")
+
+
+def _ladder_forms(kets):
+    """Ladder order k and amplitude of each ket.
+
+    Coherent, Fock and photon-added kets are a^dag^k |amplitude> up to a norm:
+    Fock |n> has k = n at amplitude 0 and a coherent ket has k = 0.  A
+    displaced-squeezed ket D(alpha) S |0> = S D(beta) |0> enters as the
+    coherent ket |beta>, beta = alpha cosh r + conj(alpha) e^{i theta} sinh r,
+    since the squeezers cancel in an overlap at equal squeezing.
+    """
+    orders, amps = [], []
+    for ket in kets:
+        a = ket.alpha
+        if ket.kind == FOCK:
+            a = 0.0
+        elif ket.kind == DISPLACED_SQUEEZED:
+            a = a * np.cosh(ket.r) + np.conj(a) * np.exp(1j * ket.theta) * np.sinh(ket.r)
+        orders.append(ket.n if ket.kind == FOCK else ket.k if ket.kind == PHOTON_ADDED else 0)
+        amps.append(a)
+    if max(orders, default=0) > MAX_ORDER:
+        raise UnsupportedKet(f"ladder orders above {MAX_ORDER} overflow the closed form")
+    return np.array(orders, dtype=int), np.array(amps, dtype=complex)
+
+
+def _family_overlaps(kets):
+    """<kets[i]|kets[j]> for every pair of one family, by the ladder closed form.
+
+    With k, l the orders and alpha, beta the amplitudes of the bra and the ket,
+    <alpha| a^k a^dag^l |beta> = <alpha|beta> sum_t t! C(k,t) C(l,t)
+    conj(alpha)^(l-t) beta^(k-t); at l = k and beta = alpha the sum is the
+    squared norm of a^dag^k |alpha>.  Every pair gets a value, whether or not
+    the closed form applies to it.
+    """
+    orders, amps = _ladder_forms(kets)
+    half = np.abs(amps) ** 2 / 2
+    value = np.exp(-half - half[:, None] + np.conj(amps)[:, None] * amps)
+    if orders.any():  # at order 0 the sum and the norms are 1
+        k, l = orders[:, None, None], orders[None, :, None]
+        t = np.arange(orders.max() + 1)
+        # exponents below zero only occur where the weight vanishes
+        ladder = (pairing_weights(k, l, t) * np.conj(amps)[:, None, None] ** np.maximum(l - t, 0)
+                  * amps[None, :, None] ** np.maximum(k - t, 0)).sum(axis=-1)
+        norm_sq = ladder.diagonal().real
+        # exactly 1 on the diagonal, and no overflow for large Fock indices
+        value *= ladder / norm_sq[:, None] * np.sqrt(norm_sq[:, None] / norm_sq)
+    return value
+
+
+def overlaps(bras, kets):
+    """Matrix of analytic overlaps <bras[i]|kets[j]>.
+
+    One normal-ordered closed form covers coherent, Fock and photon-added
+    kets; displaced-squeezed kets pair with each other at equal squeezing.
+    Other pairs (a displaced-squeezed ket against another kind or at unequal
+    squeezing, a Fock against a photon-added ket) and ladder orders above
+    MAX_ORDER raise UnsupportedKet rather than silently falling back to
+    truncation.
+    """
+    bras, kets = list(bras), list(kets)
+    _require_closed_form(bras, kets)
+    return _family_overlaps(bras + kets)[:len(bras), len(bras):]
 
 
 def overlap(bra, ket):
-    """Analytic overlap <bra|ket> for supported kind pairs.
+    """Analytic overlap <bra|ket>: the 1 x 1 case of overlaps."""
+    return overlaps([bra], [ket])[0, 0]
 
-    Pairs without a closed form implemented here raise UnsupportedKet rather
-    than silently falling back to truncation.
-    """
-    a, b = bra, ket
-    if a.kind == COHERENT and b.kind == COHERENT:
-        return fock.overlap_coherent(b.alpha, a.alpha)
-    if a.kind == FOCK and b.kind == FOCK:
-        return 1.0 + 0.0j if a.n == b.n else 0.0 + 0.0j
-    if a.kind == FOCK and b.kind == COHERENT:
-        al = b.alpha
-        return np.exp(-abs(al) ** 2 / 2) * al ** a.n / np.sqrt(factorial(a.n))
-    if a.kind == COHERENT and b.kind == FOCK:
-        return np.conj(overlap(b, a))
-    if a.kind == DISPLACED_SQUEEZED and b.kind == DISPLACED_SQUEEZED:
-        if not (np.isclose(a.r, b.r) and np.isclose(a.theta, b.theta)):
-            raise UnsupportedKet("displaced-squeezed overlaps need equal squeezing")
-        # D(alpha) S = S D(beta) with beta = alpha cosh r + conj(alpha) e^{i th} sinh r,
-        # and the squeezers cancel inside the overlap.
-        ba = a.alpha * np.cosh(a.r) + np.conj(a.alpha) * np.exp(1j * a.theta) * np.sinh(a.r)
-        bb = b.alpha * np.cosh(b.r) + np.conj(b.alpha) * np.exp(1j * b.theta) * np.sinh(b.r)
-        return fock.overlap_coherent(bb, ba)
-    if a.kind == PHOTON_ADDED and b.kind == PHOTON_ADDED:
-        num = _pac_cross(a.k, a.alpha, b.k, b.alpha)
-        return num / np.sqrt(_pac_norm_sq(a.k, a.alpha) * _pac_norm_sq(b.k, b.alpha))
-    if a.kind == PHOTON_ADDED and b.kind == COHERENT:
-        return _pac_cross(a.k, a.alpha, 0, b.alpha) / np.sqrt(_pac_norm_sq(a.k, a.alpha))
-    if a.kind == COHERENT and b.kind == PHOTON_ADDED:
-        return np.conj(overlap(b, a))
-    raise UnsupportedKet(f"no analytic overlap for pair ({a.kind}, {b.kind})")
+
+def gram_matrix(kets):
+    """Gram matrix <kets[i]|kets[j]>, exactly Hermitian with a unit diagonal."""
+    _require_closed_form(kets, kets)
+    upper = np.triu(_family_overlaps(kets), 1)
+    gram = upper + upper.conj().T
+    np.fill_diagonal(gram, 1.0)
+    return gram
 
 
 class Branch(NamedTuple):

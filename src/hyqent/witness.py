@@ -10,12 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .channels import (ThermalChannelParams, ThermalHybridState, _pairing_weights,
-                       thermal_dyad_moments)
+from .channels import ThermalChannelParams, ThermalHybridState, thermal_dyad_moments
 from .composite import DensityMatrix
 from .errors import InconsistentMoments, NumericInconsistency
 from .fock import mode_operators
-from .kets import HybridState
+from .kets import HybridState, pairing_weights
 
 INCONCLUSIVE_BAND = 1e-12
 
@@ -218,7 +217,7 @@ class SymbolicMomentProvider:
         n = np.arange(max(k.max(), l.max()) + 1)
         mode = thermal_dyad_moments(self._alpha, self._beta, self._params,
                                     (n[:, None, None], n[None, :, None]))
-        return np.einsum("...t,...td,...d->...", _pairing_weights(q, r, t), mode[k, l], qudit)
+        return np.einsum("...t,...td,...d->...", pairing_weights(q, r, t), mode[k, l], qudit)
 
 
 # ---------------------------------------------------------------------------

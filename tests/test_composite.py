@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_ket
+from conftest import random_density, random_ket, random_unitary
 from hyqent import DensityMatrix, partial_trace, partial_transpose, purity, tensor
 
 
@@ -103,3 +103,24 @@ def test_purity_of_damped_state():
     damped = amplitude_damp(binary_coherent(al).payload, eta)
     tau = np.exp(-2 * (1 - eta) * al**2)
     assert purity(compress(damped)) == pytest.approx((1 + tau**2) / 2, abs=1e-12)
+
+
+def _with_smallest_eigenvalue(rng, lam, dim, rank):
+    """Trace-one Hermitian matrix with rank nonzero eigenvalues, the smallest lam."""
+    spectrum = np.zeros(dim)
+    spectrum[:rank - 1] = rng.uniform(0.5, 1.5, rank - 1)
+    spectrum[:rank - 1] *= (1.0 - lam) / spectrum[:rank - 1].sum()
+    spectrum[rank - 1] = lam
+    u = random_unitary(rng, dim)
+    m = (u * spectrum) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 2), (256, 128)])
+def test_positivity_check_strength(rng, dim, rank):
+    # eig_tol = 1e-10: an eigenvalue below -1e-10 is rejected and named
+    for lam in (-2e-10, -1e-9):
+        with pytest.raises(ValueError, match="negative eigenvalue") as exc:
+            DensityMatrix(_with_smallest_eigenvalue(rng, lam, dim, rank), (dim,))
+        assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(lam, abs=1e-13)
+    DensityMatrix(_with_smallest_eigenvalue(rng, -5e-11, dim, rank), (dim,))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyqent import (Classification, DensityMatrix, HybridState, SymbolicKet,
-                    classify, compress, compress_vector,
+                    classify, compress, compress_vector, default_cutoff, gram_matrix,
                     inverse_gram_schmidt, ket_expansion, log_negativity, negativity,
                     overlap, purity)
 from hyqent.catalog import (binary_coherent, geometric_mixture, mixed23, mixed24,
@@ -159,6 +159,53 @@ def test_multi_site_compression_matches_kron_expansion():
     rho = compress(mix)
     assert rho.dims == (3, 2, 2)
     assert np.abs(rho.matrix - expect).max() < 1e-15
+
+
+def _lattice_hybrid(rng, n_kets):
+    """Qubit-qumode mixture of n_kets distinct kets on a jittered square lattice.
+
+    Pitch 1.6 keeps the Gram matrix well conditioned; every fourth ket is
+    photon-added, of order 1 to 3.
+    """
+    side = int(np.ceil(np.sqrt(n_kets)))
+    lattice = np.array([complex(i - (side - 1) / 2, j - (side - 1) / 2) * 1.6
+                        for i in range(side) for j in range(side)])
+    amps = lattice[rng.permutation(lattice.size)[:n_kets]]
+    amps = amps + rng.uniform(-0.2, 0.2, n_kets) + 1j * rng.uniform(-0.2, 0.2, n_kets)
+    kets = [SymbolicKet.photon_added(1 + (i // 4) % 3, a) if i % 4 == 3 else SymbolicKet.coherent(a)
+            for i, a in enumerate(amps)]
+    weights = rng.dirichlet(np.ones(n_kets // 2))
+    terms = []
+    for t, p in enumerate(weights):
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c /= np.linalg.norm(c)
+        terms.append((p, [(c[m], m, kets[2 * t + m]) for m in range(2)]))
+    return HybridState(2, terms), amps
+
+
+def test_wide_lattice_family_reproduces_its_gram_matrix(rng):
+    state, _ = _lattice_hybrid(rng, 128)
+    kets = state.kets()
+    coeffs = ket_expansion(kets)
+    assert coeffs.basis_size == 128
+    assert np.abs(coeffs.reconstructed_gram() - gram_matrix(kets)).max() < 1e-12
+
+
+@pytest.mark.parametrize("terms, pivots, error", [(12, 18, 1.34e-9), (16, 19, 1.46e-5)])
+def test_near_dependent_truncation_pivots_and_error(terms, pivots, error):
+    """Pivot count and reconstruction error at (x, alpha) = (0.5, 0.7) stay as good as
+    the per-row triangular solve they replaced gave."""
+    state, _ = geometric_mixture(0.5, 0.7).payload.truncate(terms)
+    kets = state.kets()
+    coeffs = ket_expansion(kets)
+    assert (coeffs.basis_size, len(kets)) == (pivots, 2 * terms)
+    assert np.abs(coeffs.reconstructed_gram() - gram_matrix(kets)).max() < error
+
+
+def test_wide_family_negativity_matches_fock_oracle(rng):
+    state, amps = _lattice_hybrid(rng, 64)
+    n_cut = default_cutoff(np.abs(amps).max()) + 16
+    assert abs(negativity(compress(state)) - negativity(state.to_fock_density(n_cut))) < 1e-6
 
 
 # --- compression does not depend on the order of terms and branches ----------

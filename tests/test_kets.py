@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from hyqent import (MODE, HybridState, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, UnsupportedKet,
-                    amplitude_damp, apply_thermal, displace, overlap, squeeze)
+                    amplitude_damp, apply_thermal, displace, gram_matrix, overlap, overlaps,
+                    squeeze)
 from hyqent.catalog import jcm_generate, project_to_cat, qubus_state, two_mode_cat
 
 
@@ -112,3 +115,63 @@ def test_qudit_mode_functions_reject_other_layouts(payload):
     for call in calls:
         with pytest.raises(TypeError, match="qudit-qumode"):
             call()
+
+
+def _ladder_family(rng, kind):
+    """Random kets: coherent mixed with Fock or photon-added (k <= 3) kets.
+
+    A Fock ket against a photon-added one, and a displaced-squeezed ket against
+    any other kind, have no closed-form overlap, so no family holds both.
+    """
+    kets = [SymbolicKet.coherent(a) for a in 1.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))]
+    if kind == "fock":
+        kets += [SymbolicKet.fock(n) for n in (0, 1, 3, 3, 6)]
+    else:
+        kets += [SymbolicKet.photon_added(k, a) for k, a in
+                 zip((1, 2, 3, 3, 0), 0.8 * (rng.normal(size=5) + 1j * rng.normal(size=5)))]
+    return [kets[i] for i in rng.permutation(len(kets))]
+
+
+def _squeezed_family(rng):
+    r, theta = 0.4 * rng.random(), 2 * np.pi * rng.random()
+    return [SymbolicKet.displaced_squeezed(a, r, theta)
+            for a in 0.8 * (rng.normal(size=5) + 1j * rng.normal(size=5))]
+
+
+@pytest.mark.parametrize("family", ["fock", "photon-added", "squeezed"])
+def test_gram_matrix_matches_pairwise_and_fock_overlaps(rng, family):
+    for _ in range(3):
+        kets = _squeezed_family(rng) if family == "squeezed" else _ladder_family(rng, family)
+        gram = gram_matrix(kets)
+        assert np.array_equal(gram, gram.conj().T)
+        assert np.all(np.diag(gram) == 1.0)
+        pairwise = np.array([[overlap(a, b) for b in kets] for a in kets])
+        assert np.abs(gram - pairwise).max() < 1e-14
+        assert np.abs(overlaps(kets[:3], kets) - pairwise[:3]).max() < 1e-14
+        vectors = np.array([k.to_fock(60) for k in kets])
+        assert np.abs(gram - vectors.conj() @ vectors.T).max() < 1e-10
+        fock = [i for i, k in enumerate(kets) if k.kind == "fock"]
+        for i in fock:
+            for j in fock:
+                assert gram[i, j] == float(kets[i].n == kets[j].n)
+
+
+def test_pairs_without_closed_form_still_raise():
+    squeezed = SymbolicKet.displaced_squeezed(0.5, 0.3)
+    for bras, kets in [([squeezed], [SymbolicKet.coherent(0.5)]),
+                       ([SymbolicKet.coherent(0.5)], [squeezed]),
+                       ([squeezed], [SymbolicKet.displaced_squeezed(0.2, 0.6)]),
+                       ([SymbolicKet.fock(2)], [SymbolicKet.photon_added(1, 0.4)]),
+                       ([SymbolicKet.fock(167)], [SymbolicKet.fock(167)])]:
+        with pytest.raises(UnsupportedKet):
+            overlaps(bras, kets)
+        with pytest.raises(UnsupportedKet):
+            gram_matrix(bras + kets)
+
+
+def test_high_fock_indices_keep_exact_orthonormality():
+    kets = [SymbolicKet.fock(n) for n in (0, 98, 99, 166)]
+    assert np.array_equal(overlaps(kets, kets), np.eye(4))
+    # <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!)
+    expect = np.exp(-50.0 + 166 * np.log(10.0) - 0.5 * math.lgamma(167))
+    assert overlap(kets[-1], SymbolicKet.coherent(10.0)) == pytest.approx(expect, rel=1e-12)
