@@ -24,7 +24,10 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if int(np.prod(dims)) != matrix.shape[0]:
             raise ValueError(f"dims {dims} do not match matrix order {matrix.shape[0]}")
-        if np.abs(matrix - matrix.conj().T).max() > herm_tol:
+        # |M - M^H|^2 entrywise from the real and imaginary parts, which avoids
+        # a conjugated copy read transposed and a hypot per entry
+        re, im = matrix.real, matrix.imag
+        if (np.square(re - re.T) + np.square(im + im.T)).max() > herm_tol ** 2:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = np.trace(matrix).real
         if abs(tr - 1.0) > trace_tol:

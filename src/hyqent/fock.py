@@ -4,11 +4,10 @@ Dimensionless quadratures with [x, p] = i throughout; a photon-number cutoff
 ``n_cut`` means the space is spanned by |0>, ..., |n_cut|.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from .errors import CutoffTooSmall
 
@@ -26,13 +25,63 @@ def default_cutoff(alpha_max):
     return int(np.ceil(nbar + 8.0 * np.sqrt(nbar + 1.0) + 10.0))
 
 
+def _poisson_weight(n, nbar):
+    """e^-nbar nbar^n / n! to a few ulps, in Loader's saddle-point form.
+
+    exp(-stirling(n) - deviance) / sqrt(2 pi n), with the Stirling remainder
+    stirling(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2 and the deviance
+    n log(n / nbar) + nbar - n summed as a series near n = nbar, where its
+    terms would cancel (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000).
+    """
+    if n == 0:
+        return math.exp(-nbar)
+    if n <= 15:
+        stirling = math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    else:
+        nn = float(n) * n
+        # asymptotic series, accurate to a few 1e-17 from n = 16 on
+        stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn)
+                    / nn) / n
+    if abs(n - nbar) < 0.1 * (n + nbar):
+        v = (n - nbar) / (n + nbar)
+        deviance, term, j = (n - nbar) * v, 2.0 * n * v, 1
+        while True:
+            term *= v * v
+            nxt = deviance + term / (2 * j + 1)
+            if nxt == deviance:
+                break
+            deviance, j = nxt, j + 1
+    else:
+        deviance = n * math.log(n / nbar) + nbar - n
+    return math.exp(-stirling - deviance) / math.sqrt(2 * math.pi * n)
+
+
 def coherent_tail_weight(alpha, n_cut):
-    """Exact weight of |alpha> beyond the cutoff, sum_{n > n_cut} e^-nbar nbar^n/n!."""
+    """Exact weight of |alpha> beyond the cutoff, sum_{n > n_cut} e^-nbar nbar^n/n!.
+
+    The Poisson survival function.  A cutoff above the mean sums the tail
+    outward from n_cut + 1; otherwise the weight is 1 minus the head summed
+    down from n_cut.  Either way the terms fall from the first one on, and
+    the sum stops once they drop below 1e-17 of it.
+    """
     nbar = abs(alpha) ** 2
     if nbar == 0.0:
         return 0.0
-    # regularized lower incomplete gamma = Poisson survival function
-    return float(gammainc(n_cut + 1, nbar))
+    outward = nbar < n_cut + 1
+    k = n_cut + 1 if outward else n_cut
+    first = term = _poisson_weight(k, nbar)
+    terms = []
+    while term > 1e-17 * first and k >= 0:
+        terms.append(term)
+        if outward:
+            k += 1
+            term *= nbar / k
+        else:
+            term *= k / nbar
+            k -= 1
+    total = math.fsum(terms)
+    return total if outward else 1.0 - total
 
 
 def squeeze_cutoff(r, tail_tol=DEFAULT_TAIL_TOL):
@@ -110,6 +159,8 @@ def displace(alpha, n_cut, tail_tol=DEFAULT_TAIL_TOL):
             f"cutoff {n_cut} too small for displacement alpha = {alpha}",
             suggested=default_cutoff(alpha),
         )
+    from scipy.linalg import expm
+
     a, adag, _ = mode_operators(n_cut)
     return expm(alpha * adag - np.conj(alpha) * a)
 
@@ -126,6 +177,8 @@ def squeeze(theta, r, n_cut, tail_tol=DEFAULT_TAIL_TOL):
         raise CutoffTooSmall(
             f"cutoff {n_cut} too small for squeezing r = {r}", suggested=needed
         )
+    from scipy.linalg import expm
+
     a, adag, _ = mode_operators(n_cut)
     return expm(0.5 * r * (np.exp(-1j * theta) * (a @ a) - np.exp(1j * theta) * (adag @ adag)))
 
@@ -142,6 +195,8 @@ def beamsplit(theta, phi=0.0, n_cut=None, n_cut2=None):
         raise ValueError("beamsplit needs n_cut >= 1")
     if n_cut2 is None:
         n_cut2 = n_cut
+    from scipy.linalg import expm
+
     a1, a1d, _ = mode_operators(n_cut)
     a2, a2d, _ = mode_operators(n_cut2)
     g = np.exp(1j * phi) * np.kron(a1, a2d) - np.exp(-1j * phi) * np.kron(a1d, a2)
@@ -199,24 +254,21 @@ class WignerField:
     converged: bool
 
 
-def _wigner_mn(m, n, x, p):
-    """Wigner transform of |m><n| with kernel (1/pi) int dy psi_m(x-y) psi_n(x+y) e^{2ipy}."""
-    if m > n:
-        return np.conj(_wigner_mn(n, m, x, p))
-    r2 = 2.0 * (x * x + p * p)
-    pref = ((-1) ** m / np.pi) * np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
-    core = pref * np.exp(-r2 / 2.0) * eval_genlaguerre(m, n - m, r2)
-    if n == m:
-        return core.astype(complex)
-    return core * (np.sqrt(2.0) * (x + 1j * p)) ** (n - m)
-
-
 def wigner(rho, grid_x, grid_p):
     """Wigner function of a single-mode density matrix on a grid.
 
     Evaluated as an exact finite Fock-basis double sum over the matrix entries
     (no quadrature in y), so the only error sources are the state's own
-    truncation and the grid extent.
+    truncation and the grid extent.  With z = x + ip and r^2 = 2|z|^2,
+
+        W = (1/pi) sum_d (2 - delta_d0) Re[e^{-r^2/2} (sqrt(2) z)^d / sqrt(d!)
+                                            sum_m (-1)^m rho[m, m+d] l_m^d(r^2)],
+
+    where l_m^d = sqrt(m! d! / (m+d)!) L_m^d is the normalized generalized
+    Laguerre function.  One three-term recursion in m (Johansson, Nation &
+    Nori, CPC 184, 1234 (2013)) advances every diagonal d at once on the
+    distinct radii of the grid; diagonals beyond the farthest nonzero entry of
+    rho are never formed.
     """
     matrix = getattr(rho, "matrix", rho)
     matrix = np.asarray(matrix, dtype=complex)
@@ -224,13 +276,27 @@ def wigner(rho, grid_x, grid_p):
     xs = np.asarray(grid_x, dtype=float)
     ps = np.asarray(grid_p, dtype=float)
     x2, p2 = np.meshgrid(xs, ps, indexing="ij")
-    w = np.zeros_like(x2)
+    radii, where = np.unique(2.0 * (x2 * x2 + p2 * p2).ravel(), return_inverse=True)
+    rows, cols = np.nonzero(matrix)
+    n_diag = int(np.abs(rows - cols).max(initial=0)) + 1
+    d = np.arange(n_diag)[:, None]
+    sums = np.zeros((n_diag, radii.size), dtype=complex)
+    lag_prev, lag = np.zeros(sums.shape), np.ones(sums.shape)
     for m in range(dim):
-        w += (matrix[m, m] * _wigner_mn(m, m, x2, p2)).real
-        for n in range(m + 1, dim):
-            if matrix[m, n] == 0 and matrix[n, m] == 0:
-                continue
-            w += 2.0 * (matrix[m, n] * _wigner_mn(m, n, x2, p2)).real
+        k = min(n_diag, dim - m)  # diagonals that still have an entry rho[m, m+d]
+        sums[:k] += (-1) ** m * matrix[m, m:m + k, None] * lag[:k]
+        k = min(k, dim - m - 1)  # diagonals the next step still needs
+        dk = d[:k]
+        lag_prev, lag = lag[:k], ((2 * m + 1 + dk - radii) * lag[:k] - np.sqrt(m * (m + dk))
+                                  * lag_prev[:k]) / np.sqrt((m + 1) * (m + 1 + dk))
+    sums *= np.exp(-radii / 2.0)
+    values = sums[0, where].real
+    phase = np.ones(x2.size, dtype=complex)
+    step = np.sqrt(2.0) * (x2 + 1j * p2).ravel()
+    for n in range(1, n_diag):
+        phase *= step / np.sqrt(n)
+        values += 2.0 * (sums[n, where] * phase).real
+    w = values.reshape(x2.shape) / np.pi
     mass = float(np.trapezoid(np.trapezoid(w, ps, axis=1), xs))
     return WignerField(xs, ps, w, mass, bool(mass >= 0.999))
 

@@ -332,12 +332,26 @@ class HybridState:
                                   for b in branches for a in mode_axes))
 
     def norm_squared(self):
-        """sum_n p_n <psi_n|psi_n> from the analytic overlaps; 1 when normalized."""
-        def braket(v1, v2):
-            return np.prod([overlap(a, b) if s == MODE else float(a == b)
-                            for s, a, b in zip(self.sites, v1, v2)])
-        return sum(p * (np.conj(c1) * c2 * braket(v1, v2)).real
-                   for p, branches in self.terms for c1, v1 in branches for c2, v2 in branches)
+        """sum_n p_n <psi_n|psi_n> from the analytic overlaps; 1 when normalized.
+
+        Branch pairs of one term multiply one Gram entry per mode site, taken
+        from that site's Gram matrix over its distinct kets, and a level
+        delta per qudit site.
+        """
+        branches = [b for _, bs in self.terms for b in bs]
+        term = np.repeat(np.arange(self.term_count), [len(bs) for _, bs in self.terms])
+        braket = (term[:, None] == term).astype(complex)
+        for a, s in enumerate(self.sites):
+            values = [b.values[a] for b in branches]
+            if s == MODE:
+                slot = {ket: i for i, ket in enumerate(dict.fromkeys(values))}
+                index = np.array([slot[v] for v in values])
+                braket *= gram_matrix(list(slot))[index[:, None], index]
+            else:
+                braket *= np.equal.outer(values, values)
+        c = np.array([b.c for b in branches])
+        p = np.array(self.weights)[term]
+        return float((p * np.conj(c) * (braket @ c)).real.sum())
 
     def to_fock_density(self, n_cut, tail_tol=1e-8):
         """Truncated-Fock qudit x mode density matrix (cross-check path)."""

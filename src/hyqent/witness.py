@@ -8,7 +8,6 @@ minor is nonnegative.  Mode a is always the CV subsystem, mode b the qudit.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channels import ThermalChannelParams, ThermalHybridState, thermal_dyad_moments
 from .composite import DensityMatrix
@@ -280,6 +279,8 @@ def optimal_alpha():
 
     Independent of the transmissivity, which only scales the threshold.
     """
+    from scipy.optimize import brentq
+
     f = lambda a2: (2.0 - 8.0 * a2) * np.exp(4.0 * a2) - 1.0
     return float(np.sqrt(brentq(f, 0.05, 0.25, xtol=1e-14)))
 
@@ -392,6 +393,8 @@ def witness_region(det_fn, grid, boundary_axis=None, band=INCONCLUSIVE_BAND,
     inconclusive = np.abs(values) <= band
     boundary = []
     if boundary_axis is not None:
+        from scipy.optimize import brentq
+
         ax = names.index(boundary_axis)
         moved = np.moveaxis(values, ax, -1)
         for pos in np.ndindex(*moved.shape[:-1]):

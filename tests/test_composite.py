@@ -25,6 +25,21 @@ def test_constructor_rejects_bad_input():
         DensityMatrix(bad, (2,))  # genuinely negative eigenvalue
 
 
+@pytest.mark.parametrize("herm_tol", [1e-12, 1e-6])
+def test_hermiticity_tolerance_is_on_the_modulus(herm_tol):
+    # a skew entry at 45 degrees: each part is 0.71 of its modulus, so a
+    # test on the parts alone would accept the matrix just outside the tolerance
+    for scale, accepted in ((0.99, True), (1.01, False)):
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 0] = 0.1 - 0.2j
+        m[0, 1] = 0.1 + 0.2j + scale * herm_tol * np.exp(1j * np.pi / 4)
+        if accepted:
+            DensityMatrix(m, (2,), herm_tol=herm_tol)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                DensityMatrix(m, (2,), herm_tol=herm_tol)
+
+
 def test_tiny_negative_eigenvalues_are_tolerated():
     m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
     DensityMatrix(m, (2,))  # within the clipping band

@@ -1,13 +1,22 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyqent import (CutoffTooSmall, beamsplit, coherent_ket,
+from conftest import random_density
+from hyqent import (CutoffTooSmall, beamsplit, coherent_ket, coherent_tail_weight,
                     default_cutoff, displace, fock_wavefunction, hermite,
                     mode_operators, overlap_coherent, phase_shifter,
                     position_density, squeeze, wigner, wigner_marginal_x)
 from hyqent.composite import DensityMatrix
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def hermite_explicit(n, x):
@@ -48,6 +57,44 @@ def test_coherent_vacuum_and_norm():
     nbar = 4.0
     weights = [np.exp(-nbar) * nbar**n / factorial(n) for n in range(v.size)]
     assert abs(np.linalg.norm(v) ** 2 - sum(weights)) < 1e-12
+
+
+def test_coherent_tail_weight_matches_incomplete_gamma():
+    """Poisson survival function against the regularized lower incomplete gamma.
+
+    The 40-digit mpmath value is the reference.  e^-x carries any rounding of
+    its exponent x = -log(weight) into the weight times x, so the bound grows
+    with |log weight| by a few ulps per unit; below the smallest normal double
+    no relative bound holds.  scipy's gammainc itself strays from the 40-digit
+    value by up to 6e-13 on this grid, which sets its own bound.
+    """
+    from scipy.special import gammainc
+    mpmath = pytest.importorskip("mpmath")
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    assert coherent_tail_weight(0.0, 3) == 0.0
+    nbars = np.concatenate([np.geomspace(1e-14, 1e4, 29), [7.0, 40.5, 41.0, 41.5, 130.0, 399.9]])
+    for nbar in nbars:
+        alpha = math.sqrt(nbar)
+        nbar = abs(alpha) ** 2  # the value the routine squares back
+        for n_cut in (0, 1, 2, 5, 10, 25, 40, 41, 80, 150, 250, 399, 400):
+            got = coherent_tail_weight(alpha, n_cut)
+            with mpmath.workdps(40):
+                exact = float(mpmath.gammainc(n_cut + 1, 0, nbar, regularized=True))
+            if exact < tiny:
+                assert got < 2 * tiny
+                continue
+            assert abs(got - exact) <= (1e-13 + 2 * eps * abs(math.log(exact))) * exact
+            assert abs(got - gammainc(n_cut + 1, nbar)) <= 1e-12 * exact
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, hyqent; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_coherent_cutoff_too_small():
@@ -141,6 +188,90 @@ def wigner_quadrature(matrix, x, p):
     return float(np.trapezoid(integrand, ys).real / np.pi)
 
 
+def wigner_laguerre_sum(matrix, xs, ps):
+    """Reference double sum: one eval_genlaguerre call per Fock pair m <= n.
+
+    |m><n| + h.c. contributes 2 Re of (-1)^m/pi sqrt(m!/n!) e^{-r^2/2}
+    L_m^{n-m}(r^2) (sqrt(2) z)^{n-m} with z = x + ip and r^2 = 2|z|^2.
+    """
+    from scipy.special import eval_genlaguerre, gammaln
+    x, p = np.meshgrid(xs, ps, indexing="ij")
+    r2 = 2.0 * (x * x + p * p)
+    w = np.zeros(x.shape)
+    dim = matrix.shape[0]
+    for m in range(dim):
+        for n in range(m, dim):
+            core = ((-1) ** m / np.pi * np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
+                    * np.exp(-r2 / 2.0) * eval_genlaguerre(m, n - m, r2))
+            term = matrix[m, n] * core * (np.sqrt(2.0) * (x + 1j * p)) ** (n - m)
+            w += (1.0 if n == m else 2.0) * term.real
+    return w
+
+
+def _corner_only(dim):
+    rho = np.diag(np.linspace(2.0, 1.0, dim)).astype(complex)
+    rho[0, -1] = 0.3 - 0.4j
+    rho[-1, 0] = np.conj(rho[0, -1])
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("case", ["random-40", "diagonal", "corner-only", "origin",
+                                  "distinct-radii"])
+def test_wigner_recursion_matches_laguerre_sum(rng, case):
+    grid_x, grid_p = np.linspace(-7.0, 7.0, 29), np.linspace(-6.0, 6.5, 23)
+    if case == "random-40":
+        rho = random_density(rng, 41)
+    elif case == "diagonal":
+        rho = np.diag(rng.random(33) + 0j)
+        rho /= np.trace(rho).real
+    elif case == "corner-only":
+        rho = _corner_only(25)
+    elif case == "origin":
+        rho = random_density(rng, 30)
+        grid_x = grid_p = np.zeros(1)
+    else:
+        rho = random_density(rng, 16)
+        grid_x, grid_p = np.array([0.31, -1.17, 2.03, 0.77, -2.61]), np.array([0.43, -1.9, 1.21])
+        x, p = np.meshgrid(grid_x, grid_p, indexing="ij")
+        assert np.unique(x * x + p * p).size == x.size
+    field = wigner(rho, grid_x, grid_p)
+    assert field.values.shape == (grid_x.size, grid_p.size)
+    assert np.abs(field.values - wigner_laguerre_sum(rho, grid_x, grid_p)).max() < 1e-13
+    if case == "origin":  # W(0) is the parity expectation over pi
+        parity = np.sum((-1.0) ** np.arange(30) * np.diag(rho).real) / np.pi
+        assert field.values[0, 0] == pytest.approx(parity, abs=1e-15)
+
+
+def cat_wigner_closed_form(amplitudes, xs, ps):
+    """Cat Wigner function as a sum of coherent-dyad Gaussians (Cahill & Glauber).
+
+    |a><b| contributes <b|a> exp(-2 (w - a)(conj(w) - conj(b))) / pi with
+    w = (x + ip)/sqrt(2); no Fock truncation enters.
+    """
+    x, p = np.meshgrid(xs, ps, indexing="ij")
+    w = (x + 1j * p) / np.sqrt(2.0)
+    total = np.zeros(x.shape, dtype=complex)
+    norm = 0.0
+    for a in amplitudes:
+        for b in amplitudes:
+            ov = overlap_coherent(a, b)
+            norm += ov.real
+            total += ov * np.exp(-2.0 * (w - a) * (np.conj(w) - np.conj(b))) / np.pi
+    return total.real / norm
+
+
+def test_wigner_large_cat_matches_coherent_dyads():
+    # the amplitude of `reproduce wigner-cat --full` on a coarse grid
+    alpha, n_cut = 6.0, 95
+    amps = (alpha * np.exp(1j * np.pi / 6), alpha * np.exp(-1j * np.pi / 6))
+    v = coherent_ket(amps[0], n_cut) + coherent_ket(amps[1], n_cut)
+    v /= np.linalg.norm(v)
+    extent = alpha * np.sqrt(2.0) + 5.0
+    grid = np.linspace(-extent, extent, 41)
+    field = wigner(np.outer(v, v.conj()), grid, grid)
+    assert np.abs(field.values - cat_wigner_closed_form(amps, grid, grid)).max() < 1e-8
+
+
 def test_wigner_vacuum_value():
     rho = np.zeros((5, 5), dtype=complex)
     rho[0, 0] = 1.0
@@ -189,3 +320,5 @@ def test_wigner_cat_negative():
     field = wigner(np.outer(v, v.conj()), grid, grid)
     assert field.values.min() < 0.0
     assert abs(field.mass - 1.0) < 1e-6
+    amps = (al * np.exp(1j * phi), al * np.exp(-1j * phi))
+    assert np.abs(field.values - cat_wigner_closed_form(amps, grid, grid)).max() < 1e-8

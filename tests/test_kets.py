@@ -117,6 +117,50 @@ def test_qudit_mode_functions_reject_other_layouts(payload):
             call()
 
 
+def _pairwise_norm_squared(state):
+    """Reference: one scalar overlap per mode site and branch pair of each term."""
+    def braket(v1, v2):
+        return np.prod([overlap(a, b) if s == MODE else float(a == b)
+                        for s, a, b in zip(state.sites, v1, v2)])
+    return sum(p * (np.conj(c1) * c2 * braket(v1, v2)).real
+               for p, branches in state.terms for c1, v1 in branches for c2, v2 in branches)
+
+
+def _random_mixture(rng, sites, n_terms=3):
+    """Mixture of random branches; mode sites hold coherent or photon-added kets."""
+    pool = [SymbolicKet.coherent(a) for a in rng.normal(size=3) + 1j * rng.normal(size=3)]
+    pool += [SymbolicKet.photon_added(k, a) for k, a in
+             zip((1, 2), 0.7 * (rng.normal(size=2) + 1j * rng.normal(size=2)))]
+    p = rng.random(n_terms)
+    terms = []
+    for weight in p / p.sum():
+        levels = rng.permutation(2)
+        branches = []
+        for b in range(2):
+            values = tuple(pool[rng.integers(len(pool))] if s == MODE else int(levels[b])
+                           for s in sites)
+            branches.append((rng.normal() + 1j * rng.normal(), values))
+        c = np.array([c for c, _ in branches])
+        c /= np.linalg.norm(c)
+        terms.append((weight, [(ci, v) for ci, (_, v) in zip(c, branches)]))
+    return HybridState(sites, terms)
+
+
+@pytest.mark.parametrize("payload", ["two-mode-cat", "qubus", "qudit-qumode", "qudit-two-modes",
+                                     "modes-only"])
+def test_norm_squared_matches_pairwise_overlaps(rng, payload):
+    for _ in range(3):
+        if payload == "two-mode-cat":
+            state = two_mode_cat(*rng.uniform(0.2, 1.5, size=2)).payload
+        elif payload == "qubus":
+            state = qubus_state(*rng.uniform(0.2, 1.2, size=3)).payload
+        else:
+            sites = {"qudit-qumode": (2, MODE), "qudit-two-modes": (MODE, 2, MODE),
+                     "modes-only": (MODE, MODE)}[payload]
+            state = _random_mixture(rng, sites)
+        assert state.norm_squared() == pytest.approx(_pairwise_norm_squared(state), abs=1e-14)
+
+
 def _ladder_family(rng, kind):
     """Random kets: coherent mixed with Fock or photon-added (k <= 3) kets.
 
