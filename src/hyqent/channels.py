@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composite import DensityMatrix
-from .errors import CutoffTooSmall, UnsupportedKet
-from .kets import COHERENT, HybridState, SymbolicKet, pairing_weights
+from .errors import UnsupportedKet
+from .kets import COHERENT, HybridState, SymbolicKet, gram_matrix, pairing_weights
 
 DEFAULT_WEIGHT_TOL = 1e-10
 
@@ -83,51 +83,26 @@ def qubit_loss_kraus(eta):
 # amplitude damping on symbolic hybrid states
 
 
-def _coherent_branches(branches):
+def _coherent_branches(branches, channel):
     for b in branches:
         if b.ket.kind != COHERENT:
-            raise UnsupportedKet("amplitude damping is implemented for coherent kets")
+            raise UnsupportedKet(f"the {channel} channel is implemented for coherent kets")
     return branches
-
-
-def _damp_pure_term(branches, eta):
-    """Exact output terms for one pure hybrid term under photon loss.
-
-    The beam splitter maps |alpha>_B |0>_E to |sqrt(eta) alpha>_B
-    |sqrt(1-eta) alpha>_E; tracing the environment in an orthonormal expansion
-    of its (finitely many) coherent kets gives an exact finite mixture.
-    """
-    from .compression import ket_expansion  # local import to avoid a cycle
-
-    env = [SymbolicKet.coherent(np.sqrt(1.0 - eta) * b.ket.alpha) for b in branches]
-    kets = []
-    for e in env:
-        if e not in kets:
-            kets.append(e)
-    coeffs = ket_expansion(kets)
-    rows = coeffs.matrix
-    out = []
-    for k in range(coeffs.basis_size):
-        new = []
-        weight = 0.0
-        for b, e in zip(branches, env):
-            amp = b.c * rows[kets.index(e), k]
-            if amp != 0:
-                new.append((amp, b.m, SymbolicKet.coherent(np.sqrt(eta) * b.ket.alpha)))
-                weight += abs(amp) ** 2
-        if weight > 1e-15:
-            out.append((weight, [(c / np.sqrt(weight), m, ket) for c, m, ket in new]))
-    return out
 
 
 def amplitude_damp(state, eta):
     """Photon loss channel on the qumode side of a coherent-family HybridState.
 
-    Coherent amplitudes scale by sqrt(eta); coherences between |alpha> and
-    |beta> pick up the environment overlap factor.  For a balanced two-branch
-    term with opposite amplitudes the output is returned in the two-projector
-    form with weights (1 +- tau)/2, tau = exp(-2(1-eta)|alpha|^2); other terms
-    go through an exact environment Gram-Schmidt expansion.
+    The beam splitter maps |alpha_i>_B |0>_E to |sqrt(eta) alpha_i>_B |e_i>_E
+    with |e_i> = |sqrt(1-eta) alpha_i>, so tracing the environment turns a
+    pure term sum_i c_i |m_i, alpha_i> into sum_ij c_i c_j* E_ij
+    |m_i, sqrt(eta) alpha_i><m_j, sqrt(eta) alpha_j| with E_ij = <e_j|e_i>.
+    The eigendecomposition E = sum_k lambda_k v_k v_k^dag splits this exactly
+    into one pure term per eigenpair, with branches c_i v_ik (normalized) and
+    weight lambda_k sum_i |c_i v_ik|^2.  For two opposite amplitudes,
+    E = [[1, tau], [tau, 1]] with tau = exp(-2(1-eta)|alpha|^2) has
+    eigenvectors (1, +-1)/sqrt(2): the output is the two-projector mixture
+    with weights (1 +- tau)/2, whatever the coefficients.
     """
     d = state.qudit_dim
     if not 0.0 <= eta <= 1.0:
@@ -136,30 +111,17 @@ def amplitude_damp(state, eta):
         return state
     out_terms = []
     for p, branches in state.terms:
-        branches = _coherent_branches(branches)
-        if len(branches) == 2 and _is_balanced_opposite(branches):
-            pieces = _damp_two_projector(branches, eta)
-        else:
-            pieces = _damp_pure_term(branches, eta)
-        out_terms.extend((p * w, bs) for w, bs in pieces if p * w > 1e-15)
+        alphas = [b.ket.alpha for b in _coherent_branches(branches, "amplitude damping")]
+        env = gram_matrix([SymbolicKet.coherent(np.sqrt(1.0 - eta) * a) for a in alphas]).T
+        kets = [SymbolicKet.coherent(np.sqrt(eta) * a) for a in alphas]
+        lam, vecs = np.linalg.eigh(env)
+        amps = np.array([b.c for b in branches])[:, None] * vecs
+        norms = (abs(amps) ** 2).sum(axis=0)
+        for k in np.flatnonzero(p * lam * norms > 1e-15):
+            out_terms.append((p * lam[k] * norms[k],
+                              [(a / np.sqrt(norms[k]), b.m, ket)
+                               for a, b, ket in zip(amps[:, k], branches, kets) if a != 0]))
     return HybridState(d, out_terms)
-
-
-def _is_balanced_opposite(branches):
-    b0, b1 = branches
-    return (np.isclose(abs(b0.c), 1 / np.sqrt(2)) and np.isclose(abs(b1.c), 1 / np.sqrt(2))
-            and np.isclose(b1.ket.alpha, -b0.ket.alpha))
-
-
-def _damp_two_projector(branches, eta):
-    b0, b1 = branches
-    alpha = b0.ket.alpha
-    tau = np.exp(-2.0 * (1.0 - eta) * abs(alpha) ** 2)
-    k0 = SymbolicKet.coherent(np.sqrt(eta) * alpha)
-    k1 = SymbolicKet.coherent(-np.sqrt(eta) * alpha)
-    plus = [(b0.c, b0.m, k0), (b1.c, b1.m, k1)]
-    minus = [(b0.c, b0.m, k0), (-b1.c, b1.m, k1)]
-    return [((1.0 + tau) / 2.0, plus), ((1.0 - tau) / 2.0, minus)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +182,7 @@ def thermal_dyad_moments(alpha, beta, params, powers):
     return ov * terms.sum(axis=-1)
 
 
-def thermal_kraus(params, n_cut, n_env_cut=None, weight_tol=DEFAULT_WEIGHT_TOL):
+def thermal_kraus(params, n_cut, weight_tol=DEFAULT_WEIGHT_TOL):
     """Truncated operator-sum decomposition of the thermal channel.
 
     K~_mn = sqrt(rho_n^th) <m|_E U |n>_E, where the beam splitter U maps
@@ -233,19 +195,12 @@ def thermal_kraus(params, n_cut, n_env_cut=None, weight_tol=DEFAULT_WEIGHT_TOL):
     / N, so each new photon enters through both ports.  At (0.5, 1, 27) this
     keeps them within 1.3e-15 of a 50-digit evaluation, while the
     alternating binomial sum for the same amplitudes, or the recursion
-    through one port alone, errs by up to 4.8e-9.  The output space has
-    dimension n_cut + n_env_cut + 1, so the only completeness deficit is
-    the neglected thermal tail.
+    through one port alone, errs by up to 4.8e-9.  The environment cutoff
+    n_env_cut = params.env_cutoff(weight_tol) leaves thermal weight below
+    weight_tol, and the output space has dimension n_cut + n_env_cut + 1,
+    so the only completeness deficit is that neglected thermal tail.
     """
-    if n_env_cut is None:
-        n_env_cut = params.env_cutoff(weight_tol)
-    else:
-        q = params.n_th / (1.0 + params.n_th) if params.n_th > 0 else 0.0
-        if q**(n_env_cut + 1) > weight_tol:
-            raise CutoffTooSmall(
-                f"environment cutoff {n_env_cut} leaves thermal weight above {weight_tol}",
-                suggested=params.env_cutoff(weight_tol),
-            )
+    n_env_cut = params.env_cutoff(weight_tol)
     dim_in = n_cut + 1
     dim_out = n_cut + n_env_cut + 1
     t, r = np.sqrt(params.eta), np.sqrt(1.0 - params.eta)
@@ -404,5 +359,5 @@ def apply_thermal(state, params):
     """Thermal channel on the qumode side; identity when eta=1 and n_th has no effect."""
     state.qudit_dim  # rejects layouts other than (d, "mode")
     for _, branches in state.terms:
-        _coherent_branches(branches)
+        _coherent_branches(branches, "thermal")
     return ThermalHybridState(state, params)

@@ -16,6 +16,11 @@ from .fock import mode_operators
 from .kets import HybridState, pairing_weights
 
 INCONCLUSIVE_BAND = 1e-12
+MOMENT_HERM_TOL = 1e-8   # largest non-Hermitian moment deviation a provider may show
+MINOR_IMAG_TOL = 1e-10   # largest relative imaginary part of a principal minor
+BOUNDARY_XTOL = 1e-10    # bisection tolerance of witness_region boundary samples
+SERIES_TOL = 1e-14       # tail bound of the sqrt(n)-weighted geometric sums
+EMBED_PAD = 4            # Fock levels added to the qudit in qudit_mode="embedded"
 
 
 def heaviside_half(x):
@@ -30,15 +35,14 @@ def heaviside_half(x):
 def qudit_mode_operators(d):
     """Ladder operators adapted to a d-level system.
 
-    Same matrix elements sqrt(n) as the bosonic operators but cut at the top
-    level, so (a_d)^d = 0 and the commutator becomes diag(1, ..., 1, -(d-1)).
-    Witness determinants computed with these agree with the embedded
-    infinite-dimensional reading for all moments used here.
+    The bosonic operators truncated to d levels: matrix elements sqrt(n) cut
+    at the top level, so (a_d)^d = 0 and the commutator becomes
+    diag(1, ..., 1, -(d-1)).  Witness determinants computed with these agree
+    with the embedded infinite-dimensional reading for all moments used here.
     """
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
-    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
-    return a, a.conj().T
+    return mode_operators(d - 1)[:2]
 
 
 def sv_multi_indices(max_total_degree, qudit_dim=None):
@@ -74,7 +78,7 @@ S1_INDICES = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1))
 S2_INDICES = ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 
 
-def sv_moment_matrix(provider, max_total_degree, qudit_dim=None, herm_tol=1e-8):
+def sv_moment_matrix(provider, max_total_degree, qudit_dim=None):
     """Matrix of moments of the partially transposed state.
 
     provider(a_words, b_words) receives integer arrays of shape (..., 4)
@@ -83,29 +87,29 @@ def sv_moment_matrix(provider, max_total_degree, qudit_dim=None, herm_tol=1e-8):
     state for a-words (p, q, r, s) and b-words (t, u, v, w).  It is called
     once, with the (n, n, 4) words of the whole matrix; the b-power swap that
     implements the partial transposition happens here.  A provider
-    inconsistent with Hermiticity beyond herm_tol is rejected.
+    inconsistent with Hermiticity beyond MOMENT_HERM_TOL is rejected.
     """
     idx = sv_multi_indices(max_total_degree, qudit_dim)
     rows, cols = np.broadcast_arrays(np.array(idx)[:, None], np.array(idx)[None, :])
     a_words = np.concatenate([rows[..., [1, 0]], cols[..., [0, 1]]], axis=-1)
     b_words = np.concatenate([cols[..., [3, 2]], rows[..., [2, 3]]], axis=-1)
     m = np.asarray(provider(a_words, b_words), dtype=complex)
-    if np.abs(m - m.conj().T).max() > herm_tol:
+    if np.abs(m - m.conj().T).max() > MOMENT_HERM_TOL:
         raise InconsistentMoments("moment provider is not Hermitian-consistent")
-    if abs(m[0, 0] - 1.0) > herm_tol:
+    if abs(m[0, 0] - 1.0) > MOMENT_HERM_TOL:
         raise InconsistentMoments(f"normalization moment is {m[0, 0]}, expected 1")
     m = (m + m.conj().T) / 2.0
     return MomentMatrix(m, tuple(idx))
 
 
-def principal_minor(mm, rows, imag_tol=1e-10):
+def principal_minor(mm, rows):
     """Determinant of the principal submatrix selected by ``rows``."""
     rows = list(rows)
     if sorted(set(rows)) != rows:
         raise ValueError("rows must be strictly increasing")
     sub = mm.matrix[np.ix_(rows, rows)]
     det = np.linalg.det(sub)
-    if abs(det.imag) > imag_tol * max(1.0, abs(det.real)):
+    if abs(det.imag) > MINOR_IMAG_TOL * max(1.0, abs(det.real)):
         raise NumericInconsistency(f"principal minor has imaginary part {det.imag}")
     return float(det.real)
 
@@ -144,14 +148,14 @@ class MatrixMomentProvider:
     """Moments evaluated by matrix products on a two-subsystem density matrix.
 
     mode_subsystem selects which tensor factor carries the a operators; the
-    other factor uses either d-level adapted ladder operators or, with
-    qudit_mode='embedded', ordinary truncated bosonic operators after padding
-    the qudit into a larger Fock space.  rho is held as a (mode, qudit,
+    other factor uses the d-level ladder operators or, with
+    qudit_mode='embedded', those of a Fock space EMBED_PAD levels larger,
+    with the qudit padded by zeros into it.  rho is held as a (mode, qudit,
     mode', qudit') tensor; a call contracts it once with each distinct
     a-word and then traces every entry's qudit operator against its b-word.
     """
 
-    def __init__(self, rho, mode_subsystem=1, qudit_mode="adapted", embed_pad=4):
+    def __init__(self, rho, mode_subsystem=1, qudit_mode="adapted"):
         if len(rho.dims) != 2:
             raise ValueError("moment provider needs a bipartite state")
         self.mode_subsystem = int(mode_subsystem)
@@ -160,16 +164,11 @@ class MatrixMomentProvider:
         t = rho.matrix.reshape(rho.dims + rho.dims)
         if self.mode_subsystem == 1:
             t = t.transpose(1, 0, 3, 2)
-        d_mode, d_qudit = t.shape[:2]
-        if qudit_mode == "adapted":
-            b, bd = qudit_mode_operators(d_qudit)
-        elif qudit_mode == "embedded":
-            t = np.pad(t, [(0, 0), (0, embed_pad), (0, 0), (0, embed_pad)])
-            b, bd, _ = mode_operators(d_qudit + embed_pad - 1)
-        else:
+        if qudit_mode not in ("adapted", "embedded"):
             raise ValueError("qudit_mode must be 'adapted' or 'embedded'")
-        a, ad, _ = mode_operators(d_mode - 1)
-        self._ladders = (a, ad), (b, bd)
+        pad = EMBED_PAD if qudit_mode == "embedded" else 0
+        t = np.pad(t, [(0, 0), (0, pad), (0, 0), (0, pad)])
+        self._ladders = mode_operators(t.shape[0] - 1)[:2], qudit_mode_operators(t.shape[1])
         self._rho = t
 
     def __call__(self, a_words, b_words):
@@ -285,29 +284,24 @@ def optimal_alpha():
     return float(np.sqrt(brentq(f, 0.05, 0.25, xtol=1e-14)))
 
 
-def _sqrtn_sum(y, tol=1e-16, max_terms=None):
+def _sqrtn_sum(y):
     """sum_{n>=1} sqrt(n) y^n by monotone-bounded partial summation.
 
     The tail is bounded by the exactly summable sum_{m>n} m y^m, so the
-    reported value is within tol of the limit; with max_terms set the sum is
-    cut there instead.
+    reported value is within SERIES_TOL of the limit.
     """
     if not 0.0 <= y < 1.0:
         raise ValueError("series needs 0 <= y < 1")
     total, n, term = 0.0, 1, y
     while True:
         total += np.sqrt(n) * term
-        if max_terms is not None and n >= max_terms:
-            return total
         n += 1
         term *= y
-        if max_terms is None:
-            tail = term * (n * (1.0 - y) + y) / (1.0 - y) ** 2
-            if tail < tol:
-                return total
+        if term * (n * (1.0 - y) + y) / (1.0 - y) ** 2 < SERIES_TOL:
+            return total
 
 
-def geometric_mixture_s1(x, alpha, series_terms=None, series_tol=1e-14):
+def geometric_mixture_s1(x, alpha):
     """(s1_partial, s1_bound) for the geometrically mixed hybrid family.
 
     s1_partial sums the exact series expression for s1, using the closed
@@ -323,8 +317,8 @@ def geometric_mixture_s1(x, alpha, series_terms=None, series_tol=1e-14):
     y = x * np.exp(-2.0 * a2)
     damp = np.exp(-2.0 * a2) * (1.0 - x) / (1.0 - y)
     pref = alpha * (1.0 - x) / x
-    b = pref * _sqrtn_sum(y, tol=series_tol, max_terms=series_terms)
-    c = pref * _sqrtn_sum(x, tol=series_tol, max_terms=series_terms)
+    b = pref * _sqrtn_sum(y)
+    c = pref * _sqrtn_sum(x)
     s1 = (2.0 * a2 / (1.0 - x) - 2.0 * damp * b * c - b * b - 2.0 * c * c
           - a2 / (1.0 - x) * damp * damp) / 8.0
     bound = a2 / 8.0 * (2.0 * x / (1.0 - x)
@@ -374,8 +368,7 @@ class WitnessRegion:
     boundary: tuple = ()
 
 
-def witness_region(det_fn, grid, boundary_axis=None, band=INCONCLUSIVE_BAND,
-                   bisect_tol=1e-10):
+def witness_region(det_fn, grid, boundary_axis=None):
     """Evaluate a determinant over a parameter grid and mark the witnessed region.
 
     grid is an ordered mapping name -> 1-d values; det_fn takes the named
@@ -389,8 +382,8 @@ def witness_region(det_fn, grid, boundary_axis=None, band=INCONCLUSIVE_BAND,
     for pos in np.ndindex(*shape):
         point = {k: axes[i][pos[i]] for i, k in enumerate(names)}
         values[pos] = det_fn(**point)
-    verdict = values < -band
-    inconclusive = np.abs(values) <= band
+    verdict = values < -INCONCLUSIVE_BAND
+    inconclusive = np.abs(values) <= INCONCLUSIVE_BAND
     boundary = []
     if boundary_axis is not None:
         from scipy.optimize import brentq
@@ -405,7 +398,7 @@ def witness_region(det_fn, grid, boundary_axis=None, band=INCONCLUSIVE_BAND,
                     fixed = {names[i]: axes[i][pos[i if i < ax else i - 1]]
                              for i in range(len(names)) if i != ax}
                     f = lambda t: det_fn(**{**fixed, boundary_axis: t})
-                    root = brentq(f, lo, hi, xtol=bisect_tol)
+                    root = brentq(f, lo, hi, xtol=BOUNDARY_XTOL)
                     boundary.append({**fixed, boundary_axis: root})
     return WitnessRegion(tuple((k, axes[i]) for i, k in enumerate(names)),
                          values, verdict, inconclusive, tuple(boundary))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_ket
-from hyqent import (CutoffTooSmall, DensityMatrix, HybridState, SymbolicKet,
-                    ThermalChannelParams, amplitude_damp, apply_kraus, apply_thermal,
+from hyqent import (DensityMatrix, HybridState, SymbolicKet, ThermalChannelParams,
+                    UnsupportedKet, amplitude_damp, apply_kraus, apply_thermal,
                     beamsplit, choi_state, coherent_ket, compress,
                     concurrence, concurrence_evolution_check, identity_kraus,
                     make_kraus_set, negativity, negativity_evolution_check,
                     qubit_loss_kraus, thermal_dyad_moments, thermal_kraus)
-from hyqent.catalog import binary_coherent
+from hyqent.catalog import binary_coherent, squeezed_binary_coherent
 
 
 def test_amplitude_damp_lossless_and_single_ket():
@@ -25,14 +25,25 @@ def test_amplitude_damp_lossless_and_single_ket():
 
 
 def test_amplitude_damp_two_projector_weights():
-    eta, al = 0.7, 1.1
-    out = amplitude_damp(binary_coherent(al).payload, eta)
-    tau = np.exp(-2 * (1 - eta) * al**2)
-    weights = sorted(p for p, _ in out.terms)
-    assert weights == pytest.approx([(1 - tau) / 2, (1 + tau) / 2], abs=1e-12)
-    for _, branches in out.terms:
-        for b in branches:
-            assert abs(b.ket.alpha) == pytest.approx(np.sqrt(eta) * al)
+    # (1 +- tau)/2 holds for any coefficients of an opposite pair, balanced or not,
+    # and down to amplitudes where 1 - tau is of order 1e-14
+    unbalanced = (np.sqrt(0.3), np.sqrt(0.7))
+    for eta, al, state in [(0.7, 1.1, binary_coherent(1.1).payload),
+                           (0.7, 1.1, _opposite_pair(*unbalanced, 1.1)),
+                           (0.5, 1e-7, _opposite_pair(*unbalanced, 1e-7))]:
+        out = amplitude_damp(state, eta)
+        tau = np.exp(-2 * (1 - eta) * al**2)
+        assert len(out.terms) == 2
+        weights = sorted(p for p, _ in out.terms)
+        assert weights == pytest.approx([(1 - tau) / 2, (1 + tau) / 2], abs=1e-12)
+        for _, branches in out.terms:
+            for b in branches:
+                assert abs(b.ket.alpha) == pytest.approx(np.sqrt(eta) * al)
+
+
+def _opposite_pair(c0, c1, al):
+    return HybridState.pure(2, [(c0, 0, SymbolicKet.coherent(al)),
+                                (c1, 1, SymbolicKet.coherent(-al))])
 
 
 def test_amplitude_damp_against_beamsplitter_oracle():
@@ -53,30 +64,44 @@ def test_amplitude_damp_against_beamsplitter_oracle():
 
 
 def test_amplitude_damp_general_term_route_matches_special_case():
-    # an unbalanced two-branch term goes through the environment Gram route
-    al, eta = 0.8, 0.55
-    st = HybridState.pure(2, [(np.sqrt(0.3), 0, SymbolicKet.coherent(al)),
-                              (np.sqrt(0.7), 1, SymbolicKet.coherent(-al))])
-    out = amplitude_damp(st, eta)
-    # oracle: exact dyad algebra rho'_ij = c_i c_j* <env_j|env_i> |se a_i><se a_j|
+    # oracle: exact dyad algebra rho'_ij = c_i c_j* <env_j|env_i> |se a_i><se a_j|,
+    # summed over the terms of a mixture
+    c3 = np.array([0.5, 0.6j, np.sqrt(1 - 0.25 - 0.36)])
+    cases = [  # (eta, d, terms of (p, [(c, m, alpha)]))
+        (0.55, 2, [(1.0, [(np.sqrt(0.3), 0, 0.8), (np.sqrt(0.7), 1, -0.8)])]),
+        (0.3, 2, [(1.0, [(1j, 1, 1.2 - 0.3j)])]),
+        (0.6, 2, [(1.0, [(np.sqrt(0.4), 0, 0.9), (np.sqrt(0.6), 1, 0.9 + 1e-7)])]),
+        (0.4, 3, [(1.0, list(zip(c3, range(3), [0.6, 0.6j, -0.5 + 0.2j])))]),
+        (0.3, 3, [(1.0, list(zip(c3, range(3), [0.7, 0.7, -0.7])))]),
+        (0.0, 3, [(1.0, list(zip(c3, range(3), [0.7, -0.7, 0.4j])))]),
+        (0.45, 3, [(0.25, [(1.0, 2, 0.5)]),
+                   (0.75, [(np.sqrt(0.5), 0, 1.0), (-np.sqrt(0.5), 2, -1.0 + 1e-8)])]),
+    ]
     n_cut = 20
-    ours = compress(out)
-    c = [np.sqrt(0.3), np.sqrt(0.7)]
-    amps = [al, -al]
-    kets = [coherent_ket(np.sqrt(eta) * a, n_cut) for a in amps]
-    rho = np.zeros((2 * (n_cut + 1),) * 2, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            env = np.exp(-abs(np.sqrt(1 - eta) * amps[i]) ** 2 / 2
-                         - abs(np.sqrt(1 - eta) * amps[j]) ** 2 / 2
-                         + np.conj(np.sqrt(1 - eta) * amps[j]) * np.sqrt(1 - eta) * amps[i])
-            block = c[i] * c[j] * env * np.outer(kets[i], kets[j].conj())
-            e_i, e_j = np.zeros(2), np.zeros(2)
-            e_i[i] = e_j[j] = 1
-            rho += np.kron(np.outer(e_i, e_j), block)
-    oracle = out.to_fock_density(n_cut).matrix
-    assert np.abs(oracle - rho).max() < 1e-10
-    assert abs(np.trace(ours.matrix) - 1.0) < 1e-10
+    for eta, d, terms in cases:
+        st = HybridState(d, [(p, [(c, m, SymbolicKet.coherent(a)) for c, m, a in bs])
+                             for p, bs in terms])
+        out = amplitude_damp(st, eta)
+        ours = compress(out)
+        rho = np.zeros((d * (n_cut + 1),) * 2, dtype=complex)
+        for p, bs in terms:
+            for ci, mi, ai in bs:
+                for cj, mj, aj in bs:
+                    ei, ej = np.sqrt(1 - eta) * ai, np.sqrt(1 - eta) * aj
+                    env = np.exp(-abs(ei) ** 2 / 2 - abs(ej) ** 2 / 2 + np.conj(ej) * ei)
+                    block = np.outer(coherent_ket(np.sqrt(eta) * ai, n_cut),
+                                     coherent_ket(np.sqrt(eta) * aj, n_cut).conj())
+                    dyad = np.zeros((d, d))
+                    dyad[mi, mj] = 1
+                    rho += p * ci * np.conj(cj) * env * np.kron(dyad, block)
+        oracle = out.to_fock_density(n_cut).matrix
+        assert np.abs(oracle - rho).max() < 1e-10
+        assert abs(np.trace(ours.matrix) - 1.0) < 1e-10
+
+
+def test_apply_thermal_names_itself_on_non_coherent_kets():
+    with pytest.raises(UnsupportedKet, match="thermal"):
+        apply_thermal(squeezed_binary_coherent(0.5, 0.3).payload, ThermalChannelParams(0.5, 0.1))
 
 
 def test_amplitude_damp_concurrence_monotone_in_loss():
@@ -155,8 +180,6 @@ def test_thermal_kraus_completeness_and_reduction():
         for k in range(m, 13):
             expect[k - m, k] = np.sqrt(comb(k, m)) * np.sqrt(eta) ** (k - m) * np.sqrt(1 - eta) ** m
         assert np.abs(op - expect).max() < 1e-10
-    with pytest.raises(CutoffTooSmall):
-        thermal_kraus(params, 10, n_env_cut=3)
 
 
 @pytest.mark.parametrize("eta, n_th", [(0.3, 0.4), (0.55, 1.0), (0.8, 0.7), (0.0, 0.5),

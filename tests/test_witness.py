@@ -147,7 +147,7 @@ def test_cat_determinants_match_generic_two_mode_path(phi):
          * np.kron(coherent_ket(-al, n_cut), coherent_ket(-al, n_cut)))
     v = v / np.linalg.norm(v)
     rho = DensityMatrix.from_ket(v, (n_cut + 1, n_cut + 1))
-    prov = MatrixMomentProvider(rho, mode_subsystem=1, qudit_mode="embedded", embed_pad=4)
+    prov = MatrixMomentProvider(rho, mode_subsystem=1, qudit_mode="embedded")
     mm = sv_moment_matrix(prov, 2)
     s1c, s2c, _ = cat_witness_determinants(al, phi)
     assert s1_minor(mm) == pytest.approx(s1c, abs=1e-10)
