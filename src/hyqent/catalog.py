@@ -141,7 +141,7 @@ def geometric_mixture(x, alpha, phi=0.0):
                 [(1 / np.sqrt(2), 0, SymbolicKet.coherent(a)),
                  (np.exp(1j * phi) / np.sqrt(2), 1, SymbolicKet.coherent(-a))])
 
-    fam = InfiniteHybridFamily(2, term, label="geometric-mixture")
+    fam = InfiniteHybridFamily(2, term)
     return NamedState("geometric-mixture", {"x": x, "alpha": alpha, "phi": phi}, fam)
 
 

@@ -323,14 +323,13 @@ def negativity_evolution_check(chi, ks):
 class ThermalHybridState:
     """Output of the thermal channel on a coherent-family hybrid state.
 
-    Contains infinitely many qumode kets, so it carries the truly-hybrid
-    marker and is never materialized; moments come from the exact dyad
+    Contains infinitely many qumode kets, so classify takes it as truly
+    hybrid and it is never materialized; moments come from the exact dyad
     formula, and truncated_density offers the Kraus cross-check route.
     """
 
     base: HybridState
     params: ThermalChannelParams
-    truly_hybrid: bool = True
 
     def dyad_terms(self):
         """(weight, (m, m'), (alpha_i, alpha_j)) triples of the output.

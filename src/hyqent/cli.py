@@ -16,15 +16,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, catalog, channels, composite, compression, fock, measures, witness
+from . import __version__, catalog, composite, compression, fock, measures, witness
 from .catalog import FAMILIES, DiscreteKet, NamedState
 from .composite import DensityMatrix
 from .errors import UnsupportedKet
-from .kets import HybridState, InfiniteHybridFamily, SymbolicKet
+from .kets import HybridState, SymbolicKet
 
 ENV_NCUT = "HYQENT_NCUT"
 
-SPEC_KEYS = {"family", "params", "n_cut", "tail_tol"}
+SPEC_KEYS = {"family", "params"}
 
 
 class SpecError(ValueError):
@@ -105,8 +105,7 @@ def validate_spec(doc):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SpecError("params must be an object")
-    return {"family": family, "params": params,
-            "n_cut": doc.get("n_cut"), "tail_tol": doc.get("tail_tol")}
+    return {"family": family, "params": params}
 
 
 def build_state(family, params):
@@ -288,14 +287,14 @@ def cmd_classify(args):
     named = build_state(spec["family"], spec["params"])
     payload = named.payload
     print(f"family: {named.id}")
-    if isinstance(payload, (InfiniteHybridFamily, channels.ThermalHybridState)):
-        print("classification: truly-hybrid (infinite qumode family by construction)")
-        return 0
-    if isinstance(payload, HybridState):
-        cls = compression.classify(payload)
-        label = cls.kind + (f"({cls.term_count})" if cls.kind == "mixed-dv-like" else "")
-    else:
+    if isinstance(payload, DiscreteKet):
         label = "discrete-variable state"
+    else:
+        cls = compression.classify(payload)
+        if cls.kind == cls.TRULY_HYBRID:
+            print("classification: truly-hybrid (infinite qumode family by construction)")
+            return 0
+        label = cls.kind + (f"({cls.term_count})" if cls.kind == cls.MIXED else "")
     print(f"classification: {label}")
     rho = _to_density(payload)
     print(f"effective dimensions: {' x '.join(str(d) for d in rho.dims)}")
@@ -605,9 +604,6 @@ def main(argv=None):
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

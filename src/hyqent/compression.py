@@ -13,6 +13,7 @@ from math import prod
 
 import numpy as np
 
+from .channels import ThermalHybridState
 from .composite import DensityMatrix
 from .kets import MODE, HybridState, InfiniteHybridFamily, gram_matrix
 
@@ -41,13 +42,13 @@ class GramCoefficients:
         return self.matrix.conj() @ self.matrix.T
 
 
-def inverse_gram_schmidt(gram, dependence_tol=DEPENDENCE_TOL):
+def inverse_gram_schmidt(gram):
     """Expansion coefficients of kets with the given Gram matrix.
 
     gram[i, j] = <psi_i|psi_j>, Hermitian with unit diagonal.  Rows are
     processed in order; each new ket either extends the orthonormal basis
     (positive residual) or, when its residual norm^2 falls below
-    dependence_tol, is expressed in the basis built so far, reducing the
+    DEPENDENCE_TOL, is expressed in the basis built so far, reducing the
     effective dimension instead of failing.  A new basis vector fills its
     whole column at once, as in the column form of Cholesky factorization.
     """
@@ -65,7 +66,7 @@ def inverse_gram_schmidt(gram, dependence_tol=DEPENDENCE_TOL):
     for i in range(n):
         r = len(pivots)
         residual = gram[i, i].real - float(np.sum(np.abs(rows[i, :r]) ** 2))
-        if residual > dependence_tol:
+        if residual > DEPENDENCE_TOL:
             d = np.sqrt(residual)
             rows[i, r] = d
             # <psi_i|psi_j> = sum_k conj(A_ik) A_jk fixes the new column of every later row j
@@ -75,9 +76,9 @@ def inverse_gram_schmidt(gram, dependence_tol=DEPENDENCE_TOL):
     return GramCoefficients(rows[:, :r], tuple(pivots))
 
 
-def ket_expansion(kets, dependence_tol=DEPENDENCE_TOL):
+def ket_expansion(kets):
     """GramCoefficients for a list of SymbolicKet built from analytic overlaps."""
-    return inverse_gram_schmidt(gram_matrix(kets), dependence_tol=dependence_tol)
+    return inverse_gram_schmidt(gram_matrix(kets))
 
 
 def site_expansions(state):
@@ -98,8 +99,9 @@ def _term_vectors(state):
     """Compressed vectors of the terms of a HybridState, one per row, and the effective dims.
 
     Each mode site becomes its orthonormal basis, and each branch lands by
-    index: its qudit levels select one entry per qudit axis, and the rows of
-    its kets (their outer product, with several mode sites) fill the mode axes.
+    index: its qudit levels select one entry per qudit axis, and the outer
+    product of the rows of its kets fills the mode axes.  Terms on a layout of
+    mode sites only are normalized through the ket overlaps and renormalized here.
     """
     sites = state.sites
     dims, rows = list(sites), {}
@@ -107,23 +109,13 @@ def _term_vectors(state):
         dims[axis] = coeffs.basis_size
         rows[axis] = dict(zip(kets, coeffs.matrix))
     vectors = np.zeros((state.term_count, prod(dims)), dtype=complex)
-    if len(rows) == 1:  # one mode site: every branch fills a strided slice
-        (axis, row_of), = rows.items()
-        step = prod(dims[axis + 1:])
-        span = dims[axis] * step
-        qudit = [(a, prod(dims[a + 1:])) for a, s in enumerate(sites) if s != MODE]
-        for v, (_, branches) in zip(vectors, state.terms):
-            for c, values in branches:
-                start = 0
-                for a, stride in qudit:
-                    start += values[a] * stride
-                v[start:start + span:step] += c * row_of[values[axis]]
-    else:
-        for v, (_, branches) in zip(vectors, state.terms):
-            view = v.reshape(dims)
-            for c, values in branches:
-                index = tuple(slice(None) if s == MODE else x for s, x in zip(sites, values))
-                view[index] += c * reduce(np.multiply.outer, [rows[a][values[a]] for a in rows])
+    for v, (_, branches) in zip(vectors, state.terms):
+        view = v.reshape(dims)
+        for c, values in branches:
+            index = tuple(slice(None) if s == MODE else x for s, x in zip(sites, values))
+            view[index] += c * reduce(np.multiply.outer, [rows[a][values[a]] for a in rows])
+    if len(rows) == len(sites):
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     return vectors, tuple(dims)
 
 
@@ -132,7 +124,7 @@ def compress_vector(state):
 
     The qumode kets of each mode site are replaced by their orthonormal
     expansion; all overlaps, and hence all entanglement properties, are
-    preserved exactly.
+    preserved exactly.  It is a unit vector whose outer product is compress(state).matrix.
     """
     if not state.is_pure:
         raise ValueError("compress_vector needs a pure (single-term) state")
@@ -141,18 +133,9 @@ def compress_vector(state):
 
 
 def compress(state):
-    """Effective DV density matrix of a HybridState, one factor per site.
-
-    Terms on a layout of mode sites only are normalized through the ket
-    overlaps, so their vectors are renormalized first.
-    """
+    """Effective DV density matrix sum_n p_n |v_n><v_n| of a HybridState, one factor per site."""
     vectors, dims = _term_vectors(state)
-    if all(s == MODE for s in state.sites):
-        vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-        if state.is_pure:
-            return DensityMatrix.from_ket(vectors[0], dims)
-    rho = (vectors.T * state.weights) @ vectors.conj()
-    return DensityMatrix(rho, dims)
+    return DensityMatrix((vectors.T * state.weights) @ vectors.conj(), dims)
 
 
 @dataclass(frozen=True)
@@ -171,14 +154,12 @@ def classify(state):
     """Classify a hybrid state by the number of terms in its decomposition.
 
     A single pure term admits a Schmidt decomposition after compression; a
-    finite mixture is still effectively DV; descriptors carrying an
-    infinite-family marker (thermal-channel outputs, lazily generated
-    mixtures) are truly hybrid by construction provenance, since no finite
-    computation distinguishes very many kets from infinitely many.
+    finite mixture is still effectively DV; the two infinite-family
+    descriptors (thermal-channel outputs, lazily generated mixtures) are
+    truly hybrid by construction provenance, since no finite computation
+    distinguishes very many kets from infinitely many.
     """
-    if isinstance(state, InfiniteHybridFamily):
-        return Classification(Classification.TRULY_HYBRID)
-    if getattr(state, "truly_hybrid", False):
+    if isinstance(state, (InfiniteHybridFamily, ThermalHybridState)):
         return Classification(Classification.TRULY_HYBRID)
     if isinstance(state, HybridState):
         if state.is_pure:

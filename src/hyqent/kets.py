@@ -120,9 +120,7 @@ def pairing_weights(k, l, j):
 LADDER = (COHERENT, FOCK, PHOTON_ADDED)
 MAX_ORDER = 166  # the largest order whose pairing weights stay below the double range
 # ordered (bra, ket) kind pairs with a closed-form overlap
-CLOSED_FORM = ({(a, b) for a in LADDER for b in LADDER}
-               - {(FOCK, PHOTON_ADDED), (PHOTON_ADDED, FOCK)}
-               | {(DISPLACED_SQUEEZED, DISPLACED_SQUEEZED)})
+CLOSED_FORM = {(a, b) for a in LADDER for b in LADDER} | {(DISPLACED_SQUEEZED, DISPLACED_SQUEEZED)}
 
 
 def _require_closed_form(bras, kets):
@@ -191,9 +189,8 @@ def overlaps(bras, kets):
     One normal-ordered closed form covers coherent, Fock and photon-added
     kets; displaced-squeezed kets pair with each other at equal squeezing.
     Other pairs (a displaced-squeezed ket against another kind or at unequal
-    squeezing, a Fock against a photon-added ket) and ladder orders above
-    MAX_ORDER raise UnsupportedKet rather than silently falling back to
-    truncation.
+    squeezing) and ladder orders above MAX_ORDER raise UnsupportedKet rather
+    than silently falling back to truncation.
     """
     bras, kets = list(bras), list(kets)
     _require_closed_form(bras, kets)
@@ -261,8 +258,8 @@ class HybridState:
     Branches of one term must differ in some qudit level.  They are then
     orthogonal, so sum_b |c_nb|^2 = 1 normalizes each term exactly.  A layout
     of mode sites only has no levels to tell branches apart: its terms are
-    normalized through the ket overlaps, go unchecked here, and compression
-    renormalizes them.
+    normalized through the ket overlaps, go unchecked here, and compress and
+    compress_vector both renormalize them.
     """
 
     def __init__(self, sites, terms):
@@ -375,13 +372,12 @@ class HybridState:
 class InfiniteHybridFamily:
     """Lazily generated mixture with infinitely many terms.
 
-    term(n) returns (p_n, branches) for n = 1, 2, ...; the family as a whole
-    carries the truly-hybrid marker because no finite truncation represents it.
+    term(n) returns (p_n, branches) for n = 1, 2, ...; classify takes the
+    family as a whole as truly hybrid because no finite truncation represents it.
     """
 
     qudit_dim: int
     term: object
-    label: str = ""
 
     def truncate(self, n_terms):
         """Renormalized truncation plus the neglected weight.

@@ -12,28 +12,33 @@ from .composite import DensityMatrix, partial_trace, partial_transpose
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SY, _SY)
-
-
-def _binary_entropy(x):
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
+NORM_TOL = 1e-8  # how far a pure state's norm may be from 1
+RANK_TOL = 1e-12  # Schmidt coefficients at or below this are dropped
+MAJORIZATION_TOL = 1e-12  # slack on each partial-sum comparison
+PROBABILITY_SUM_TOL = 1e-10  # how far a probability vector's sum may be from 1
 
 
 def _spectrum_entropy(probs):
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     nz = probs[probs > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    # a product state's entropy rounds to -0 or a few ulps below it; it is 0
+    return max(0.0, float(-(nz * np.log2(nz)).sum()))
 
 
-def entropy_of_entanglement(psi, dims, norm_tol=1e-8):
-    """Von Neumann entropy (bits) of either reduction of a pure bipartite state."""
+def _unit_ket(psi):
+    """psi as a flat complex array; raises ValueError unless its norm is 1 within NORM_TOL."""
     psi = np.asarray(psi, dtype=complex).ravel()
+    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
+        raise ValueError("state is not normalized")
+    return psi
+
+
+def entropy_of_entanglement(psi, dims):
+    """Von Neumann entropy (bits) of either reduction of a pure bipartite state."""
+    psi = _unit_ket(psi)
     da, db = dims
     if psi.size != da * db:
         raise ValueError("state length does not match dims")
-    if abs(np.linalg.norm(psi) - 1.0) > norm_tol:
-        raise ValueError("state is not normalized")
     s = np.linalg.svd(psi.reshape(da, db), compute_uv=False)
     return _spectrum_entropy(s**2)
 
@@ -61,18 +66,16 @@ class SchmidtDecomposition:
                          self.left_basis, self.right_basis).ravel()
 
 
-def schmidt(psi, dims, rank_tol=1e-12, norm_tol=1e-8):
+def schmidt(psi, dims):
     """Schmidt decomposition of a normalized pure bipartite state."""
-    psi = np.asarray(psi, dtype=complex).ravel()
+    psi = _unit_ket(psi)
     da, db = dims
-    if abs(np.linalg.norm(psi) - 1.0) > norm_tol:
-        raise ValueError("state is not normalized")
     u, s, vh = np.linalg.svd(psi.reshape(da, db), full_matrices=False)
-    keep = s > rank_tol
+    keep = s > RANK_TOL
     return SchmidtDecomposition(s[keep], u[:, keep], vh[keep, :].T)
 
 
-def majorizes(a, b, tol=1e-12, sum_tol=1e-10):
+def majorizes(a, b):
     """True when a is majorized by b (all partial sums of sorted a <= b's).
 
     This is the LOCC direction: a pure state with Schmidt coefficients a can
@@ -82,12 +85,12 @@ def majorizes(a, b, tol=1e-12, sum_tol=1e-10):
     """
     a = np.sort(np.asarray(a, dtype=float))[::-1]
     b = np.sort(np.asarray(b, dtype=float))[::-1]
-    if abs(a.sum() - 1.0) > sum_tol or abs(b.sum() - 1.0) > sum_tol:
+    if abs(a.sum() - 1.0) > PROBABILITY_SUM_TOL or abs(b.sum() - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError("majorization needs probability vectors summing to 1")
     n = max(a.size, b.size)
     a = np.pad(a, (0, n - a.size))
     b = np.pad(b, (0, n - b.size))
-    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + tol))
+    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + MAJORIZATION_TOL))
 
 
 def concurrence(rho):
@@ -127,7 +130,8 @@ def concurrence(rho):
 def entanglement_of_formation(rho):
     """Two-qubit entanglement of formation s((1 + sqrt(1 - C^2))/2)."""
     c = concurrence(rho)
-    return _binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
+    return _spectrum_entropy([x, 1.0 - x])
 
 
 def negativity(rho, subsystem=1):
@@ -165,17 +169,15 @@ class TangleReport:
         return self.c2_ab + self.c2_ac + self.c2_bc + self.tau_res
 
 
-def ckw(psi, norm_tol=1e-8):
+def ckw(psi):
     """Pairwise tangles and residual entanglement of a pure 2x2x2 state.
 
     The one-vs-rest tangle uses C^2(A|BC) = 4 det(rho_A), valid for pure
     states, which is also where the residual tangle is defined.
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
+    psi = _unit_ket(psi)
     if psi.size != 8:
         raise ValueError("ckw needs a pure three-qubit state vector")
-    if abs(np.linalg.norm(psi) - 1.0) > norm_tol:
-        raise ValueError("state is not normalized")
     rho = DensityMatrix.from_ket(psi, (2, 2, 2))
     c2_ab = concurrence(partial_trace(rho, [0, 1])) ** 2
     c2_ac = concurrence(partial_trace(rho, [0, 2])) ** 2

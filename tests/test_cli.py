@@ -5,7 +5,7 @@ import pytest
 
 from hyqent import composite, compression
 from hyqent.catalog import FAMILIES
-from hyqent.cli import MEASURES, main, validate_spec
+from hyqent.cli import MEASURES, SpecError, main, validate_spec
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -20,6 +20,15 @@ def test_spec_validation_rejects_unknown_keys():
     with pytest.raises(Exception):
         validate_spec({"family": "no-such-family"})
     validate_spec({"family": "ghz"})
+
+
+@pytest.mark.parametrize("key, value", [("n_cut", 20), ("tail_tol", 1e-8)])
+def test_spec_keys_no_command_reads_are_rejected(tmp_path, capsys, key, value):
+    doc = {"family": "binary-coherent", "params": {"alpha": 1.0}, key: value}
+    with pytest.raises(SpecError):
+        validate_spec(doc)
+    assert main(["measure", write_spec(tmp_path, doc), "--measure", "entropy"]) == 2
+    assert f"unknown spec keys ['{key}']" in capsys.readouterr().err
 
 
 def test_classify_binary_coherent(tmp_path, capsys):
@@ -58,6 +67,14 @@ def test_measure_ghz_tangle(tmp_path, capsys):
     spec = write_spec(tmp_path, {"family": "ghz"})
     assert main(["measure", spec, "--measure", "tau_res"]) == 0
     assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("doc", [{"family": "binary-coherent", "params": {"alpha": 0.0}},
+                                 {"family": "jcm", "params": {"alpha": 1.0, "varphi": 0.0}}],
+                         ids=["binary-coherent", "jcm"])
+def test_product_state_entropy_prints_zero(tmp_path, capsys, doc):
+    assert main(["measure", write_spec(tmp_path, doc), "--measure", "entropy"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "0"
 
 
 def test_measure_inapplicable_exits_3(tmp_path, capsys):

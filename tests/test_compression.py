@@ -1,12 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyqent import (Classification, DensityMatrix, HybridState, SymbolicKet,
-                    classify, compress, compress_vector, default_cutoff, gram_matrix,
-                    inverse_gram_schmidt, ket_expansion, log_negativity, negativity,
-                    overlap, purity)
+from hyqent import (MODE, Classification, DensityMatrix, HybridState, SymbolicKet,
+                    classify, compress, compress_vector, default_cutoff,
+                    entropy_of_entanglement, gram_matrix, inverse_gram_schmidt,
+                    ket_expansion, log_negativity, negativity, overlap, purity)
 from hyqent.catalog import (binary_coherent, geometric_mixture, mixed23, mixed24,
                             qubus_state, qutrit_qumode, thermal_output, two_mode_cat)
 
@@ -146,19 +148,58 @@ def test_compress_vector_two_mode_cat():
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
-def test_multi_site_compression_matches_kron_expansion():
+def _layout_state(layout):
+    """A state on one site layout; mode-only terms are left unnormalized."""
+    if layout == "qubus":
+        return qubus_state(1.1, 0.7, 0.8).payload
+    a, b, f = SymbolicKet.coherent(0.9 - 0.3j), SymbolicKet.coherent(-0.5j), SymbolicKet.fock(1)
+    h = np.sqrt(0.5)
+    if layout == "qudit-qumode":
+        return HybridState((2, MODE), [(0.3, [(h, (0, a)), (-1j * h, (1, b))]),
+                                       (0.7, [(0.6, (0, f)), (0.8, (1, a))])])
+    if layout == "qudit-qumode-qutrit":
+        return HybridState((2, MODE, 3), [(0.4, [(0.6, (0, a, 2)), (0.8j, (1, b, 0))]),
+                                          (0.6, [(h, (1, f, 1)), (h, (1, a, 2))])])
+    if layout == "qudit-two-modes":
+        return HybridState((MODE, 2, MODE), [(0.5, [(h, (a, 0, b)), (h, (b, 1, f))]),
+                                             (0.5, [(0.8, (f, 0, f)), (-0.6, (a, 1, a))])])
+    plus, minus = SymbolicKet.coherent(0.8), SymbolicKet.coherent(-0.8)
+    return HybridState.pure((MODE, MODE), [(1, (plus, plus)), (1, (minus, minus))])
+
+
+@pytest.mark.parametrize("layout", ["qubus", "qudit-qumode", "qudit-qumode-qutrit",
+                                    "qudit-two-modes", "modes-only"])
+def test_multi_site_compression_matches_kron_expansion(layout):
     """Branches placed by index agree with the Kronecker product of their factors."""
-    mix = qubus_state(1.1, 0.7, 0.8).payload
-    kets = mix.kets()
-    rows = ket_expansion(kets).matrix
+    state = _layout_state(layout)
+    factors = []  # per site: level -> basis vector, or ket -> row of its expansion
+    for a, site in enumerate(state.sites):
+        if site == MODE:
+            kets = list(dict.fromkeys(b.values[a] for _, bs in state.terms for b in bs))
+            factors.append(dict(zip(kets, ket_expansion(kets).matrix)))
+        else:
+            factors.append(dict(enumerate(np.eye(site))))
+    dims = tuple(len(next(iter(f.values()))) for f in factors)
     expect = 0
-    for p, branches in mix.terms:
-        v = sum(c * np.kron(rows[kets.index(ket)], np.kron(np.eye(2)[q1], np.eye(2)[q2]))
-                for c, (ket, q1, q2) in branches)
+    for p, branches in state.terms:
+        v = sum(c * reduce(np.kron, [f[x] for f, x in zip(factors, values)])
+                for c, values in branches)
+        if set(state.sites) == {MODE}:
+            v = v / np.linalg.norm(v)
         expect = expect + p * np.outer(v, v.conj())
-    rho = compress(mix)
-    assert rho.dims == (3, 2, 2)
+    rho = compress(state)
+    assert rho.dims == dims
     assert np.abs(rho.matrix - expect).max() < 1e-15
+
+
+def test_compress_vector_renormalizes_mode_only_terms():
+    """An unnormalized mode-only term comes back as a unit vector, as compress takes it."""
+    state = _layout_state("modes-only")
+    v, dims = compress_vector(state)
+    assert dims == (2, 2)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+    assert np.abs(np.outer(v, v.conj()) - compress(state).matrix).max() < 1e-15
+    assert entropy_of_entanglement(v, dims) > 0
 
 
 def _lattice_hybrid(rng, n_kets):
