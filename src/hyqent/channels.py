@@ -12,7 +12,8 @@ import numpy as np
 
 from .composite import DensityMatrix
 from .errors import UnsupportedKet
-from .kets import COHERENT, HybridState, SymbolicKet, gram_matrix, pairing_weights
+from .fock import overlap_coherent
+from .kets import COHERENT, HybridState, SymbolicKet, gram_matrix, ladder_sum
 
 DEFAULT_WEIGHT_TOL = 1e-10
 
@@ -167,19 +168,13 @@ def thermal_dyad_moments(alpha, beta, params, powers):
 
     alpha, beta and the powers (k, l) broadcast against each other, so one
     call takes each dyad's overlap once for any number of moments; scalar
-    arguments give a 0-d value.  No truncation enters anywhere.
+    arguments give a 0-d value.  The sum is kets.ladder_sum at
+    c = (1-eta) n_th.  No truncation enters anywhere.
     """
     alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
-    k, l = (np.asarray(p)[..., None] for p in powers)
     s = np.sqrt(params.eta)
-    t2n = (1.0 - params.eta) * params.n_th
-    ov = np.exp(-abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(beta) * alpha)
-    j = np.arange(np.minimum(k, l).max() + 1)
-    # exponents below zero only occur where the weight vanishes
-    terms = (pairing_weights(k, l, j) * t2n**j
-             * (s * np.conj(beta))[..., None] ** np.maximum(k - j, 0)
-             * (s * alpha)[..., None] ** np.maximum(l - j, 0))
-    return ov * terms.sum(axis=-1)
+    return overlap_coherent(alpha, beta) * ladder_sum(*powers, s * alpha, s * np.conj(beta),
+                                                      (1.0 - params.eta) * params.n_th)
 
 
 def thermal_kraus(params, n_cut, weight_tol=DEFAULT_WEIGHT_TOL):
@@ -288,6 +283,12 @@ def choi_state(ks, d):
     return apply_kraus(rho, ks, subsystem=1)
 
 
+def _evolution_check(chi, ks, measure):
+    """(M[(1 x Y) chi], M[(1 x Y) Phi+] * M[chi]) for a pure two-qubit chi and measure M."""
+    rho = DensityMatrix.from_ket(np.asarray(chi, dtype=complex).ravel(), (2, 2))
+    return measure(apply_kraus(rho, ks, subsystem=1)), measure(choi_state(ks, 2)) * measure(rho)
+
+
 def concurrence_evolution_check(chi, ks):
     """Both sides of the pure-state concurrence evolution equation.
 
@@ -296,23 +297,14 @@ def concurrence_evolution_check(chi, ks):
     """
     from .measures import concurrence
 
-    chi = np.asarray(chi, dtype=complex).ravel()
-    rho = DensityMatrix.from_ket(chi, (2, 2))
-    lhs = concurrence(apply_kraus(rho, ks, subsystem=1))
-    factor = concurrence(choi_state(ks, 2))
-    rhs = factor * concurrence(rho)
-    return lhs, rhs
+    return _evolution_check(chi, ks, concurrence)
 
 
 def negativity_evolution_check(chi, ks):
     """Negativity analogue of the evolution product; generally violated."""
     from .measures import negativity
 
-    chi = np.asarray(chi, dtype=complex).ravel()
-    rho = DensityMatrix.from_ket(chi, (2, 2))
-    lhs = negativity(apply_kraus(rho, ks, subsystem=1))
-    rhs = negativity(choi_state(ks, 2)) * negativity(rho)
-    return lhs, rhs
+    return _evolution_check(chi, ks, negativity)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +318,17 @@ class ThermalHybridState:
     Contains infinitely many qumode kets, so classify takes it as truly
     hybrid and it is never materialized; moments come from the exact dyad
     formula, and truncated_density offers the Kraus cross-check route.
+    Construction checks the base state once: a qudit-qumode layout with
+    coherent kets only.
     """
 
     base: HybridState
     params: ThermalChannelParams
+
+    def __post_init__(self):
+        self.base.qudit_dim  # rejects layouts other than (d, "mode")
+        for _, branches in self.base.terms:
+            _coherent_branches(branches, "thermal")
 
     def dyad_terms(self):
         """(weight, (m, m'), (alpha_i, alpha_j)) triples of the output.
@@ -337,15 +336,8 @@ class ThermalHybridState:
         weight |m><m'| x Y(|alpha_i><alpha_j|) summed over the base state's
         terms and branch pairs.
         """
-        out = []
-        for p, branches in self.base.terms:
-            for bi in branches:
-                for bj in branches:
-                    if bi.ket.kind != COHERENT or bj.ket.kind != COHERENT:
-                        raise UnsupportedKet("exact dyad moments need coherent kets")
-                    out.append((p * bi.c * np.conj(bj.c), (bi.m, bj.m),
-                                (bi.ket.alpha, bj.ket.alpha)))
-        return out
+        return [(p * bi.c * np.conj(bj.c), (bi.m, bj.m), (bi.ket.alpha, bj.ket.alpha))
+                for p, branches in self.base.terms for bi in branches for bj in branches]
 
     def truncated_density(self, n_cut, weight_tol=DEFAULT_WEIGHT_TOL, tail_tol=1e-8):
         """Kraus-route truncation; a cross-check, not the state itself."""
@@ -355,8 +347,8 @@ class ThermalHybridState:
 
 
 def apply_thermal(state, params):
-    """Thermal channel on the qumode side; identity when eta=1 and n_th has no effect."""
-    state.qudit_dim  # rejects layouts other than (d, "mode")
-    for _, branches in state.terms:
-        _coherent_branches(branches, "thermal")
+    """Thermal channel on the qumode side of a coherent-family (d, "mode") HybridState.
+
+    Identity when eta = 1 and n_th has no effect; other kets raise UnsupportedKet.
+    """
     return ThermalHybridState(state, params)

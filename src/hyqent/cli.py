@@ -296,15 +296,19 @@ def cmd_classify(args):
             return 0
         label = cls.kind + (f"({cls.term_count})" if cls.kind == cls.MIXED else "")
     print(f"classification: {label}")
-    rho = _to_density(payload)
-    print(f"effective dimensions: {' x '.join(str(d) for d in rho.dims)}")
     if isinstance(payload, HybridState):
+        # one Gram expansion per mode site gives both the dims and the printed rows
         expansions = compression.site_expansions(payload)
-        for axis, _, coeffs in expansions:
-            where = f" of site {axis}" if len(expansions) > 1 else ""
-            print(f"gram coefficients{where} (rows = kets, columns = orthonormal basis):")
-            for row in coeffs.matrix:
-                print("  [" + ", ".join(_format_complex(z) for z in row) + "]")
+        basis = {axis: coeffs.basis_size for axis, _, coeffs in expansions}
+        dims = [basis.get(axis, site) for axis, site in enumerate(payload.sites)]
+    else:
+        expansions, dims = [], _to_density(payload).dims
+    print(f"effective dimensions: {' x '.join(str(d) for d in dims)}")
+    for axis, _, coeffs in expansions:
+        where = f" of site {axis}" if len(expansions) > 1 else ""
+        print(f"gram coefficients{where} (rows = kets, columns = orthonormal basis):")
+        for row in coeffs.matrix:
+            print("  [" + ", ".join(_format_complex(z) for z in row) + "]")
     return 0
 
 

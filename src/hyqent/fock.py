@@ -142,12 +142,13 @@ def coherent_ket(alpha, n_cut=None, tail_tol=DEFAULT_TAIL_TOL):
 
 
 def overlap_coherent(alpha, beta):
-    """Analytic coherent-state overlap <beta|alpha>.
+    """Analytic coherent-state overlap <beta|alpha>, broadcast over alpha and beta.
 
     exp(-|alpha|^2/2 - |beta|^2/2 + conj(beta) alpha); magnitude <= 1, and
-    <-alpha|alpha> = exp(-2|alpha|^2).
+    <-alpha|alpha> = exp(-2|alpha|^2).  The one Gaussian factor of every
+    ladder closed form (kets.overlaps, channels.thermal_dyad_moments).
     """
-    alpha, beta = complex(alpha), complex(beta)
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
     return np.exp(-abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(beta) * alpha)
 
 

@@ -88,29 +88,28 @@ def gaussian_entropy(gamma, n_a):
     return sum(_entropy_term(mu) for mu in symplectic_eigenvalues(reduced))
 
 
+def _time_reversed(gamma, n_a):
+    """gamma with p -> -p on every mode from n_a on: the partial transpose."""
+    gamma = np.asarray(gamma, dtype=float)
+    flip = np.ones(gamma.shape[0])
+    flip[2 * n_a + 1::2] = -1.0
+    return gamma * np.outer(flip, flip)
+
+
 def gaussian_log_negativity(gamma, n_a):
     """Logarithmic negativity (bits) across the split after the first n_a modes.
 
     Partial transposition is the time reversal p -> -p on one side; then
     E_N = -sum log2 min(1, mu~) over the partially transposed spectrum.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.shape[0] // 2
-    flip = np.ones(2 * n)
-    flip[2 * n_a + 1::2] = -1.0
-    tilde = gamma * np.outer(flip, flip)
-    mus = symplectic_eigenvalues(tilde)
+    mus = symplectic_eigenvalues(_time_reversed(gamma, n_a))
     return float(-sum(np.log2(min(1.0, mu)) for mu in mus))
 
 
 def ppt_condition(gamma, n_a):
     """Min eigenvalue of gamma^PT + iJ; negative exactly for NPT two-mode states."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.shape[0] // 2
-    flip = np.ones(2 * n)
-    flip[2 * n_a + 1::2] = -1.0
-    tilde = gamma * np.outer(flip, flip)
-    return float(np.linalg.eigvalsh(tilde + 1j * symplectic_form(n)).min())
+    tilde = _time_reversed(gamma, n_a)
+    return float(np.linalg.eigvalsh(tilde + 1j * symplectic_form(tilde.shape[0] // 2)).min())
 
 
 # ---------------------------------------------------------------------------

@@ -117,66 +117,64 @@ def pairing_weights(k, l, j):
     return table[k, j] * (table[l, j] / table[j, j])
 
 
-LADDER = (COHERENT, FOCK, PHOTON_ADDED)
+def ladder_sum(k, l, x, y, c=1.0):
+    """sum_t t! C(k,t) C(l,t) c^t x^(l-t) y^(k-t), broadcast over orders and amplitudes.
+
+    The one normal-ordered sum of the ladder closed forms.  At c = 1 with
+    x = conj(alpha), y = beta it is <alpha|a^k a^dag^l|beta> / <alpha|beta>,
+    the photon-added overlap (Agarwal & Tara, PRA 43, 492 (1991)); at
+    c = (1-eta) n_th with x = sqrt(eta) alpha, y = sqrt(eta) conj(beta) it is
+    a thermal-channel dyad moment over the overlap (thermal_dyad_moments).
+    """
+    k, l = (np.asarray(n)[..., None] for n in (k, l))
+    t = np.arange(np.minimum(k, l).max() + 1)
+    # exponents below zero only occur where the weight vanishes
+    return (pairing_weights(k, l, t) * c**t * np.asarray(y)[..., None] ** np.maximum(k - t, 0)
+            * np.asarray(x)[..., None] ** np.maximum(l - t, 0)).sum(axis=-1)
+
+
 MAX_ORDER = 166  # the largest order whose pairing weights stay below the double range
-# ordered (bra, ket) kind pairs with a closed-form overlap
-CLOSED_FORM = {(a, b) for a in LADDER for b in LADDER} | {(DISPLACED_SQUEEZED, DISPLACED_SQUEEZED)}
-
-
-def _require_closed_form(bras, kets):
-    """Raise UnsupportedKet unless every (bra, ket) pair has a closed-form overlap."""
-    for a in dict.fromkeys(k.kind for k in bras):
-        for b in dict.fromkeys(k.kind for k in kets):
-            if (a, b) not in CLOSED_FORM:
-                raise UnsupportedKet(f"no analytic overlap for pair ({a}, {b})")
-    squeezing_b, squeezing_k = ([(k.r, k.theta) for k in side if k.kind == DISPLACED_SQUEEZED]
-                                for side in (bras, kets))
-    if squeezing_b and squeezing_k and not np.isclose(np.array(squeezing_b)[:, None],
-                                                      np.array(squeezing_k)).all():
-        raise UnsupportedKet("displaced-squeezed overlaps need equal squeezing")
 
 
 def _ladder_forms(kets):
-    """Ladder order k and amplitude of each ket.
+    """Ladder order k and amplitude of each ket of a family with closed-form overlaps.
 
-    Coherent, Fock and photon-added kets are a^dag^k |amplitude> up to a norm:
-    Fock |n> has k = n at amplitude 0 and a coherent ket has k = 0.  A
-    displaced-squeezed ket D(alpha) S |0> = S D(beta) |0> enters as the
-    coherent ket |beta>, beta = alpha cosh r + conj(alpha) e^{i theta} sinh r,
-    since the squeezers cancel in an overlap at equal squeezing.
+    Coherent, Fock and photon-added kets are ladder kets, a^dag^k |amplitude>
+    up to a norm: Fock |n> has k = n at amplitude 0 and a coherent ket has
+    k = 0.  A family of displaced-squeezed kets at equal squeezing enters as
+    coherent kets: D(alpha) S |0> = S D(beta) |0> with beta = alpha cosh r +
+    conj(alpha) e^{i theta} sinh r, and the squeezers cancel in an overlap.
+    Any other family, and ladder orders above MAX_ORDER, raise UnsupportedKet.
     """
-    orders, amps = [], []
-    for ket in kets:
-        a = ket.alpha
-        if ket.kind == FOCK:
-            a = 0.0
-        elif ket.kind == DISPLACED_SQUEEZED:
-            a = a * np.cosh(ket.r) + np.conj(a) * np.exp(1j * ket.theta) * np.sinh(ket.r)
-        orders.append(ket.n if ket.kind == FOCK else ket.k if ket.kind == PHOTON_ADDED else 0)
-        amps.append(a)
+    kinds = {ket.kind for ket in kets}
+    if DISPLACED_SQUEEZED in kinds:
+        squeezing = np.array([(ket.r, ket.theta) for ket in kets])
+        if kinds != {DISPLACED_SQUEEZED} or not np.isclose(squeezing[:, None], squeezing).all():
+            raise UnsupportedKet("displaced-squeezed kets have closed-form overlaps only "
+                                 "with each other, at equal squeezing")
+        return np.zeros(len(kets), dtype=int), np.array(
+            [ket.alpha * np.cosh(ket.r) + np.conj(ket.alpha) * np.exp(1j * ket.theta)
+             * np.sinh(ket.r) for ket in kets], dtype=complex)
+    if not kinds <= {COHERENT, FOCK, PHOTON_ADDED}:
+        raise UnsupportedKet(f"no analytic overlap among kinds {sorted(kinds)}")
+    orders = [ket.n if ket.kind == FOCK else ket.k for ket in kets]
     if max(orders, default=0) > MAX_ORDER:
         raise UnsupportedKet(f"ladder orders above {MAX_ORDER} overflow the closed form")
-    return np.array(orders, dtype=int), np.array(amps, dtype=complex)
+    return np.array(orders, dtype=int), np.array(
+        [0.0 if ket.kind == FOCK else ket.alpha for ket in kets], dtype=complex)
 
 
 def _family_overlaps(kets):
     """<kets[i]|kets[j]> for every pair of one family, by the ladder closed form.
 
-    With k, l the orders and alpha, beta the amplitudes of the bra and the ket,
-    <alpha| a^k a^dag^l |beta> = <alpha|beta> sum_t t! C(k,t) C(l,t)
-    conj(alpha)^(l-t) beta^(k-t); at l = k and beta = alpha the sum is the
-    squared norm of a^dag^k |alpha>.  Every pair gets a value, whether or not
-    the closed form applies to it.
+    <alpha| a^k a^dag^l |beta> = <alpha|beta> ladder_sum(k, l, conj(alpha), beta)
+    for bra order k and ket order l; at l = k and beta = alpha the sum is the
+    squared norm of a^dag^k |alpha>.
     """
     orders, amps = _ladder_forms(kets)
-    half = np.abs(amps) ** 2 / 2
-    value = np.exp(-half - half[:, None] + np.conj(amps)[:, None] * amps)
+    value = fock.overlap_coherent(amps, amps[:, None])
     if orders.any():  # at order 0 the sum and the norms are 1
-        k, l = orders[:, None, None], orders[None, :, None]
-        t = np.arange(orders.max() + 1)
-        # exponents below zero only occur where the weight vanishes
-        ladder = (pairing_weights(k, l, t) * np.conj(amps)[:, None, None] ** np.maximum(l - t, 0)
-                  * amps[None, :, None] ** np.maximum(k - t, 0)).sum(axis=-1)
+        ladder = ladder_sum(orders[:, None], orders, np.conj(amps)[:, None], amps)
         norm_sq = ladder.diagonal().real
         # exactly 1 on the diagonal, and no overflow for large Fock indices
         value *= ladder / norm_sq[:, None] * np.sqrt(norm_sq[:, None] / norm_sq)
@@ -188,13 +186,13 @@ def overlaps(bras, kets):
 
     One normal-ordered closed form covers coherent, Fock and photon-added
     kets; displaced-squeezed kets pair with each other at equal squeezing.
-    Other pairs (a displaced-squeezed ket against another kind or at unequal
-    squeezing) and ladder orders above MAX_ORDER raise UnsupportedKet rather
-    than silently falling back to truncation.
+    bras + kets is read as one family: unless all its kets are ladder kets,
+    or all are displaced-squeezed at equal squeezing, and unless every ladder
+    order is at most MAX_ORDER, UnsupportedKet is raised rather than silently
+    falling back to truncation.
     """
-    bras, kets = list(bras), list(kets)
-    _require_closed_form(bras, kets)
-    return _family_overlaps(bras + kets)[:len(bras), len(bras):]
+    bras = list(bras)
+    return _family_overlaps(bras + list(kets))[:len(bras), len(bras):]
 
 
 def overlap(bra, ket):
@@ -204,7 +202,6 @@ def overlap(bra, ket):
 
 def gram_matrix(kets):
     """Gram matrix <kets[i]|kets[j]>, exactly Hermitian with a unit diagonal."""
-    _require_closed_form(kets, kets)
     upper = np.triu(_family_overlaps(kets), 1)
     gram = upper + upper.conj().T
     np.fill_diagonal(gram, 1.0)

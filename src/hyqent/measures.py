@@ -175,10 +175,9 @@ def ckw(psi):
     The one-vs-rest tangle uses C^2(A|BC) = 4 det(rho_A), valid for pure
     states, which is also where the residual tangle is defined.
     """
-    psi = _unit_ket(psi)
-    if psi.size != 8:
+    if np.size(psi) != 8:
         raise ValueError("ckw needs a pure three-qubit state vector")
-    rho = DensityMatrix.from_ket(psi, (2, 2, 2))
+    rho = DensityMatrix.from_ket(psi, (2, 2, 2))  # checks the norm
     c2_ab = concurrence(partial_trace(rho, [0, 1])) ** 2
     c2_ac = concurrence(partial_trace(rho, [0, 2])) ** 2
     c2_bc = concurrence(partial_trace(rho, [1, 2])) ** 2

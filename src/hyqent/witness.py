@@ -183,7 +183,8 @@ class SymbolicMomentProvider:
     """Exact moments of a coherent-family hybrid state or its thermal-channel output.
 
     A plain HybridState is read as the output of the identity channel
-    (eta = 1, n_th = 0).  Mode words reduce to normal order and every
+    (eta = 1, n_th = 0), whose construction checks that every ket is
+    coherent.  Mode words reduce to normal order and every
     normal-ordered pair of every coherent dyad goes through the Gaussian
     closed form thermal_dyad_moments, one broadcast call for all words and
     dyads; qudit words are evaluated with the d-level adapted operators.
@@ -195,7 +196,7 @@ class SymbolicMomentProvider:
             state = ThermalHybridState(state, ThermalChannelParams(1.0, 0.0))
         elif not isinstance(state, ThermalHybridState):
             raise TypeError("SymbolicMomentProvider needs a HybridState or a ThermalHybridState")
-        self.qudit_dim = state.base.qudit_dim  # rejects layouts other than (d, "mode")
+        self.qudit_dim = state.base.qudit_dim
         weights, levels, dyads = zip(*state.dyad_terms())
         self._weights = np.array(weights)
         self._m, self._mp = np.array(levels).T

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_density, random_ket
 from hyqent import (DensityMatrix, HybridState, SymbolicKet, ThermalChannelParams,
-                    UnsupportedKet, amplitude_damp, apply_kraus, apply_thermal,
+                    ThermalHybridState, UnsupportedKet, amplitude_damp, apply_kraus, apply_thermal,
                     beamsplit, choi_state, coherent_ket, compress,
                     concurrence, concurrence_evolution_check, identity_kraus,
                     make_kraus_set, negativity, negativity_evolution_check,
@@ -102,6 +102,10 @@ def test_amplitude_damp_general_term_route_matches_special_case():
 def test_apply_thermal_names_itself_on_non_coherent_kets():
     with pytest.raises(UnsupportedKet, match="thermal"):
         apply_thermal(squeezed_binary_coherent(0.5, 0.3).payload, ThermalChannelParams(0.5, 0.1))
+    # the check belongs to the output type, so a direct construction cannot skip it
+    fock = HybridState(2, [(1.0, [(1.0, 0, SymbolicKet.fock(2))])])
+    with pytest.raises(UnsupportedKet, match="thermal"):
+        ThermalHybridState(fock, ThermalChannelParams(1.0, 0.0))
 
 
 def test_amplitude_damp_concurrence_monotone_in_loss():

@@ -300,3 +300,15 @@ def test_family_measure_pair_exits_cleanly(tmp_path, capsys, family, measure):
         assert err.startswith("error: ")
     if (family, measure) in PINNED_CODES:
         assert code == PINNED_CODES[family, measure]
+
+
+@pytest.mark.parametrize("doc, mode_sites", [
+    ({"family": "qubus", "params": {"alpha": 1.0, "theta": 0.2, "eta": 0.9}}, 1),
+    ({"family": "two-mode-cat", "params": {"alpha": 0.8, "phi": 0.3}}, 2)])
+def test_classify_expands_each_mode_site_once(tmp_path, capsys, monkeypatch, doc, mode_sites):
+    calls, expand = [], compression.ket_expansion
+    monkeypatch.setattr(compression, "ket_expansion",
+                        lambda kets: calls.append(kets) or expand(kets))
+    assert main(["classify", write_spec(tmp_path, doc)]) == 0
+    assert len(calls) == mode_sites
+    assert "effective dimensions: " in capsys.readouterr().out

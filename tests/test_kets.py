@@ -7,6 +7,7 @@ from hyqent import (MODE, HybridState, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, UnsupportedKet,
                     amplitude_damp, apply_thermal, displace, gram_matrix, overlap, overlaps,
                     squeeze)
+from hyqent.kets import ladder_sum
 from hyqent.catalog import jcm_generate, project_to_cat, qubus_state, two_mode_cat
 
 
@@ -198,6 +199,25 @@ def test_gram_matrix_matches_pairwise_and_fock_overlaps(rng, family):
         for i in fock:
             for j in fock:
                 assert gram[i, j] == float(kets[i].n == kets[j].n)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
+def test_ladder_sum_matches_explicit_double_loop(rng, c):
+    def explicit(k, l, x, y):
+        return sum(math.factorial(t) * math.comb(k, t) * math.comb(l, t) * c**t
+                   * x ** (l - t) * y ** (k - t) for t in range(min(k, l) + 1))
+
+    k, l = rng.integers(0, 9, size=(2, 10))
+    k[:2], l[:2] = (3, 0), (5, 8)  # unequal orders where x or y vanishes
+    x, y = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
+    x[0] = y[1] = 0.0
+    # one broadcast call over every (i, j): t runs past min(k, l) for most pairs,
+    # so the exponent guard meets 0 ** (negative) whenever x or y is 0
+    got = ladder_sum(k[:, None], l[None, :], x[:, None], y[None, :], c)
+    ref = np.array([[explicit(int(k[i]), int(l[j]), complex(x[i]), complex(y[j]))
+                     for j in range(10)] for i in range(10)])
+    assert got.shape == (10, 10)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_pairs_without_closed_form_still_raise():
