@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import ThermalChannelParams, apply_thermal
 from .errors import DegenerateNormalization
-from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet
+from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet, term_norm
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def project_to_cat(state, sign=+1):
     for b in state.terms[0][1]:
         w = b.c / np.sqrt(2.0) * (sgn if b.m == 1 else 1.0)
         comps[b.ket] = comps.get(b.ket, 0.0) + w
-    norm_sq = HybridState.pure((MODE,), [(c, (k,)) for k, c in comps.items()]).norm_squared()
+    norm_sq = term_norm((MODE,), [(c, (k,)) for k, c in comps.items()])
     if norm_sq < 1e-14:
         raise DegenerateNormalization("cat projection has vanishing success probability")
     pure = HybridState.pure((MODE,), [(c / np.sqrt(norm_sq), (k,)) for k, c in comps.items()])

@@ -13,7 +13,7 @@ import numpy as np
 from .composite import DensityMatrix
 from .errors import UnsupportedKet
 from .fock import overlap_coherent
-from .kets import COHERENT, HybridState, SymbolicKet, gram_matrix, ladder_sum
+from .kets import COHERENT, HybridState, SymbolicKet, gram_matrix, ladder_sum, term_norm
 
 DEFAULT_WEIGHT_TOL = 1e-10
 
@@ -84,11 +84,11 @@ def qubit_loss_kraus(eta):
 # amplitude damping on symbolic hybrid states
 
 
-def _coherent_branches(branches, channel):
-    for b in branches:
-        if b.ket.kind != COHERENT:
-            raise UnsupportedKet(f"the {channel} channel is implemented for coherent kets")
-    return branches
+def require_coherent(state, what):
+    """TypeError off the (d, "mode") layout; UnsupportedKet naming what on a non-coherent ket."""
+    state.qudit_dim
+    if any(b.ket.kind != COHERENT for _, branches in state.terms for b in branches):
+        raise UnsupportedKet(f"{what} is implemented for coherent kets")
 
 
 def amplitude_damp(state, eta):
@@ -99,30 +99,31 @@ def amplitude_damp(state, eta):
     pure term sum_i c_i |m_i, alpha_i> into sum_ij c_i c_j* E_ij
     |m_i, sqrt(eta) alpha_i><m_j, sqrt(eta) alpha_j| with E_ij = <e_j|e_i>.
     The eigendecomposition E = sum_k lambda_k v_k v_k^dag splits this exactly
-    into one pure term per eigenpair, with branches c_i v_ik (normalized) and
-    weight lambda_k sum_i |c_i v_ik|^2.  For two opposite amplitudes,
-    E = [[1, tau], [tau, 1]] with tau = exp(-2(1-eta)|alpha|^2) has
+    into one pure term per eigenpair: |phi_k> = sum_i c_i v_ik |m_i, sqrt(eta)
+    alpha_i>, normalized, with weight lambda_k <phi_k|phi_k> from term_norm,
+    so branches may share a qudit level.  For two opposite amplitudes on two
+    levels, E = [[1, tau], [tau, 1]] with tau = exp(-2(1-eta)|alpha|^2) has
     eigenvectors (1, +-1)/sqrt(2): the output is the two-projector mixture
     with weights (1 +- tau)/2, whatever the coefficients.
     """
-    d = state.qudit_dim
+    state.qudit_dim  # rejects layouts other than (d, "mode")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     if eta == 1.0:
         return state
+    require_coherent(state, "the amplitude damping channel")
     out_terms = []
     for p, branches in state.terms:
-        alphas = [b.ket.alpha for b in _coherent_branches(branches, "amplitude damping")]
+        alphas = [b.ket.alpha for b in branches]
         env = gram_matrix([SymbolicKet.coherent(np.sqrt(1.0 - eta) * a) for a in alphas]).T
         kets = [SymbolicKet.coherent(np.sqrt(eta) * a) for a in alphas]
         lam, vecs = np.linalg.eigh(env)
-        amps = np.array([b.c for b in branches])[:, None] * vecs
-        norms = (abs(amps) ** 2).sum(axis=0)
-        for k in np.flatnonzero(p * lam * norms > 1e-15):
-            out_terms.append((p * lam[k] * norms[k],
-                              [(a / np.sqrt(norms[k]), b.m, ket)
-                               for a, b, ket in zip(amps[:, k], branches, kets) if a != 0]))
-    return HybridState(d, out_terms)
+        for weight, column in zip(p * lam, (np.array([b.c for b in branches])[:, None] * vecs).T):
+            phi = [(a, (b.m, ket)) for a, b, ket in zip(column, branches, kets) if a != 0]
+            norm = term_norm(state.sites, phi)
+            if weight * norm > 1e-15:
+                out_terms.append((weight * norm, [(a / np.sqrt(norm), v) for a, v in phi]))
+    return HybridState(state.sites, out_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +327,7 @@ class ThermalHybridState:
     params: ThermalChannelParams
 
     def __post_init__(self):
-        self.base.qudit_dim  # rejects layouts other than (d, "mode")
-        for _, branches in self.base.terms:
-            _coherent_branches(branches, "thermal")
+        require_coherent(self.base, "the thermal channel")
 
     def dyad_terms(self):
         """(weight, (m, m'), (alpha_i, alpha_j)) triples of the output.
@@ -339,11 +338,9 @@ class ThermalHybridState:
         return [(p * bi.c * np.conj(bj.c), (bi.m, bj.m), (bi.ket.alpha, bj.ket.alpha))
                 for p, branches in self.base.terms for bi in branches for bj in branches]
 
-    def truncated_density(self, n_cut, weight_tol=DEFAULT_WEIGHT_TOL, tail_tol=1e-8):
-        """Kraus-route truncation; a cross-check, not the state itself."""
-        rho_in = self.base.to_fock_density(n_cut, tail_tol=tail_tol)
-        ks = thermal_kraus(self.params, n_cut, weight_tol=weight_tol)
-        return apply_kraus(rho_in, ks, subsystem=1)
+    def truncated_density(self, n_cut):
+        """Kraus-route truncation at the default tolerances; a cross-check, not the state."""
+        return apply_kraus(self.base.to_fock_density(n_cut), thermal_kraus(self.params, n_cut), 1)
 
 
 def apply_thermal(state, params):

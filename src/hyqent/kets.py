@@ -243,6 +243,31 @@ def _site_values(sites, values):
     return values
 
 
+def term_norm(sites, branches):
+    """<psi|psi> of the pure term |psi> = sum_b c_b |values_b> on sites.
+
+    sum_b |c_b|^2, plus c_b* c_b' times the pair's per-site Gram entries for
+    each pair b != b' that agrees on every qudit level; on a layout of mode
+    sites only every pair counts.  A term whose branches all differ in a qudit
+    level touches no overlap.
+    """
+    c = np.array([c for c, _ in branches])
+    norm = sum((abs(c) ** 2).tolist())  # in branch order, where ndarray.sum would pair terms up
+    levels = [tuple(v for s, v in zip(sites, values) if s != MODE) for _, values in branches]
+    if len(set(levels)) == len(levels):
+        return norm
+    group = [levels.index(level) for level in levels]
+    same = np.equal.outer(group, group) & ~np.eye(len(group), dtype=bool)
+    keep = same.any(axis=0)
+    braket = same[np.ix_(keep, keep)].astype(complex)
+    for a in [a for a, s in enumerate(sites) if s == MODE]:
+        kets = [values[a] for (_, values), k in zip(branches, keep) if k]
+        slot = {ket: i for i, ket in enumerate(dict.fromkeys(kets))}
+        index = np.array([slot[ket] for ket in kets])
+        braket *= gram_matrix(list(slot))[index[:, None], index]
+    return float(norm + (np.conj(c[keep]) @ braket @ c[keep]).real)
+
+
 class HybridState:
     """Convex mixture of pure terms on an ordered tuple of sites.
 
@@ -252,11 +277,10 @@ class HybridState:
     (c, m, ket) branches is shorthand for the qudit-qumode layout (d, MODE);
     HybridState(sites, terms) takes (c, values) branches.
 
-    Branches of one term must differ in some qudit level.  They are then
-    orthogonal, so sum_b |c_nb|^2 = 1 normalizes each term exactly.  A layout
-    of mode sites only has no levels to tell branches apart: its terms are
-    normalized through the ket overlaps, go unchecked here, and compress and
-    compress_vector both renormalize them.
+    On a layout with a qudit site, each term must have <psi_n|psi_n> = 1
+    within 1e-12, as term_norm reads it from the ket overlaps, so branches of
+    one term may share qudit levels.  Terms on a layout of mode sites only go
+    unchecked here, and compress and compress_vector renormalize them.
     """
 
     def __init__(self, sites, terms):
@@ -264,7 +288,6 @@ class HybridState:
             sites = (sites, MODE)
             terms = [(p, [(c, (m, ket)) for c, m, ket in branches]) for p, branches in terms]
         sites = tuple(s if s == MODE else int(s) for s in sites)
-        qudit_axes = [a for a, s in enumerate(sites) if s != MODE]
         norm_terms = []
         total_p = 0.0
         for p, branches in terms:
@@ -272,13 +295,9 @@ class HybridState:
             if p <= 0:
                 raise ValueError("term probabilities must be positive")
             bs = tuple(Branch(complex(c), _site_values(sites, values)) for c, values in branches)
-            if qudit_axes:
-                levels = [tuple(b.values[a] for a in qudit_axes) for b in bs]
-                if len(set(levels)) != len(levels):
-                    raise ValueError("duplicate qudit level within one term")
-                csum = sum(abs(b.c) ** 2 for b in bs)
-                if abs(csum - 1.0) > 1e-12:
-                    raise ValueError(f"branch coefficients have norm^2 {csum}, expected 1")
+            norm = term_norm(sites, bs) if set(sites) != {MODE} else 1.0
+            if abs(norm - 1.0) > 1e-12:
+                raise ValueError(f"term has norm^2 {norm} from its ket overlaps, expected 1")
             norm_terms.append(Term(p, bs))
             total_p += p
         if abs(total_p - 1.0) > 1e-12:
@@ -326,26 +345,8 @@ class HybridState:
                                   for b in branches for a in mode_axes))
 
     def norm_squared(self):
-        """sum_n p_n <psi_n|psi_n> from the analytic overlaps; 1 when normalized.
-
-        Branch pairs of one term multiply one Gram entry per mode site, taken
-        from that site's Gram matrix over its distinct kets, and a level
-        delta per qudit site.
-        """
-        branches = [b for _, bs in self.terms for b in bs]
-        term = np.repeat(np.arange(self.term_count), [len(bs) for _, bs in self.terms])
-        braket = (term[:, None] == term).astype(complex)
-        for a, s in enumerate(self.sites):
-            values = [b.values[a] for b in branches]
-            if s == MODE:
-                slot = {ket: i for i, ket in enumerate(dict.fromkeys(values))}
-                index = np.array([slot[v] for v in values])
-                braket *= gram_matrix(list(slot))[index[:, None], index]
-            else:
-                braket *= np.equal.outer(values, values)
-        c = np.array([b.c for b in branches])
-        p = np.array(self.weights)[term]
-        return float((p * np.conj(c) * (braket @ c)).real.sum())
+        """sum_n p_n <psi_n|psi_n> from the analytic overlaps; 1 when normalized."""
+        return sum(p * term_norm(self.sites, branches) for p, branches in self.terms)
 
     def to_fock_density(self, n_cut, tail_tol=1e-8):
         """Truncated-Fock qudit x mode density matrix (cross-check path)."""

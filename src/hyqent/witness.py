@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ThermalChannelParams, ThermalHybridState, thermal_dyad_moments
+from .channels import (ThermalChannelParams, ThermalHybridState, require_coherent,
+                       thermal_dyad_moments)
 from .composite import DensityMatrix
 from .errors import InconsistentMoments, NumericInconsistency
 from .fock import mode_operators
@@ -182,17 +183,17 @@ class MatrixMomentProvider:
 class SymbolicMomentProvider:
     """Exact moments of a coherent-family hybrid state or its thermal-channel output.
 
-    A plain HybridState is read as the output of the identity channel
-    (eta = 1, n_th = 0), whose construction checks that every ket is
-    coherent.  Mode words reduce to normal order and every
-    normal-ordered pair of every coherent dyad goes through the Gaussian
-    closed form thermal_dyad_moments, one broadcast call for all words and
-    dyads; qudit words are evaluated with the d-level adapted operators.
-    No truncation enters.
+    A plain HybridState must hold coherent kets only, and is then read as the
+    output of the identity channel (eta = 1, n_th = 0).  Mode words reduce to
+    normal order and every normal-ordered pair of every coherent dyad goes
+    through the Gaussian closed form thermal_dyad_moments, one broadcast call
+    for all words and dyads; qudit words are evaluated with the d-level
+    adapted operators.  No truncation enters.
     """
 
     def __init__(self, state):
         if isinstance(state, HybridState):
+            require_coherent(state, "the exact moment route")
             state = ThermalHybridState(state, ThermalChannelParams(1.0, 0.0))
         elif not isinstance(state, ThermalHybridState):
             raise TypeError("SymbolicMomentProvider needs a HybridState or a ThermalHybridState")

@@ -4,7 +4,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 import pytest
 
-from conftest import random_density, random_ket
+from conftest import random_density, random_ket, shared_level_qubit
 from hyqent import (DensityMatrix, HybridState, SymbolicKet, ThermalChannelParams,
                     ThermalHybridState, UnsupportedKet, amplitude_damp, apply_kraus, apply_thermal,
                     beamsplit, choi_state, coherent_ket, compress,
@@ -76,6 +76,8 @@ def test_amplitude_damp_general_term_route_matches_special_case():
         (0.0, 3, [(1.0, list(zip(c3, range(3), [0.7, -0.7, 0.4j])))]),
         (0.45, 3, [(0.25, [(1.0, 2, 0.5)]),
                    (0.75, [(np.sqrt(0.5), 0, 1.0), (-np.sqrt(0.5), 2, -1.0 + 1e-8)])]),
+        # branches sharing a level, normalized through their overlaps
+        (0.6, 2, [(1.0, [(c, m, k.alpha) for c, (m, k) in shared_level_qubit().terms[0][1]])]),
     ]
     n_cut = 20
     for eta, d, terms in cases:

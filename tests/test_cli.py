@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hyqent import composite, compression
+from conftest import normalized_by_overlaps
+from hyqent import MODE, HybridState, SymbolicKet, composite, compression, negativity
 from hyqent.catalog import FAMILIES
 from hyqent.cli import MEASURES, SpecError, main, validate_spec
 
@@ -89,6 +90,43 @@ def test_moment_witness_on_squeezed_kets_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "moment witnesses need a coherent-family" in err
     assert "coherent kets" in err
+
+
+FOCK_HYBRID = {"family": "hybrid", "params": {"qudit_dim": 2, "terms": [{"p": 1.0, "branches": [
+    {"c": 0.6, "m": 0, "ket": {"kind": "fock", "n": 0}},
+    {"c": 0.8, "m": 1, "ket": {"kind": "fock", "n": 2}}]}]}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "squeezed-binary-coherent", "params": {"alpha": 0.9, "r": 0.3}}, FOCK_HYBRID],
+    ids=["squeezed", "fock"])
+def test_moment_witness_on_plain_states_names_no_channel(tmp_path, capsys, doc):
+    assert main(["measure", write_spec(tmp_path, doc), "--measure", "s1"]) == 3
+    err = capsys.readouterr().err
+    assert "coherent kets" in err
+    assert "thermal channel" not in err
+
+
+def _shared_level_spec(scale=1.0):
+    """Inline qubit spec with two branches on level 0, normalized through their overlap."""
+    raw = [(0.6, (0, SymbolicKet.coherent(1.0))), (0.6j, (0, SymbolicKet.coherent(-1.0))),
+           (0.5, (1, SymbolicKet.fock(1)))]
+    normalized = normalized_by_overlaps((2, MODE), raw)
+    branches = [{"c": [c.real * scale, c.imag * scale], "m": m,
+                 "ket": {"kind": k.kind, "alpha": k.alpha.real, "n": k.n}}
+                for c, (m, k) in normalized]
+    doc = {"family": "hybrid", "params": {"qudit_dim": 2, "terms": [
+        {"p": 1.0, "branches": branches}]}}
+    return doc, HybridState.pure((2, MODE), normalized)
+
+
+def test_inline_hybrid_spec_with_shared_level(tmp_path, capsys):
+    doc, state = _shared_level_spec()
+    assert main(["measure", write_spec(tmp_path, doc), "--measure", "negativity"]) == 0
+    value = float(capsys.readouterr().out.splitlines()[0])
+    assert abs(value - negativity(state.to_fock_density(40))) < 1e-10
+    doc, _ = _shared_level_spec(scale=1.01)
+    assert main(["measure", write_spec(tmp_path, doc), "--measure", "negativity"]) == 2
 
 
 def test_measure_header_reports_module_tolerances(tmp_path, capsys):

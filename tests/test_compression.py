@@ -2,9 +2,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import normalized_by_overlaps, pairwise_term_norm, shared_level_qubit
 from hyqent import (MODE, Classification, DensityMatrix, HybridState, SymbolicKet,
                     classify, compress, compress_vector, default_cutoff,
                     entropy_of_entanglement, gram_matrix, inverse_gram_schmidt,
@@ -249,6 +250,18 @@ def test_wide_family_negativity_matches_fock_oracle(rng):
     assert abs(negativity(compress(state)) - negativity(state.to_fock_density(n_cut))) < 1e-6
 
 
+def test_shared_level_negativity_matches_fock_oracle():
+    """Branches that share a level sum on one compressed row, as in the Fock route."""
+    k, pa, fock = SymbolicKet.coherent, SymbolicKet.photon_added, SymbolicKet.fock
+    raw = [[(0.5, (0, pa(1, 0.7))), (0.4, (0, k(-0.5j))), (0.6, (2, fock(2))), (0.3, (2, k(0.4)))],
+           [(0.8, (1, k(0.6))), (-0.5, (1, pa(2, -0.3))), (0.4j, (0, fock(0)))]]
+    mixed = HybridState((3, MODE), [(p, normalized_by_overlaps((3, MODE), bs))
+                                    for p, bs in zip((0.35, 0.65), raw)])
+    for state in (shared_level_qubit(), mixed):
+        oracle = negativity(state.to_fock_density(40))
+        assert abs(negativity(compress(state)) - oracle) < 1e-10
+
+
 # --- compression does not depend on the order of terms and branches ----------
 #
 # The Gram-Schmidt basis follows ket order, so matrices differ between
@@ -281,20 +294,27 @@ def _reordered(state, term_order, branch_orders):
 
 
 @st.composite
-def qudit_qumode_mixtures(draw):
+def qudit_qumode_mixtures(draw, shared=False):
+    """Qudit-qumode mixtures on distinct levels per term; with shared, levels may
+    repeat (up to d + 1 branches) and each term is normalized through its overlaps."""
     d = draw(st.integers(2, 3))
     scale = draw(st.floats(0.8, 1.5))
     n_terms = draw(st.integers(1, 3))
     weights = [draw(st.floats(0.1, 1.0)) for _ in range(n_terms)]
     terms = []
     for w in weights:
-        levels = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+        levels = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d + shared,
+                               unique=not shared))
         amps = [complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1))) for _ in levels]
         norm = np.sqrt(sum(abs(a) ** 2 for a in amps))
         if norm < 1e-3:
             amps, norm = [1.0] * len(levels), np.sqrt(len(levels))
         branches = [(a / norm, m, SymbolicKet.coherent(scale * draw(st.sampled_from(PALETTE))))
                     for a, m in zip(amps, levels)]
+        if shared:
+            norm_sq = pairwise_term_norm((d, MODE), [(c, (m, k)) for c, m, k in branches])
+            assume(norm_sq > 1e-2)  # no near-cancelling branches on one level
+            branches = [(c / np.sqrt(norm_sq), m, k) for c, m, k in branches]
         terms.append((w / sum(weights), branches))
     return HybridState(d, terms)
 
@@ -310,6 +330,13 @@ def _orders(draw, state):
 @given(st.data())
 def test_qudit_qumode_compression_ignores_ordering(data):
     state = data.draw(qudit_qumode_mixtures())
+    _assert_same_invariants(state, _reordered(state, *_orders(data.draw, state)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_level_compression_ignores_ordering(data):
+    state = data.draw(qudit_qumode_mixtures(shared=True))
     _assert_same_invariants(state, _reordered(state, *_orders(data.draw, state)))
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import normalized_by_overlaps, pairwise_term_norm
 from hyqent import (MODE, HybridState, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, UnsupportedKet,
                     amplitude_damp, apply_thermal, displace, gram_matrix, overlap, overlaps,
                     squeeze)
+from hyqent import kets
 from hyqent.kets import ladder_sum
 from hyqent.catalog import jcm_generate, project_to_cat, qubus_state, two_mode_cat
 
@@ -60,11 +62,38 @@ def test_hybrid_state_validation():
     with pytest.raises(ValueError):
         HybridState(2, [(0.5, [(1.0, 0, ket)])])  # probabilities sum to 0.5
     with pytest.raises(ValueError):
-        HybridState(2, [(1.0, [(1.0, 0, ket), (0.1, 0, ket)])])  # duplicate level
+        HybridState(2, [(1.0, [(1.0, 0, ket), (0.1, 0, ket)])])  # one level and ket: norm^2 1.21
     with pytest.raises(ValueError):
         HybridState(2, [(1.0, [(0.9, 0, ket)])])  # coefficients not normalized
     with pytest.raises(ValueError):
         HybridState(2, [(1.0, [(1.0, 3, ket)])])  # level out of range
+    # branches may share a level when the term is normalized through its overlaps
+    raw = [(0.7, (0, ket)), (0.4j, (0, SymbolicKet.coherent(-0.5))),
+           (0.5, (1, SymbolicKet.photon_added(1, 0.3)))]
+    branches = normalized_by_overlaps((2, MODE), raw)
+    assert HybridState.pure((2, MODE), branches).norm_squared() == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError):
+        HybridState.pure((2, MODE), [(c * np.sqrt(1 + 1e-9), v) for c, v in branches])
+
+
+def test_term_norm_reads_overlaps_only_for_shared_levels(monkeypatch):
+    calls, family_overlaps = [], kets._family_overlaps
+
+    def counted(family):
+        calls.append(family)
+        return family_overlaps(family)
+    monkeypatch.setattr(kets, "_family_overlaps", counted)
+    a, b = SymbolicKet.coherent(0.8), SymbolicKet.coherent(-0.8)
+    distinct = [(0.6, (0, a)), (0.8, (1, b))]
+    assert kets.term_norm((2, MODE), distinct) == pytest.approx(1.0, abs=1e-15)
+    assert not calls
+    shared = [(0.6, (0, a)), (0.8, (0, b))]
+    assert kets.term_norm((2, MODE), shared) == pytest.approx(
+        1.0 + 2 * 0.48 * np.exp(-2 * 0.64), abs=1e-15)
+    assert len(calls) == 1
+    # on a mode-only layout every pair counts
+    assert kets.term_norm((MODE,), [(c, (k,)) for c, (_, k) in distinct]) == pytest.approx(
+        1.0 + 2 * 0.48 * np.exp(-2 * 0.64), abs=1e-15)
 
 
 def test_to_fock_density_dims():
@@ -95,7 +124,7 @@ def test_multi_site_validation():
     with pytest.raises(ValueError):
         HybridState.pure((MODE, 2), [(1.0, (ket, 2))])  # level out of range
     with pytest.raises(ValueError):
-        HybridState.pure((MODE, 2), [(0.6, (ket, 0)), (0.8, (ket, 0))])  # same level
+        HybridState.pure((MODE, 2), [(0.6, (ket, 0)), (0.8, (ket, 0))])  # norm^2 1.96
     # qumode-only layouts are normalized through the overlaps
     cat = two_mode_cat(0.8, 1.0).payload
     assert cat.sites == (MODE, MODE)
@@ -120,27 +149,30 @@ def test_qudit_mode_functions_reject_other_layouts(payload):
 
 def _pairwise_norm_squared(state):
     """Reference: one scalar overlap per mode site and branch pair of each term."""
-    def braket(v1, v2):
-        return np.prod([overlap(a, b) if s == MODE else float(a == b)
-                        for s, a, b in zip(state.sites, v1, v2)])
-    return sum(p * (np.conj(c1) * c2 * braket(v1, v2)).real
-               for p, branches in state.terms for c1, v1 in branches for c2, v2 in branches)
+    return sum(p * pairwise_term_norm(state.sites, branches) for p, branches in state.terms)
 
 
-def _random_mixture(rng, sites, n_terms=3):
-    """Mixture of random branches; mode sites hold coherent or photon-added kets."""
+def _random_mixture(rng, sites, n_terms=3, shared=False):
+    """Mixture of random branches; mode sites hold coherent or photon-added kets.
+
+    With shared, both branches of a term sit on level 0 of every qudit site
+    and are normalized through their ket overlaps.
+    """
     pool = [SymbolicKet.coherent(a) for a in rng.normal(size=3) + 1j * rng.normal(size=3)]
     pool += [SymbolicKet.photon_added(k, a) for k, a in
              zip((1, 2), 0.7 * (rng.normal(size=2) + 1j * rng.normal(size=2)))]
     p = rng.random(n_terms)
     terms = []
     for weight in p / p.sum():
-        levels = rng.permutation(2)
+        levels = np.zeros(2, dtype=int) if shared else rng.permutation(2)
         branches = []
         for b in range(2):
             values = tuple(pool[rng.integers(len(pool))] if s == MODE else int(levels[b])
                            for s in sites)
             branches.append((rng.normal() + 1j * rng.normal(), values))
+        if shared:
+            terms.append((weight, normalized_by_overlaps(sites, branches)))
+            continue
         c = np.array([c for c, _ in branches])
         c /= np.linalg.norm(c)
         terms.append((weight, [(ci, v) for ci, (_, v) in zip(c, branches)]))
@@ -148,7 +180,8 @@ def _random_mixture(rng, sites, n_terms=3):
 
 
 @pytest.mark.parametrize("payload", ["two-mode-cat", "qubus", "qudit-qumode", "qudit-two-modes",
-                                     "modes-only"])
+                                     "modes-only", "qudit-qumode-shared",
+                                     "qudit-two-modes-shared"])
 def test_norm_squared_matches_pairwise_overlaps(rng, payload):
     for _ in range(3):
         if payload == "two-mode-cat":
@@ -157,8 +190,8 @@ def test_norm_squared_matches_pairwise_overlaps(rng, payload):
             state = qubus_state(*rng.uniform(0.2, 1.2, size=3)).payload
         else:
             sites = {"qudit-qumode": (2, MODE), "qudit-two-modes": (MODE, 2, MODE),
-                     "modes-only": (MODE, MODE)}[payload]
-            state = _random_mixture(rng, sites)
+                     "modes-only": (MODE, MODE)}[payload.removesuffix("-shared")]
+            state = _random_mixture(rng, sites, shared=payload.endswith("-shared"))
         assert state.norm_squared() == pytest.approx(_pairwise_norm_squared(state), abs=1e-14)
 
 

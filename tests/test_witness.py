@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_ket
+from conftest import random_ket, shared_level_qubit
 from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider,
                     SymbolicKet, SymbolicMomentProvider, ThermalChannelParams,
                     UnsupportedKet, apply_thermal, cat_witness_determinants, default_cutoff,
@@ -240,6 +240,20 @@ def test_thermal_degree3_moments_match_kraus_oracle():
     assert exact.matrix.shape == (25, 25)
     assert exact.index_map == oracle.index_map
     assert np.abs(exact.matrix - oracle.matrix).max() < 1e-6
+
+
+def test_symbolic_provider_matches_fock_oracles_on_shared_levels():
+    # the dyad sum runs over every branch pair, whether or not the levels differ
+    state = shared_level_qubit()
+    exact = sv_moment_matrix(SymbolicMomentProvider(state), 2, qudit_dim=2)
+    oracle = sv_moment_matrix(MatrixMomentProvider(state.to_fock_density(40), mode_subsystem=1),
+                              2, qudit_dim=2)
+    assert np.abs(exact.matrix - oracle.matrix).max() < 1e-10
+    thermal = apply_thermal(state, ThermalChannelParams(0.6, 0.2))
+    exact = sv_moment_matrix(SymbolicMomentProvider(thermal), 2, qudit_dim=2)
+    rho = thermal.truncated_density(default_cutoff(max(abs(k.alpha) for k in state.kets())))
+    oracle = sv_moment_matrix(MatrixMomentProvider(rho, mode_subsystem=1), 2, qudit_dim=2)
+    assert np.abs(exact.matrix - oracle.matrix).max() < 1e-7
 
 
 def test_symbolic_provider_rejects_other_payloads():
