@@ -49,8 +49,11 @@ def two_mode_cat(alpha, phi):
     return NamedState("two-mode-cat", {"alpha": alpha, "phi": phi}, pure)
 
 
-def qubit_qumode(c, phi, ket0, ket1):
-    """sqrt(c)|0>|ket0> + e^{i phi} sqrt(1-c)|1>|ket1> with c in [0, 1]."""
+def qubit_qumode(c=0.5, phi=0.0, ket0=SymbolicKet.vacuum(), ket1=SymbolicKet.coherent(1.0)):
+    """sqrt(c)|0>|ket0> + e^{i phi} sqrt(1-c)|1>|ket1> with c in [0, 1].
+
+    Defaults: c = 1/2, phi = 0, ket0 the vacuum and ket1 the coherent ket |alpha = 1>.
+    """
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must lie in [0, 1]")
     branches = []
@@ -296,7 +299,7 @@ def qubus_state(alpha, theta, eta):
 
 FAMILIES = {
     "two-mode-cat": (two_mode_cat, ("alpha", "phi")),
-    "qubit-qumode": (None, ("c", "phi", "ket0", "ket1")),  # built inline by the CLI
+    "qubit-qumode": (qubit_qumode, ("c", "phi", "ket0", "ket1")),
     "binary-coherent": (binary_coherent, ("alpha", "phi")),
     "squeezed-binary-coherent": (squeezed_binary_coherent, ("alpha", "r", "theta", "phi")),
     "damped-binary-coherent": (damped_binary_coherent, ("alpha", "eta", "phi")),

@@ -13,7 +13,7 @@ import numpy as np
 from .composite import DensityMatrix
 from .errors import UnsupportedKet
 from .fock import overlap_coherent
-from .kets import COHERENT, HybridState, SymbolicKet, gram_matrix, ladder_sum, term_norm
+from .kets import HybridState, SymbolicKet, gram_matrix, ladder_sum, term_norm
 
 DEFAULT_WEIGHT_TOL = 1e-10
 
@@ -87,7 +87,7 @@ def qubit_loss_kraus(eta):
 def require_coherent(state, what):
     """TypeError off the (d, "mode") layout; UnsupportedKet naming what on a non-coherent ket."""
     state.qudit_dim
-    if any(b.ket.kind != COHERENT for _, branches in state.terms for b in branches):
+    if any(b.ket.k or b.ket.r for _, branches in state.terms for b in branches):
         raise UnsupportedKet(f"{what} is implemented for coherent kets")
 
 

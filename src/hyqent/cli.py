@@ -39,43 +39,63 @@ class Inapplicable(ValueError):
 # state specs
 
 
+def _as_real(value, where):
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise SpecError(f"{where}: expected a number, got {value!r}")
+
+
+def _as_int(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)) or value % 1:
+        raise SpecError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _as_complex(value, where):
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise SpecError(f"{where}: expected number or [re, im], got {value!r}")
+        return complex(_as_real(value[0], where), _as_real(value[1], where))
+    return complex(_as_real(value, where))
+
+
+# ket kind -> its SymbolicKet constructor and its keys in argument order, with (parser, default)
+KET_KINDS = {
+    "coherent": (SymbolicKet.coherent, {"alpha": (_as_complex, 0.0)}),
+    "fock": (SymbolicKet.fock, {"n": (_as_int, 0)}),
+    "displaced_squeezed": (SymbolicKet.displaced_squeezed, {
+        "alpha": (_as_complex, 0.0), "r": (_as_real, 0.0), "theta": (_as_real, 0.0)}),
+    "photon_added_coherent": (SymbolicKet.photon_added, {
+        "k": (_as_int, 0), "alpha": (_as_complex, 0.0)}),
+}
 
 
 def _parse_ket(obj, where):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError(f"{where}: ket must be an object with a 'kind'")
     kind = obj["kind"]
-    extra = set(obj) - {"kind", "alpha", "n", "k", "r", "theta"}
+    if not isinstance(kind, str) or kind not in KET_KINDS:
+        raise SpecError(f"{where}: unknown ket kind {kind!r}; valid: {', '.join(KET_KINDS)}")
+    ctor, keys = KET_KINDS[kind]
+    extra = set(obj) - {"kind", *keys}
     if extra:
-        raise SpecError(f"{where}: unknown ket keys {sorted(extra)}")
-    alpha = _as_complex(obj.get("alpha", 0.0), where)
-    if kind == "coherent":
-        return SymbolicKet.coherent(alpha)
-    if kind == "fock":
-        return SymbolicKet.fock(int(obj.get("n", 0)))
-    if kind == "displaced_squeezed":
-        return SymbolicKet.displaced_squeezed(alpha, float(obj.get("r", 0.0)),
-                                              float(obj.get("theta", 0.0)))
-    if kind == "photon_added_coherent":
-        return SymbolicKet.photon_added(int(obj.get("k", 0)), alpha)
-    raise SpecError(f"{where}: unknown ket kind {kind!r}")
+        raise SpecError(f"{where}: {kind} kets take only {list(keys)}, not {sorted(extra)}")
+    return ctor(*(parse(obj.get(key, default), f"{where}.{key}")
+                  for key, (parse, default) in keys.items()))
+
+
+# parsers of the family parameters that are not real numbers
+FAMILY_PARSERS = {"alpha": _as_complex, "q": _as_complex, "q_phi": _as_complex,
+                  "q_psi": _as_complex, "ket0": _parse_ket, "ket1": _parse_ket}
 
 
 def _parse_inline_hybrid(params):
     try:
-        d = int(params["qudit_dim"])
+        d = _as_int(params["qudit_dim"], "qudit_dim")
         terms = []
         for i, term in enumerate(params["terms"]):
-            branches = [(_as_complex(b["c"], f"terms[{i}]"), int(b["m"]),
+            branches = [(_as_complex(b["c"], f"terms[{i}]"), _as_int(b["m"], f"terms[{i}]"),
                          _parse_ket(b["ket"], f"terms[{i}]"))
                         for b in term["branches"]]
-            terms.append((float(term["p"]), branches))
+            terms.append((_as_real(term["p"], f"terms[{i}]"), branches))
         return HybridState(d, terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"invalid inline hybrid state: {exc}") from exc
@@ -112,18 +132,12 @@ def build_state(family, params):
     """NamedState for a family id plus parameter dict."""
     if family == "hybrid":
         return NamedState("hybrid", dict(params), _parse_inline_hybrid(params))
-    if family == "qubit-qumode":
-        ket0 = _parse_ket(params.get("ket0", {"kind": "coherent", "alpha": 0}), "ket0")
-        ket1 = _parse_ket(params.get("ket1", {"kind": "coherent", "alpha": 1}), "ket1")
-        return catalog.qubit_qumode(float(params.get("c", 0.5)),
-                                    float(params.get("phi", 0.0)), ket0, ket1)
     ctor, names = FAMILIES[family]
     kwargs = {}
     for key, value in params.items():
         if key not in names:
             raise SpecError(f"family {family} does not take parameter {key!r}")
-        kwargs[key] = _as_complex(value, key) if key in ("alpha", "q", "q_phi", "q_psi") \
-            else float(value)
+        kwargs[key] = FAMILY_PARSERS.get(key, _as_real)(value, key)
     try:
         return ctor(**kwargs)
     except TypeError as exc:

@@ -25,76 +25,73 @@ MODE = "mode"  # site holding a qumode ket; any other site is a qudit dimension
 
 @dataclass(frozen=True)
 class SymbolicKet:
-    """Exact descriptor of a normalized single-mode ket.
+    """Exact descriptor of the normalized single-mode ket S(r e^{i theta}) a^dag^k |alpha> / norm.
 
-    kinds:
-      coherent(alpha)                      |alpha>
-      fock(n)                              |n>
-      displaced_squeezed(alpha, r, theta)  D(alpha) S(r e^{i theta}) |0>
-      photon_added_coherent(k, alpha)      a^dag^k |alpha> / norm
+    Every constructor lands in this one form, so one state has one descriptor
+    (theta is 0 whenever r is), and kind is read from the fields: a squeezed
+    ket for r != 0, else coherent for k = 0, Fock for alpha = 0, else photon-added.
     """
 
-    kind: str
-    alpha: complex = 0.0
-    n: int = 0
     k: int = 0
+    alpha: complex = 0j
     r: float = 0.0
     theta: float = 0.0
 
+    @property
+    def kind(self):
+        if self.r:
+            return DISPLACED_SQUEEZED
+        if not self.k:
+            return COHERENT
+        return PHOTON_ADDED if self.alpha else FOCK
+
     @classmethod
     def coherent(cls, alpha):
-        return cls(COHERENT, alpha=complex(alpha))
+        return cls(0, complex(alpha))
 
     @classmethod
     def vacuum(cls):
-        return cls(COHERENT, alpha=0.0)
+        return cls()
 
     @classmethod
     def fock(cls, n):
-        if n < 0:
-            raise ValueError("Fock index must be >= 0")
-        return cls(FOCK, n=int(n))
-
-    @classmethod
-    def displaced_squeezed(cls, alpha, r, theta=0.0):
-        return cls(DISPLACED_SQUEEZED, alpha=complex(alpha), r=float(r), theta=float(theta))
-
-    @classmethod
-    def squeezed_coherent(cls, alpha, r, theta=0.0):
-        """S(xi) D(alpha) |0> rewritten as a displaced squeezed vacuum.
-
-        S D(alpha) S^dag = D(alpha cosh r - conj(alpha) e^{i theta} sinh r).
-        """
-        beta = complex(alpha) * np.cosh(r) - np.conj(complex(alpha)) * np.exp(1j * theta) * np.sinh(r)
-        return cls(DISPLACED_SQUEEZED, alpha=beta, r=float(r), theta=float(theta))
+        return cls.photon_added(n, 0)
 
     @classmethod
     def photon_added(cls, k, alpha):
         if k < 0:
-            raise ValueError("photon-addition order must be >= 0")
-        return cls(PHOTON_ADDED, alpha=complex(alpha), k=int(k))
+            raise ValueError("ladder order k must be >= 0")
+        return cls(int(k), complex(alpha))
+
+    @classmethod
+    def squeezed_coherent(cls, alpha, r, theta=0.0):
+        """S(r e^{i theta}) |alpha>, with alpha the amplitude inside the squeezer."""
+        r = float(r)
+        return cls(0, complex(alpha), r, float(theta) if r else 0.0)
+
+    @classmethod
+    def displaced_squeezed(cls, alpha, r, theta=0.0):
+        """D(alpha) S(xi) |0> = S(xi) |beta>, beta = alpha cosh r + conj(alpha) e^{i theta} sinh r.
+
+        Yuen, PRA 13, 2226 (1976); at r = 0 it is the coherent ket |alpha>.
+        """
+        alpha = complex(alpha)
+        beta = alpha * np.cosh(r) + np.conj(alpha) * np.exp(1j * theta) * np.sinh(r)
+        return cls.squeezed_coherent(beta, r, theta)
 
     def to_fock(self, n_cut, tail_tol=1e-8):
-        """Numerical truncated-Fock realization of the ket."""
-        if self.kind == COHERENT:
-            return fock.coherent_ket(self.alpha, n_cut, tail_tol=tail_tol)
-        if self.kind == FOCK:
-            if self.n > n_cut:
-                raise ValueError(f"Fock index {self.n} above cutoff {n_cut}")
-            v = np.zeros(n_cut + 1, dtype=complex)
-            v[self.n] = 1.0
-            return v
-        if self.kind == DISPLACED_SQUEEZED:
-            s = fock.squeeze(self.theta, self.r, n_cut, tail_tol=tail_tol)
-            d = fock.displace(self.alpha, n_cut, tail_tol=tail_tol)
-            return (d @ s)[:, 0]
-        if self.kind == PHOTON_ADDED:
+        """Numerical truncated-Fock realization: a^dag applied k times to |alpha>, then S(xi)."""
+        if self.k > n_cut:
+            raise ValueError(f"ladder order {self.k} above cutoff {n_cut}")
+        v = fock.coherent_ket(self.alpha, n_cut, tail_tol=tail_tol)
+        if self.k:
             _, adag, _ = fock.mode_operators(n_cut)
-            v = fock.coherent_ket(self.alpha, n_cut, tail_tol=tail_tol)
             for _ in range(self.k):
                 v = adag @ v
-            return v / np.linalg.norm(v)
-        raise UnsupportedKet(f"unknown ket kind {self.kind}")
+            v = v / np.linalg.norm(v)
+        if self.r:
+            v = fock.squeeze(self.theta, self.r, n_cut, tail_tol=tail_tol) @ v
+        return v
 
 
 @lru_cache(maxsize=8)
@@ -137,31 +134,19 @@ MAX_ORDER = 166  # the largest order whose pairing weights stay below the double
 
 
 def _ladder_forms(kets):
-    """Ladder order k and amplitude of each ket of a family with closed-form overlaps.
+    """Ladder order k and amplitude alpha of each ket S(xi) a^dag^k |alpha> of one family.
 
-    Coherent, Fock and photon-added kets are ladder kets, a^dag^k |amplitude>
-    up to a norm: Fock |n> has k = n at amplitude 0 and a coherent ket has
-    k = 0.  A family of displaced-squeezed kets at equal squeezing enters as
-    coherent kets: D(alpha) S |0> = S D(beta) |0> with beta = alpha cosh r +
-    conj(alpha) e^{i theta} sinh r, and the squeezers cancel in an overlap.
-    Any other family, and ladder orders above MAX_ORDER, raise UnsupportedKet.
+    The squeezers cancel in every overlap of kets at equal squeezing, so such
+    a family enters by its ladder kets alone.  Unequal squeezing, and ladder
+    orders above MAX_ORDER, raise UnsupportedKet.
     """
-    kinds = {ket.kind for ket in kets}
-    if DISPLACED_SQUEEZED in kinds:
-        squeezing = np.array([(ket.r, ket.theta) for ket in kets])
-        if kinds != {DISPLACED_SQUEEZED} or not np.isclose(squeezing[:, None], squeezing).all():
-            raise UnsupportedKet("displaced-squeezed kets have closed-form overlaps only "
-                                 "with each other, at equal squeezing")
-        return np.zeros(len(kets), dtype=int), np.array(
-            [ket.alpha * np.cosh(ket.r) + np.conj(ket.alpha) * np.exp(1j * ket.theta)
-             * np.sinh(ket.r) for ket in kets], dtype=complex)
-    if not kinds <= {COHERENT, FOCK, PHOTON_ADDED}:
-        raise UnsupportedKet(f"no analytic overlap among kinds {sorted(kinds)}")
-    orders = [ket.n if ket.kind == FOCK else ket.k for ket in kets]
+    squeezing = list({(ket.r, ket.theta) for ket in kets})  # one pair for most families
+    if len(squeezing) > 1 and not np.isclose(np.array(squeezing)[:, None], squeezing).all():
+        raise UnsupportedKet("squeezed kets have closed-form overlaps only at equal squeezing")
+    orders = [ket.k for ket in kets]
     if max(orders, default=0) > MAX_ORDER:
         raise UnsupportedKet(f"ladder orders above {MAX_ORDER} overflow the closed form")
-    return np.array(orders, dtype=int), np.array(
-        [0.0 if ket.kind == FOCK else ket.alpha for ket in kets], dtype=complex)
+    return np.array(orders, dtype=int), np.array([ket.alpha for ket in kets], dtype=complex)
 
 
 def _family_overlaps(kets):
@@ -182,14 +167,11 @@ def _family_overlaps(kets):
 
 
 def overlaps(bras, kets):
-    """Matrix of analytic overlaps <bras[i]|kets[j]>.
+    """Matrix of analytic overlaps <bras[i]|kets[j]>, by one normal-ordered closed form.
 
-    One normal-ordered closed form covers coherent, Fock and photon-added
-    kets; displaced-squeezed kets pair with each other at equal squeezing.
-    bras + kets is read as one family: unless all its kets are ladder kets,
-    or all are displaced-squeezed at equal squeezing, and unless every ladder
-    order is at most MAX_ORDER, UnsupportedKet is raised rather than silently
-    falling back to truncation.
+    bras + kets is read as one family: unless all its kets share one squeezing
+    and every ladder order is at most MAX_ORDER, UnsupportedKet is raised
+    rather than silently falling back to truncation.
     """
     bras = list(bras)
     return _family_overlaps(bras + list(kets))[:len(bras), len(bras):]

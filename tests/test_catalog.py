@@ -117,6 +117,7 @@ def test_qubus_mixture_is_valid_state():
 def test_every_family_constructor_runs():
     samples = {
         "two-mode-cat": {"alpha": 0.7, "phi": 1.0},
+        "qubit-qumode": {"c": 0.3, "phi": 0.5, "ket1": SymbolicKet.fock(1)},
         "binary-coherent": {"alpha": 0.9},
         "squeezed-binary-coherent": {"alpha": 0.9, "r": 0.4},
         "damped-binary-coherent": {"alpha": 0.9, "eta": 0.6},
@@ -132,8 +133,6 @@ def test_every_family_constructor_runs():
         "qubus": {"alpha": 1.0, "theta": 0.2, "eta": 0.9},
     }
     for family, (ctor, names) in FAMILIES.items():
-        if ctor is None:
-            continue
         named = ctor(**samples[family])
         assert named.id == family
         assert set(samples[family]) <= set(names)

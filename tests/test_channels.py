@@ -63,6 +63,23 @@ def test_amplitude_damp_against_beamsplitter_oracle():
     assert np.abs(ours - oracle).max() < 1e-8
 
 
+def test_amplitude_damp_takes_coherent_kets_built_as_fock_or_photon_added():
+    # fock(0) is the vacuum and photon_added(0, alpha) is |alpha>: the exact route applies
+    eta, al, n_cut = 0.6, 0.9, 20
+    state = HybridState.pure(2, [(np.sqrt(0.5), 0, SymbolicKet.fock(0)),
+                                 (np.sqrt(0.5), 1, SymbolicKet.photon_added(0, al))])
+    u = beamsplit(np.arccos(np.sqrt(eta)), n_cut=n_cut)
+    dim = n_cut + 1
+    vac = coherent_ket(0, n_cut)
+    psi = (np.kron([1, 0], np.kron(vac, vac))
+           + np.kron([0, 1], np.kron(coherent_ket(al, n_cut), vac))) / np.sqrt(2)
+    psi = np.kron(np.eye(2), u) @ psi
+    full = np.outer(psi, psi.conj()).reshape(2, dim, dim, 2, dim, dim)
+    oracle = np.einsum("aijbkj->aibk", full).reshape(2 * dim, 2 * dim)
+    ours = amplitude_damp(state, eta).to_fock_density(n_cut).matrix
+    assert np.abs(ours - oracle).max() < 1e-8
+
+
 def test_amplitude_damp_general_term_route_matches_special_case():
     # oracle: exact dyad algebra rho'_ij = c_i c_j* <env_j|env_i> |se a_i><se a_j|,
     # summed over the terms of a mixture

@@ -6,7 +6,7 @@ import pytest
 from conftest import normalized_by_overlaps
 from hyqent import MODE, HybridState, SymbolicKet, composite, compression, negativity
 from hyqent.catalog import FAMILIES
-from hyqent.cli import MEASURES, SpecError, main, validate_spec
+from hyqent.cli import MEASURES, SpecError, build_state, main, validate_spec
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -113,7 +113,8 @@ def _shared_level_spec(scale=1.0):
            (0.5, (1, SymbolicKet.fock(1)))]
     normalized = normalized_by_overlaps((2, MODE), raw)
     branches = [{"c": [c.real * scale, c.imag * scale], "m": m,
-                 "ket": {"kind": k.kind, "alpha": k.alpha.real, "n": k.n}}
+                 "ket": {"kind": "fock", "n": k.k} if k.kind == "fock"
+                 else {"kind": "coherent", "alpha": k.alpha.real}}
                 for c, (m, k) in normalized]
     doc = {"family": "hybrid", "params": {"qudit_dim": 2, "terms": [
         {"p": 1.0, "branches": branches}]}}
@@ -127,6 +128,40 @@ def test_inline_hybrid_spec_with_shared_level(tmp_path, capsys):
     assert abs(value - negativity(state.to_fock_density(40))) < 1e-10
     doc, _ = _shared_level_spec(scale=1.01)
     assert main(["measure", write_spec(tmp_path, doc), "--measure", "negativity"]) == 2
+
+
+def _one_branch(ket, m=0, qudit_dim=2):
+    return {"family": "hybrid", "params": {"qudit_dim": qudit_dim, "terms": [
+        {"p": 1.0, "branches": [{"c": 1.0, "m": m, "ket": ket}]}]}}
+
+
+@pytest.mark.parametrize("doc", [
+    _one_branch({"kind": "fock", "n": 2.7, "alpha": 3.0}),
+    _one_branch({"kind": "fock", "n": 2, "alpha": 3.0}),
+    _one_branch({"kind": "fock", "n": 2.7}),
+    _one_branch({"kind": "fock", "n": "2"}),
+    _one_branch({"kind": "coherent", "alpha": 0.5, "k": 4}),
+    _one_branch({"kind": "coherent", "alpha": True}),
+    _one_branch({"kind": "photon_added_coherent", "k": 1.9}),
+    _one_branch({"kind": "displaced_squeezed", "alpha": 0.5, "r": "0.3"}),
+    _one_branch({"kind": "coherent"}, m=0.5),
+    _one_branch({"kind": "coherent"}, m=False),
+    _one_branch({"kind": "coherent"}, qudit_dim=2.5),
+    {"family": "qubit-qumode", "params": {"phi": True}},
+    {"family": "qubit-qumode", "params": {"ket1": {"kind": "coherent", "n": 1}}},
+    {"family": "binary-coherent", "params": {"alpha": 1.0, "phi": "0.5"}}])
+def test_ket_keys_and_values_a_kind_cannot_hold_exit_2(tmp_path, capsys, doc):
+    assert main(["classify", write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ket_specs_take_integral_floats_and_default_missing_keys():
+    def ket(spec):
+        return build_state("hybrid", _one_branch(spec)["params"]).payload.kets()[0]
+    assert ket({"kind": "fock", "n": 2.0}) == SymbolicKet.fock(2)
+    assert ket({"kind": "displaced_squeezed"}) == SymbolicKet.vacuum()
+    assert ket({"kind": "photon_added_coherent", "alpha": [0.5, 0.1]}) == \
+        SymbolicKet.coherent(0.5 + 0.1j)
 
 
 def test_measure_header_reports_module_tolerances(tmp_path, capsys):

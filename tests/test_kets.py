@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hyqent import (MODE, HybridState, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, UnsupportedKet,
                     amplitude_damp, apply_thermal, displace, gram_matrix, overlap, overlaps,
                     squeeze)
-from hyqent import kets
+from hyqent import compression, kets
 from hyqent.kets import ladder_sum
 from hyqent.catalog import jcm_generate, project_to_cat, qubus_state, two_mode_cat
 
@@ -55,6 +56,51 @@ def test_squeezed_coherent_conversion():
     direct = (squeeze(th, r, n_cut) @ displace(al, n_cut))[:, 0]
     converted = SymbolicKet.squeezed_coherent(al, r, th).to_fock(n_cut, tail_tol=1e-7)
     assert np.linalg.norm(direct - converted) < 1e-8
+
+
+def test_displaced_squeezed_conversion():
+    # D(alpha) S(xi) |0> stored as S(xi) |beta>: the one alpha -> beta conversion
+    r, th, al = 0.4, 1.1, 0.8 - 0.5j
+    n_cut = 60
+    direct = (displace(al, n_cut) @ squeeze(th, r, n_cut))[:, 0]
+    converted = SymbolicKet.displaced_squeezed(al, r, th).to_fock(n_cut, tail_tol=1e-7)
+    assert np.linalg.norm(direct - converted) < 1e-8
+
+
+def test_one_descriptor_per_state():
+    # every ket is S(xi) a^dag^k |alpha> / norm, so every constructor of one state agrees
+    assert [f.name for f in dataclasses.fields(SymbolicKet)] == ["k", "alpha", "r", "theta"]
+    vac = SymbolicKet.vacuum()
+    assert SymbolicKet.coherent(0) == vac == SymbolicKet.fock(0) == SymbolicKet.photon_added(0, 0)
+    for a in (0.5, -0.3 + 0.8j):
+        assert SymbolicKet.photon_added(0, a) == SymbolicKet.coherent(a)
+        assert SymbolicKet.displaced_squeezed(a, 0, 1.3) == SymbolicKet.coherent(a)
+        assert SymbolicKet.squeezed_coherent(a, 0, 1.3) == SymbolicKet.coherent(a)
+    # one Gram row per distinct state
+    state = HybridState.pure(2, [(0.6, 0, SymbolicKet.fock(0)), (0.8, 1, vac)])
+    assert state.kets() == [vac]
+    [(_, _, coeffs)] = compression.site_expansions(state)
+    assert coeffs.matrix.shape == (1, 1)
+
+
+@pytest.mark.parametrize("ket, kind", [
+    (SymbolicKet.coherent(0.5), kets.COHERENT), (SymbolicKet.fock(0), kets.COHERENT),
+    (SymbolicKet.fock(2), kets.FOCK), (SymbolicKet.photon_added(1, 0.5), kets.PHOTON_ADDED),
+    (SymbolicKet.displaced_squeezed(0.5, 0.3), kets.DISPLACED_SQUEEZED),
+    (SymbolicKet.squeezed_coherent(0.0, 0.3), kets.DISPLACED_SQUEEZED)])
+def test_kind_is_read_from_the_ladder_form(ket, kind):
+    assert ket.kind == kind
+
+
+def test_unsqueezed_displaced_squeezed_ket_pairs_with_coherent_kets():
+    got = overlap(SymbolicKet.displaced_squeezed(0.5, 0), SymbolicKet.coherent(-0.5))
+    assert abs(got - np.exp(-0.5)) < 1e-15
+
+
+def test_ladder_order_above_cutoff_raises():
+    for ket in (SymbolicKet.photon_added(5, 0.01), SymbolicKet.fock(4)):
+        with pytest.raises(ValueError, match="above cutoff 3"):
+            ket.to_fock(3)
 
 
 def test_hybrid_state_validation():
@@ -231,7 +277,7 @@ def test_gram_matrix_matches_pairwise_and_fock_overlaps(rng, family):
         fock = [i for i, k in enumerate(kets) if k.kind == "fock"]
         for i in fock:
             for j in fock:
-                assert gram[i, j] == float(kets[i].n == kets[j].n)
+                assert gram[i, j] == float(kets[i].k == kets[j].k)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.3, 1.0])

@@ -256,6 +256,15 @@ def test_symbolic_provider_matches_fock_oracles_on_shared_levels():
     assert np.abs(exact.matrix - oracle.matrix).max() < 1e-7
 
 
+def test_symbolic_provider_takes_coherent_kets_built_as_fock_or_photon_added():
+    state = HybridState.pure(2, [(0.6, 0, SymbolicKet.fock(0)),
+                                 (0.8, 1, SymbolicKet.photon_added(0, 0.9))])
+    exact = sv_moment_matrix(SymbolicMomentProvider(state), 2, qudit_dim=2)
+    oracle = sv_moment_matrix(MatrixMomentProvider(state.to_fock_density(40), mode_subsystem=1),
+                              2, qudit_dim=2)
+    assert np.abs(exact.matrix - oracle.matrix).max() < 1e-10
+
+
 def test_symbolic_provider_rejects_other_payloads():
     with pytest.raises(TypeError):
         SymbolicMomentProvider(DensityMatrix.from_ket(np.array([1.0, 0, 0, 0]), (2, 2)))
