@@ -40,9 +40,10 @@ class Inapplicable(ValueError):
 
 
 def _as_real(value, where):
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # finite, and no int beyond the double range
         return float(value)
-    raise SpecError(f"{where}: expected a number, got {value!r}")
+    raise SpecError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _as_int(value, where):
@@ -616,15 +617,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Inapplicable as exc:
+    except (ValueError, TypeError, _IOFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, Inapplicable) else 4 if isinstance(exc, _IOFailure) else 2
 
 
 if __name__ == "__main__":

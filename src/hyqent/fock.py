@@ -84,6 +84,14 @@ def coherent_tail_weight(alpha, n_cut):
     return total if outward else 1.0 - total
 
 
+def require_cutoff(alpha, n_cut, tail_tol=DEFAULT_TAIL_TOL):
+    """Raise CutoffTooSmall when the weight of |alpha> beyond n_cut exceeds tail_tol."""
+    tail = coherent_tail_weight(alpha, n_cut)
+    if tail > tail_tol:
+        raise CutoffTooSmall(f"cutoff {n_cut} leaves tail weight {tail:.3e} > {tail_tol:.1e} "
+                             f"for alpha = {alpha}", suggested=default_cutoff(alpha))
+
+
 def squeeze_cutoff(r, tail_tol=DEFAULT_TAIL_TOL):
     """Cutoff so a squeezed vacuum with parameter r has tail weight below tail_tol.
 
@@ -127,13 +135,7 @@ def coherent_ket(alpha, n_cut=None, tail_tol=DEFAULT_TAIL_TOL):
     alpha = complex(alpha)
     if n_cut is None:
         n_cut = default_cutoff(alpha)
-    tail = coherent_tail_weight(alpha, n_cut)
-    if tail > tail_tol:
-        raise CutoffTooSmall(
-            f"cutoff {n_cut} leaves tail weight {tail:.3e} > {tail_tol:.1e} "
-            f"for alpha = {alpha}",
-            suggested=default_cutoff(alpha),
-        )
+    require_cutoff(alpha, n_cut, tail_tol)
     v = np.zeros(n_cut + 1, dtype=complex)
     v[0] = 1.0
     for n in range(1, n_cut + 1):
@@ -154,12 +156,7 @@ def overlap_coherent(alpha, beta):
 
 def displace(alpha, n_cut, tail_tol=DEFAULT_TAIL_TOL):
     """Displacement unitary D(alpha) = exp(alpha a^dag - conj(alpha) a)."""
-    tail = coherent_tail_weight(alpha, n_cut)
-    if tail > tail_tol:
-        raise CutoffTooSmall(
-            f"cutoff {n_cut} too small for displacement alpha = {alpha}",
-            suggested=default_cutoff(alpha),
-        )
+    require_cutoff(alpha, n_cut, tail_tol)
     from scipy.linalg import expm
 
     a, adag, _ = mode_operators(n_cut)

@@ -71,16 +71,16 @@ class SymbolicKet:
 
     @classmethod
     def displaced_squeezed(cls, alpha, r, theta=0.0):
-        """D(alpha) S(xi) |0> = S(xi) |beta>, beta = alpha cosh r + conj(alpha) e^{i theta} sinh r.
-
-        Yuen, PRA 13, 2226 (1976); at r = 0 it is the coherent ket |alpha>.
-        """
-        alpha = complex(alpha)
-        beta = alpha * np.cosh(r) + np.conj(alpha) * np.exp(1j * theta) * np.sinh(r)
-        return cls.squeezed_coherent(beta, r, theta)
+        """D(alpha) S(xi) |0> = S(xi) |beta>; at r = 0 it is the coherent ket |alpha>."""
+        return cls.squeezed_coherent(_through_squeezer(complex(alpha), r, theta), r, theta)
 
     def to_fock(self, n_cut, tail_tol=1e-8):
-        """Numerical truncated-Fock realization: a^dag applied k times to |alpha>, then S(xi)."""
+        """Numerical truncated-Fock realization: a^dag applied k times to |alpha>, then S(xi).
+
+        Raises CutoffTooSmall unless n_cut holds |alpha> and, for r != 0, |<a>> of the mean <a>.
+        """
+        if self.r:  # the D(<a>) S(xi)|0> form of the ket
+            fock.require_cutoff(_through_squeezer(self.alpha, -self.r, self.theta), n_cut, tail_tol)
         if self.k > n_cut:
             raise ValueError(f"ladder order {self.k} above cutoff {n_cut}")
         v = fock.coherent_ket(self.alpha, n_cut, tail_tol=tail_tol)
@@ -92,6 +92,14 @@ class SymbolicKet:
         if self.r:
             v = fock.squeeze(self.theta, self.r, n_cut, tail_tol=tail_tol) @ v
         return v
+
+
+def _through_squeezer(alpha, r, theta):
+    """beta = alpha cosh r + conj(alpha) e^{i theta} sinh r, so D(alpha) S(xi) = S(xi) D(beta).
+
+    Yuen, PRA 13, 2226 (1976).  At -r it returns the mean amplitude <a> of S(xi)|alpha>.
+    """
+    return alpha * np.cosh(r) + np.conj(alpha) * np.exp(1j * theta) * np.sinh(r)
 
 
 @lru_cache(maxsize=8)

@@ -149,7 +149,9 @@ def _one_branch(ket, m=0, qudit_dim=2):
     _one_branch({"kind": "coherent"}, qudit_dim=2.5),
     {"family": "qubit-qumode", "params": {"phi": True}},
     {"family": "qubit-qumode", "params": {"ket1": {"kind": "coherent", "n": 1}}},
-    {"family": "binary-coherent", "params": {"alpha": 1.0, "phi": "0.5"}}])
+    {"family": "binary-coherent", "params": {"alpha": 1.0, "phi": "0.5"}},
+    {"family": "binary-coherent", "params": {"alpha": 10 ** 400}},
+    _one_branch({"kind": "coherent", "alpha": [0.5, float("inf")]})])
 def test_ket_keys_and_values_a_kind_cannot_hold_exit_2(tmp_path, capsys, doc):
     assert main(["classify", write_spec(tmp_path, doc)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import normalized_by_overlaps, pairwise_term_norm
-from hyqent import (MODE, HybridState, SymbolicKet, SymbolicMomentProvider,
+from hyqent import (MODE, CutoffTooSmall, HybridState, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, UnsupportedKet,
                     amplitude_damp, apply_thermal, displace, gram_matrix, overlap, overlaps,
                     squeeze)
@@ -101,6 +101,19 @@ def test_ladder_order_above_cutoff_raises():
     for ket in (SymbolicKet.photon_added(5, 0.01), SymbolicKet.fock(4)):
         with pytest.raises(ValueError, match="above cutoff 3"):
             ket.to_fock(3)
+
+
+def test_squeezed_ket_cutoff_holds_its_mean_amplitude():
+    # S(0.5 e^{i pi})|2> has <a> = 2 e^{0.5} ~ 3.30: |<a>> leaves tail weight ~3e-5
+    # beyond 26, while |2> and the squeezed vacuum fit below 1e-8
+    mean = 2 * np.exp(0.5)
+    for ket in (SymbolicKet.squeezed_coherent(2, 0.5, np.pi),
+                SymbolicKet.displaced_squeezed(mean, 0.5, np.pi)):
+        with pytest.raises(CutoffTooSmall):
+            ket.to_fock(26)
+        v = ket.to_fock(60)
+        assert abs(np.vdot(v, v) - 1) < 1e-10
+        assert abs(np.vdot(v, np.diag(np.sqrt(np.arange(1, 61)), 1) @ v) - mean) < 1e-6
 
 
 def test_hybrid_state_validation():
