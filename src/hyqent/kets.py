@@ -88,7 +88,7 @@ class SymbolicKet:
             _, adag, _ = fock.mode_operators(n_cut)
             for _ in range(self.k):
                 v = adag @ v
-            v = v / np.linalg.norm(v)
+            v = (v.view(float) / np.linalg.norm(v)).view(complex)  # true division, part by part
         if self.r:
             v = fock.squeeze(self.theta, self.r, n_cut, tail_tol=tail_tol) @ v
         return v

@@ -6,6 +6,7 @@ minor is nonnegative.  Mode a is always the CV subsystem, mode b the qudit.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,20 +88,29 @@ def sv_moment_matrix(provider, max_total_degree, qudit_dim=None):
     <a^dag^p a^q a^dag^r a^s  b^dag^t b^u b^dag^v b^w> of the *original*
     state for a-words (p, q, r, s) and b-words (t, u, v, w).  It is called
     once, with the (n, n, 4) words of the whole matrix; the b-power swap that
-    implements the partial transposition happens here.  A provider
-    inconsistent with Hermiticity beyond MOMENT_HERM_TOL is rejected.
+    implements the partial transposition happens here.  The word arrays are
+    read-only and shared by every call with the same degree and qudit_dim.
+    A provider inconsistent with Hermiticity beyond MOMENT_HERM_TOL is rejected.
     """
-    idx = sv_multi_indices(max_total_degree, qudit_dim)
-    rows, cols = np.broadcast_arrays(np.array(idx)[:, None], np.array(idx)[None, :])
-    a_words = np.concatenate([rows[..., [1, 0]], cols[..., [0, 1]]], axis=-1)
-    b_words = np.concatenate([cols[..., [3, 2]], rows[..., [2, 3]]], axis=-1)
+    idx, a_words, b_words = _matrix_words(max_total_degree, qudit_dim)
     m = np.asarray(provider(a_words, b_words), dtype=complex)
     if np.abs(m - m.conj().T).max() > MOMENT_HERM_TOL:
         raise InconsistentMoments("moment provider is not Hermitian-consistent")
     if abs(m[0, 0] - 1.0) > MOMENT_HERM_TOL:
         raise InconsistentMoments(f"normalization moment is {m[0, 0]}, expected 1")
     m = (m + m.conj().T) / 2.0
-    return MomentMatrix(m, tuple(idx))
+    return MomentMatrix(m, idx)
+
+
+@lru_cache(maxsize=16)
+def _matrix_words(max_total_degree, qudit_dim):
+    """Index tuple and read-only (n, n, 4) a- and b-words of sv_moment_matrix."""
+    idx = sv_multi_indices(max_total_degree, qudit_dim)
+    rows, cols = np.broadcast_arrays(np.array(idx)[:, None], np.array(idx)[None, :])
+    a_words = np.concatenate([rows[..., [1, 0]], cols[..., [0, 1]]], axis=-1)
+    b_words = np.concatenate([cols[..., [3, 2]], rows[..., [2, 3]]], axis=-1)
+    a_words.flags.writeable = b_words.flags.writeable = False
+    return tuple(idx), a_words, b_words
 
 
 def principal_minor(mm, rows):
@@ -129,20 +139,38 @@ def s2_minor(mm):
 # moment providers
 
 
-def _ladder_words(lo, hi, words):
+def _by_words(fn):
+    """fn(*ints, words) cached by the ints and the words' shape and bytes; results read-only."""
+    @lru_cache(maxsize=32)
+    def cached(*key):
+        *ints, shape, data = key
+        out = fn(*ints, np.frombuffer(data, dtype=np.int64).reshape(shape))
+        for x in out:
+            x.flags.writeable = False
+        return out
+    return lambda *args: cached(*args[:-1], np.shape(args[-1]),
+                                np.asarray(args[-1], dtype=np.int64).tobytes())
+
+
+def _ladder_words(dim, words):
     """Stacked hi^p lo^q hi^r lo^s over the distinct rows (p, q, r, s) of words.
 
-    words has shape (..., 4); returns the stack and, over the leading shape,
-    each row's index into it.
+    lo, hi are the ladder operators on dim levels; words has shape (..., 4).
+    Returns the stack and, over the leading shape, each row's index into it.
+    _qudit_words caches both for qudit dimensions; at a Fock cutoff dim the
+    stack would hold megabytes per cutoff, so it is built on every call.
     """
-    words = np.asarray(words)
-    distinct, index = np.unique(words.reshape(-1, 4), axis=0, return_inverse=True)
+    distinct, index = np.unique(np.reshape(words, (-1, 4)), axis=0, return_inverse=True)
+    lo, hi = qudit_mode_operators(dim)
     lo_pow, hi_pow = ([np.linalg.matrix_power(x, n) for n in range(distinct.max() + 1)]
                       for x in (lo, hi))
     stack = np.empty((len(distinct),) + lo.shape, dtype=lo.dtype)
     for i, (p, q, r, s) in enumerate(distinct):
         stack[i] = hi_pow[p] @ lo_pow[q] @ hi_pow[r] @ lo_pow[s]
-    return stack, index.reshape(words.shape[:-1])
+    return stack, index.reshape(np.shape(words)[:-1])
+
+
+_qudit_words = _by_words(_ladder_words)
 
 
 class MatrixMomentProvider:
@@ -154,6 +182,7 @@ class MatrixMomentProvider:
     with the qudit padded by zeros into it.  rho is held as a (mode, qudit,
     mode', qudit') tensor; a call contracts it once with each distinct
     a-word and then traces every entry's qudit operator against its b-word.
+    Qudit word stacks are cached; mode ones, sized by the cutoff, are not.
     """
 
     def __init__(self, rho, mode_subsystem=1, qudit_mode="adapted"):
@@ -168,13 +197,11 @@ class MatrixMomentProvider:
         if qudit_mode not in ("adapted", "embedded"):
             raise ValueError("qudit_mode must be 'adapted' or 'embedded'")
         pad = EMBED_PAD if qudit_mode == "embedded" else 0
-        t = np.pad(t, [(0, 0), (0, pad), (0, 0), (0, pad)])
-        self._ladders = mode_operators(t.shape[0] - 1)[:2], qudit_mode_operators(t.shape[1])
-        self._rho = t
+        self._rho = np.pad(t, [(0, 0), (0, pad), (0, 0), (0, pad)])
 
     def __call__(self, a_words, b_words):
-        wa, ia = _ladder_words(*self._ladders[0], a_words)
-        wb, ib = _ladder_words(*self._ladders[1], b_words)
+        wa, ia = _ladder_words(self._rho.shape[0], a_words)
+        wb, ib = _qudit_words(self._rho.shape[1], b_words)
         # reduced[k, q, q'] = sum_{m, m'} rho[m, q, m', q'] wa_k[m', m]
         reduced = np.tensordot(wa, self._rho, axes=([1, 2], [2, 0]))
         return np.einsum("...qp,...pq->...", reduced[ia], wb[ib])
@@ -205,19 +232,25 @@ class SymbolicMomentProvider:
         self._params = state.params
 
     def __call__(self, a_words, b_words):
-        wb, ib = _ladder_words(*qudit_mode_operators(self.qudit_dim), b_words)
+        wb, ib = _qudit_words(self.qudit_dim, b_words)
         # weight * tr[|m><m'| wb] per word and dyad
         qudit = wb[:, self._mp, self._m][ib] * self._weights
-        # each power gets a trailing axis for the reordering index t
-        p, q, r, s = np.moveaxis(np.asarray(a_words), -1, 0)[..., None]
-        # a^dag^p a^q a^dag^r a^s = sum_t t! C(q,t) C(r,t) a^dag^(p+r-t) a^(q+s-t)
-        t = np.arange(np.minimum(q, r).max() + 1)
-        k, l = np.maximum(p + r - t, 0), np.maximum(q + s - t, 0)
+        weights, k, l, n = _normal_order(a_words)
         # every dyad's moment for every normal-ordered power pair up to the largest
-        n = np.arange(max(k.max(), l.max()) + 1)
         mode = thermal_dyad_moments(self._alpha, self._beta, self._params,
                                     (n[:, None, None], n[None, :, None]))
-        return np.einsum("...t,...td,...d->...", pairing_weights(q, r, t), mode[k, l], qudit)
+        return np.einsum("...t,...td,...d->...", weights, mode[k, l], qudit)
+
+
+@_by_words
+def _normal_order(a_words):
+    """Pairing weights, normal-ordered powers k, l and power range n of a-words."""
+    # each power gets a trailing axis for the reordering index t
+    p, q, r, s = np.moveaxis(a_words, -1, 0)[..., None]
+    # a^dag^p a^q a^dag^r a^s = sum_t t! C(q,t) C(r,t) a^dag^(p+r-t) a^(q+s-t)
+    t = np.arange(np.minimum(q, r).max() + 1)
+    k, l = np.maximum(p + r - t, 0), np.maximum(q + s - t, 0)
+    return pairing_weights(q, r, t), k, l, np.arange(max(k.max(), l.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +366,8 @@ def geometric_mixture_s1(x, alpha):
 
 
 def swap_operator(d):
-    v = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            v[i * d + j, j * d + i] = 1.0
-    return v
+    """V with V |i>|j> = |j>|i> on two d-level factors."""
+    return np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, -1)
 
 
 def swap_witness(rho):

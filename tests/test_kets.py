@@ -103,6 +103,12 @@ def test_ladder_order_above_cutoff_raises():
             ket.to_fock(3)
 
 
+def test_fock_ket_to_fock_is_exactly_the_basis_vector():
+    # a^dag^n |0> renormalized: dividing by the norm must leave exactly 1, not 1 - 1 ulp
+    for n in range(60):
+        assert np.array_equal(SymbolicKet.fock(n).to_fock(60), np.eye(61)[n]), n
+
+
 def test_squeezed_ket_cutoff_holds_its_mean_amplitude():
     # S(0.5 e^{i pi})|2> has <a> = 2 e^{0.5} ~ 3.30: |<a>> leaves tail weight ~3e-5
     # beyond 26, while |2> and the squeezed vacuum fit below 1e-8

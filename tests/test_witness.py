@@ -282,6 +282,64 @@ def test_matrix_provider_is_freed_after_use():
     assert ref() is None
 
 
+def test_symbolic_provider_is_freed_after_use():
+    prov = SymbolicMomentProvider(binary_coherent(0.7).payload)
+    sv_moment_matrix(prov, 2, qudit_dim=2)
+    ref = weakref.ref(prov)
+    del prov
+    gc.collect()
+    assert ref() is None
+
+
+def _product_moment(rho_a, rho_b, a_word, b_word):
+    """tr[rho_a a^dag^p a^q a^dag^r a^s] tr[rho_b ...] from explicit matrix powers."""
+    mp, out = np.linalg.matrix_power, 1.0
+    for rho, (p, q, r, s) in ((rho_a, a_word), (rho_b, b_word)):
+        lo, hi = qudit_mode_operators(len(rho))
+        out = out * np.trace(rho @ (mp(hi, p) @ mp(lo, q) @ mp(hi, r) @ mp(lo, s)))
+    return out
+
+
+def test_moment_matrix_matches_inline_reference_in_mixed_order():
+    from conftest import random_density
+
+    rng = np.random.default_rng(14)
+    rho_a = random_density(rng, 5)
+
+    def provider(aw, bw):
+        return np.array([[_product_moment(rho_a, rho_b, a, b) for a, b in zip(ra, rb)]
+                         for ra, rb in zip(aw, bw)])
+
+    # degree and qudit_dim alternate so later calls read tables built by earlier ones
+    cases = [(2, 2), (3, 3), (2, None), (3, 2), (2, 3), (3, None)] * 2
+    for deg, d in cases:
+        rho_b = random_density(rng, d or 4)
+        idx = sv_multi_indices(deg, d)
+        ref = np.array([[_product_moment(rho_a, rho_b, (u[1], u[0], v[0], v[1]),
+                                         (v[3], v[2], u[2], u[3])) for v in idx] for u in idx])
+        ref = (ref + ref.conj().T) / 2.0
+        mm = sv_moment_matrix(provider, deg, qudit_dim=d)
+        assert mm.index_map == tuple(idx)
+        assert np.array_equal(mm.matrix, ref)
+
+
+def test_lambda_provider_gets_shared_read_only_integer_words():
+    received = []
+    vacuum = lambda aw, bw: (received.append((aw, bw))
+                             or np.where(aw.sum(-1) + bw.sum(-1) == 0, 1.0, 0.0))
+    sizes = (13, 15, 13)
+    for d in (2, 3, 2):
+        sv_moment_matrix(vacuum, 2, qudit_dim=d)
+    for n, (aw, bw) in zip(sizes, received):
+        assert aw.shape == bw.shape == (n, n, 4) and aw.dtype.kind == bw.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            aw[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            bw[0, 0, 0] = 1
+    # a repeated degree and qudit_dim hands over the same arrays
+    assert received[2][0] is received[0][0] and received[2][1] is received[0][1]
+
+
 def test_geometric_mixture_s1_series_and_bound():
     s1, bound = geometric_mixture_s1(0.1, 0.3)
     assert bound < 0.0 and s1 < 0.0
