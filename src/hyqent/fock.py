@@ -4,6 +4,7 @@ Dimensionless quadratures with [x, p] = i throughout; a photon-number cutoff
 ``n_cut`` means the space is spanned by |0>, ..., |n_cut|.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -84,33 +85,26 @@ def coherent_tail_weight(alpha, n_cut):
     return total if outward else 1.0 - total
 
 
-def require_cutoff(alpha, n_cut, tail_tol=DEFAULT_TAIL_TOL):
-    """Raise CutoffTooSmall when the weight of |alpha> beyond n_cut exceeds tail_tol."""
-    tail = coherent_tail_weight(alpha, n_cut)
-    if tail > tail_tol:
-        raise CutoffTooSmall(f"cutoff {n_cut} leaves tail weight {tail:.3e} > {tail_tol:.1e} "
-                             f"for alpha = {alpha}", suggested=default_cutoff(alpha))
+def require_cutoff(alpha, n_cut, tail_tol=DEFAULT_TAIL_TOL, r=0.0, theta=0.0):
+    """Raise CutoffTooSmall unless n_cut holds S(xi)|alpha> to tail_tol, xi = r e^{i theta}.
 
-
-def squeeze_cutoff(r, tail_tol=DEFAULT_TAIL_TOL):
-    """Cutoff so a squeezed vacuum with parameter r has tail weight below tail_tol.
-
-    The squeezed vacuum populates even Fock levels with weights
-    w_k = (2k)!/(2^k k!)^2 tanh^2k(r) / cosh(r).
+    Checked are the weights beyond n_cut of |alpha> and, for r != 0, of the coherent ket of
+    the mean amplitude <a> and of the squeezed vacuum S(xi)|0>, the last from its exact
+    amplitudes; it is below tanh^(n_cut+1) r cosh r, which gives its suggested cutoff.
     """
-    if r == 0.0:
-        return 2
-    t2 = np.tanh(abs(r)) ** 2
-    w = 1.0 / np.cosh(abs(r))
-    total = w
-    k = 0
-    while 1.0 - total > tail_tol:
-        w *= (2 * k + 1) / (2 * k + 2) * t2
-        k += 1
-        total += w
-        if k > 100000:
-            raise CutoffTooSmall("squeezing tail does not converge", suggested=None)
-    return 2 * k + 2
+    for amp in (alpha, _through_squeezer(alpha, -r, theta)) if r else (alpha,):
+        tail = coherent_tail_weight(amp, n_cut)
+        if tail > tail_tol:
+            raise CutoffTooSmall(f"cutoff {n_cut} leaves tail weight {tail:.3e} > {tail_tol:.1e} "
+                                 f"for alpha = {amp}", suggested=default_cutoff(amp))
+    if r:
+        vacuum = squeezed_amplitudes(0.0, r, theta, n_cut + 1)
+        tail = 1.0 - float(np.vdot(vacuum, vacuum).real)
+        if tail > tail_tol:
+            t = math.tanh(abs(r))
+            needed = math.ceil(math.log(tail_tol / math.cosh(r)) / math.log(t)) if t < 1 else None
+            raise CutoffTooSmall(f"cutoff {n_cut} leaves tail weight {tail:.3e} > {tail_tol:.1e} "
+                                 f"for squeezing r = {r}", suggested=needed)
 
 
 def mode_operators(n_cut):
@@ -128,7 +122,8 @@ def mode_operators(n_cut):
 
 
 def coherent_ket(alpha, n_cut=None, tail_tol=DEFAULT_TAIL_TOL):
-    """Truncated Glauber expansion e^{-|a|^2/2} sum_n a^n/sqrt(n!) |n>.
+    """Truncated Glauber expansion e^{-|a|^2/2} sum_n a^n/sqrt(n!) |n>, the r = 0 case of
+    squeezed_amplitudes.
 
     Raises CutoffTooSmall when the neglected Poisson tail exceeds tail_tol.
     """
@@ -136,11 +131,37 @@ def coherent_ket(alpha, n_cut=None, tail_tol=DEFAULT_TAIL_TOL):
     if n_cut is None:
         n_cut = default_cutoff(alpha)
     require_cutoff(alpha, n_cut, tail_tol)
-    v = np.zeros(n_cut + 1, dtype=complex)
-    v[0] = 1.0
-    for n in range(1, n_cut + 1):
-        v[n] = v[n - 1] * alpha / np.sqrt(n)
-    return v * np.exp(-abs(alpha) ** 2 / 2.0)
+    return squeezed_amplitudes(alpha, 0.0, 0.0, n_cut + 1)
+
+
+def squeezed_amplitudes(alpha, r, theta, size):
+    """Exact amplitudes <n|S(xi)|alpha> for n < size, xi = r e^{i theta}.
+
+    S(xi)|alpha> is the eigenket of S a S^dag = cosh r a + e^{i theta} sinh r a^dag with
+    eigenvalue alpha (Yuen, PRA 13, 2226 (1976)), so its amplitudes obey the recursion
+    sqrt(n+1) cosh r psi_{n+1} = alpha psi_n - sqrt(n) e^{i theta} sinh r psi_{n-1}, run
+    from 1 and scaled by the closed form psi_0 = exp(-|alpha|^2/2 + e^{-i theta} tanh r
+    alpha^2/2) / sqrt(cosh r).  At r = 0 it is the Glauber expansion.
+    """
+    alpha = complex(alpha)
+    c, s = math.cosh(r), cmath.exp(1j * theta) * math.sinh(r)
+    prev, amp = 0j, 1 + 0j
+    amps = [amp]
+    for n in range(1, size):
+        prev, amp = amp, (alpha * amp - math.sqrt(n - 1) * s * prev) * (1 / (c * math.sqrt(n)))
+        amps.append(amp)
+    lift = cmath.exp(-1j * theta) * math.tanh(r) * alpha * alpha / 2
+    # np.exp, not math.exp (they can differ by an ulp): coherent_ket's bits are np.exp's
+    psi_0 = np.exp(lift.real - abs(alpha) ** 2 / 2) * cmath.exp(1j * lift.imag) / math.sqrt(c)
+    return np.array(amps) * psi_0
+
+
+def _through_squeezer(alpha, r, theta):
+    """beta = alpha cosh r + conj(alpha) e^{i theta} sinh r, so D(alpha) S(xi) = S(xi) D(beta).
+
+    Yuen, PRA 13, 2226 (1976).  At -r it returns the mean amplitude <a> of S(xi)|alpha>.
+    """
+    return alpha * np.cosh(r) + np.conj(alpha) * np.exp(1j * theta) * np.sinh(r)
 
 
 def overlap_coherent(alpha, beta):
@@ -170,11 +191,7 @@ def phase_shifter(phi, n_cut):
 
 def squeeze(theta, r, n_cut, tail_tol=DEFAULT_TAIL_TOL):
     """Squeezing unitary S(theta, r) = exp(r/2 (e^{-i theta} a^2 - e^{i theta} a^dag^2))."""
-    needed = squeeze_cutoff(r, tail_tol)
-    if n_cut < needed:
-        raise CutoffTooSmall(
-            f"cutoff {n_cut} too small for squeezing r = {r}", suggested=needed
-        )
+    require_cutoff(0.0, n_cut, tail_tol, r, theta)
     from scipy.linalg import expm
 
     a, adag, _ = mode_operators(n_cut)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fock
 from .composite import DensityMatrix
-from .errors import UnsupportedKet
+from .errors import CutoffTooSmall, UnsupportedKet
 
 COHERENT = "coherent"
 FOCK = "fock"
@@ -59,8 +59,8 @@ class SymbolicKet:
 
     @classmethod
     def photon_added(cls, k, alpha):
-        if k < 0:
-            raise ValueError("ladder order k must be >= 0")
+        if k < 0 or k != int(k):
+            raise ValueError(f"ladder order k must be an integer >= 0, got {k!r}")
         return cls(int(k), complex(alpha))
 
     @classmethod
@@ -72,34 +72,33 @@ class SymbolicKet:
     @classmethod
     def displaced_squeezed(cls, alpha, r, theta=0.0):
         """D(alpha) S(xi) |0> = S(xi) |beta>; at r = 0 it is the coherent ket |alpha>."""
-        return cls.squeezed_coherent(_through_squeezer(complex(alpha), r, theta), r, theta)
+        return cls.squeezed_coherent(fock._through_squeezer(complex(alpha), r, theta), r, theta)
 
     def to_fock(self, n_cut, tail_tol=1e-8):
-        """Numerical truncated-Fock realization: a^dag applied k times to |alpha>, then S(xi).
+        """Truncated-Fock realization on levels 0..n_cut, as a unit vector.
 
-        Raises CutoffTooSmall unless n_cut holds |alpha> and, for r != 0, |<a>> of the mean <a>.
+        The exact amplitudes of S(xi)|alpha> on n_cut + k + 1 levels, raised k times by
+        S a^dag S^dag = cosh r a^dag + e^{-i theta} sinh r a, each step losing the top
+        level.  Raises CutoffTooSmall unless n_cut holds |alpha> and, for r != 0, |<a>>
+        and S(xi)|0>, and for k > 0 unless the exact weight lost beyond n_cut is at most
+        tail_tol.
         """
-        if self.r:  # the D(<a>) S(xi)|0> form of the ket
-            fock.require_cutoff(_through_squeezer(self.alpha, -self.r, self.theta), n_cut, tail_tol)
-        if self.k > n_cut:
-            raise ValueError(f"ladder order {self.k} above cutoff {n_cut}")
-        v = fock.coherent_ket(self.alpha, n_cut, tail_tol=tail_tol)
+        fock.require_cutoff(self.alpha, n_cut, tail_tol, self.r, self.theta)
+        v = fock.squeezed_amplitudes(self.alpha, self.r, self.theta, n_cut + self.k + 1)
+        root = np.sqrt(np.arange(1, v.size))
+        up, down = np.cosh(self.r), np.exp(-1j * self.theta) * np.sinh(self.r)
+        for _ in range(self.k):
+            raised = down * root[:v.size - 1] * v[1:]
+            raised[1:] += up * root[:v.size - 2] * v[:-2]
+            v = raised
         if self.k:
-            _, adag, _ = fock.mode_operators(n_cut)
-            for _ in range(self.k):
-                v = adag @ v
-            v = (v.view(float) / np.linalg.norm(v)).view(complex)  # true division, part by part
-        if self.r:
-            v = fock.squeeze(self.theta, self.r, n_cut, tail_tol=tail_tol) @ v
-        return v
-
-
-def _through_squeezer(alpha, r, theta):
-    """beta = alpha cosh r + conj(alpha) e^{i theta} sinh r, so D(alpha) S(xi) = S(xi) D(beta).
-
-    Yuen, PRA 13, 2226 (1976).  At -r it returns the mean amplitude <a> of S(xi)|alpha>.
-    """
-    return alpha * np.cosh(r) + np.conj(alpha) * np.exp(1j * theta) * np.sinh(r)
+            lost = 1.0 - np.vdot(v, v).real / ladder_sum(self.k, self.k, np.conj(self.alpha),
+                                                           self.alpha).real
+            if not lost <= tail_tol:
+                raise CutoffTooSmall(f"{self!r} loses weight {lost:.3e} > {tail_tol:.1e} above "
+                                     f"cutoff {n_cut}",
+                                     suggested=fock.default_cutoff(abs(self.alpha) + self.k**0.5))
+        return (v.view(float) / np.linalg.norm(v)).view(complex)  # true division, part by part
 
 
 @lru_cache(maxsize=8)
@@ -225,12 +224,12 @@ class Term(NamedTuple):
 
 
 def _site_values(sites, values):
-    values = tuple(v if s == MODE else int(v) for s, v in zip(sites, values))
-    if len(values) != len(sites) or not all(
-            isinstance(v, SymbolicKet) if s == MODE else 0 <= v < s for s, v in zip(sites, values)):
+    values = tuple(values)  # a level is in range(s) only if integral: 1.0 is, 1.7 is not
+    if len(values) != len(sites) or not all(isinstance(v, SymbolicKet) if s == MODE
+                                            else v in range(s) for s, v in zip(sites, values)):
         raise ValueError(f"branch values {values} do not fit sites {sites}: one SymbolicKet "
                          f"per mode site and one in-range level per qudit site")
-    return values
+    return tuple(v if s == MODE else int(v) for s, v in zip(sites, values))
 
 
 def term_norm(sites, branches):
@@ -277,6 +276,8 @@ class HybridState:
         if not isinstance(sites, (tuple, list)):
             sites = (sites, MODE)
             terms = [(p, [(c, (m, ket)) for c, m, ket in branches]) for p, branches in terms]
+        if any(s != MODE and s != int(s) for s in sites):
+            raise ValueError(f"qudit dimensions must be integers, got sites {sites}")
         sites = tuple(s if s == MODE else int(s) for s in sites)
         norm_terms = []
         total_p = 0.0
@@ -341,15 +342,11 @@ class HybridState:
     def to_fock_density(self, n_cut, tail_tol=1e-8):
         """Truncated-Fock qudit x mode density matrix (cross-check path)."""
         d = self.qudit_dim
-        dim = d * (n_cut + 1)
-        rho = np.zeros((dim, dim), dtype=complex)
+        rho = 0
         for p, branches in self.terms:
-            v = np.zeros(dim, dtype=complex)
-            for b in branches:
-                e = np.zeros(d, dtype=complex)
-                e[b.m] = 1.0
-                v += b.c * np.kron(e, b.ket.to_fock(n_cut, tail_tol=tail_tol))
-            rho += p * np.outer(v, v.conj())
+            v = sum(b.c * np.kron(np.eye(d)[b.m], b.ket.to_fock(n_cut, tail_tol=tail_tol))
+                    for b in branches)
+            rho = rho + p * np.outer(v, v.conj())
         return DensityMatrix(rho, (d, n_cut + 1), trace_tol=1e-6)
 
     def __repr__(self):

@@ -94,7 +94,7 @@ def majorizes(a, b):
 
 
 def concurrence(rho):
-    """Wootters concurrence of a two-qubit density matrix.
+    """Wootters concurrence of a two-qubit DensityMatrix.
 
     max(0, sqrt(xi1) - sqrt(xi2) - sqrt(xi3) - sqrt(xi4)) with xi the
     eigenvalues of rho (sy x sy) rho* (sy x sy) in decreasing order.  Directly
@@ -108,17 +108,11 @@ def concurrence(rho):
     product state by construction (total loss compresses to one), so its
     concurrence is exactly 0.
     """
-    if isinstance(rho, DensityMatrix):
-        if rho.dims in ((2, 1), (1, 2)):
-            return 0.0
-        if rho.dims != (2, 2):
-            raise ValueError(f"concurrence needs dims (2, 2), got {rho.dims}")
-        m = rho.matrix
-    else:
-        m = np.asarray(rho, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("concurrence needs a 4x4 matrix")
-    w, v = np.linalg.eigh(m)
+    if rho.dims in ((2, 1), (1, 2)):
+        return 0.0
+    if rho.dims != (2, 2):
+        raise ValueError(f"concurrence needs dims (2, 2), got {rho.dims}")
+    w, v = np.linalg.eigh(rho.matrix)
     left = v * np.sqrt(np.clip(w, 0.0, None))
     roots = np.linalg.svd(left.conj().T @ _YY @ left.conj(), compute_uv=False)
     # roots below ~sqrt(machine eps) of the leading one are rank-deficiency

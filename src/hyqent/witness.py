@@ -12,7 +12,6 @@ import numpy as np
 
 from .channels import (ThermalChannelParams, ThermalHybridState, require_coherent,
                        thermal_dyad_moments)
-from .composite import DensityMatrix
 from .errors import InconsistentMoments, NumericInconsistency
 from .fock import mode_operators
 from .kets import HybridState, pairing_weights
@@ -371,18 +370,10 @@ def swap_operator(d):
 
 
 def swap_witness(rho):
-    """tr[V rho] with the swap V; nonnegative on every separable d x d state."""
-    if isinstance(rho, DensityMatrix):
-        if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-            raise ValueError("swap witness needs equal subsystem dimensions")
-        m = rho.matrix
-        d = rho.dims[0]
-    else:
-        m = np.asarray(rho, dtype=complex)
-        d = int(round(np.sqrt(m.shape[0])))
-        if d * d != m.shape[0]:
-            raise ValueError("swap witness needs equal subsystem dimensions")
-    return float(np.einsum("ij,ji->", swap_operator(d), m).real)
+    """tr[V rho] with the swap V on a d x d DensityMatrix; nonnegative on every separable state."""
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
+        raise ValueError("swap witness needs equal subsystem dimensions")
+    return float(np.einsum("ij,ji->", swap_operator(rho.dims[0]), rho.matrix).real)
 
 
 @dataclass(frozen=True)

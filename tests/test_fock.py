@@ -90,11 +90,41 @@ def test_coherent_tail_weight_matches_incomplete_gamma():
 def test_import_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, hyqent; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, hyqent\n"
+            "hyqent.SymbolicKet.squeezed_coherent(1.0, 0.5, 3.1).to_fock(40)\n"
+            "hyqent.SymbolicKet.photon_added(3, 0.7).to_fock(40)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_coherent_ket_is_the_glauber_loop_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        alpha = complex(*rng.normal(size=2)) * rng.choice([1e-3, 0.5, 2.0, 5.0])
+        n_cut = max(int(rng.integers(1, 100)), default_cutoff(alpha))
+        loop = np.zeros(n_cut + 1, dtype=complex)
+        loop[0] = 1.0
+        for n in range(1, n_cut + 1):
+            loop[n] = loop[n - 1] * alpha / np.sqrt(n)
+        assert np.array_equal(coherent_ket(alpha, n_cut), loop * np.exp(-abs(alpha) ** 2 / 2.0))
+
+
+def test_squeeze_guard_raises_exactly_when_the_squeezed_vacuum_tail_exceeds_tail_tol():
+    # S(xi)|0> holds the even levels 2j with weights C(2j, j) (tanh r / 2)^(2j) / cosh r
+    tol = 1e-8
+    for r in (0.3, 0.8):
+        weights = [math.comb(2 * j, j) * (math.tanh(r) / 2) ** (2 * j) / math.cosh(r)
+                   for j in range(200)]
+        for n_cut in range(4, 60):
+            tail = math.fsum(weights[n_cut // 2 + 1:])
+            if tail > tol:
+                with pytest.raises(CutoffTooSmall):
+                    squeeze(0.0, r, n_cut, tail_tol=tol)
+            else:
+                squeeze(0.0, r, n_cut, tail_tol=tol)
 
 
 def test_coherent_cutoff_too_small():

@@ -7,8 +7,8 @@ import pytest
 from conftest import normalized_by_overlaps, pairwise_term_norm
 from hyqent import (MODE, CutoffTooSmall, HybridState, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, UnsupportedKet,
-                    amplitude_damp, apply_thermal, displace, gram_matrix, overlap, overlaps,
-                    squeeze)
+                    amplitude_damp, apply_thermal, coherent_ket, displace, gram_matrix, overlap,
+                    overlaps, squeeze)
 from hyqent import compression, kets
 from hyqent.kets import ladder_sum
 from hyqent.catalog import jcm_generate, project_to_cat, qubus_state, two_mode_cat
@@ -101,6 +101,37 @@ def test_ladder_order_above_cutoff_raises():
     for ket in (SymbolicKet.photon_added(5, 0.01), SymbolicKet.fock(4)):
         with pytest.raises(ValueError, match="above cutoff 3"):
             ket.to_fock(3)
+
+
+def test_photon_added_ket_with_most_weight_above_the_cutoff_raises():
+    # a^dag^10 |1> keeps only 7 % of its weight on levels 0..11
+    with pytest.raises(CutoffTooSmall, match="above cutoff 11"):
+        SymbolicKet.photon_added(10, 1.0).to_fock(11)
+
+
+@pytest.mark.parametrize("alpha, n_cut", [(1.0, 40), (2.0, 60)])
+def test_squeezed_to_fock_matches_the_expm_squeezer_far_above_the_cutoff(alpha, n_cut):
+    r, theta = 0.5, np.pi
+    ref = (squeeze(theta, r, 250) @ coherent_ket(alpha, 250))[:n_cut + 1]
+    got = SymbolicKet.squeezed_coherent(alpha, r, theta).to_fock(n_cut)
+    assert np.abs(got - ref / np.linalg.norm(ref)).max() < 1e-13
+
+
+@pytest.mark.parametrize("build", [
+    lambda ket: SymbolicKet.photon_added(2.7, 0.5), lambda ket: SymbolicKet.fock(0.5),
+    lambda ket: HybridState(2, [(1.0, [(1.0, 1.7, ket)])]),
+    lambda ket: HybridState(2.9, [(1.0, [(1.0, 1, ket)])])],
+    ids=["ladder-order", "fock-index", "qudit-level", "qudit-dimension"])
+def test_non_integral_orders_levels_and_dimensions_raise(build):
+    with pytest.raises(ValueError, match="integer|in-range level"):
+        build(SymbolicKet.coherent(0.5))
+
+
+def test_integral_floats_pass_as_orders_levels_and_dimensions():
+    ket = SymbolicKet.coherent(0.5)
+    assert SymbolicKet.photon_added(2.0, 0.5) == SymbolicKet.photon_added(2, 0.5)
+    state = HybridState(2.0, [(1.0, [(1.0, 1.0, ket)])])
+    assert state.sites == (2, MODE) and state.terms[0].branches[0].m == 1
 
 
 def test_fock_ket_to_fock_is_exactly_the_basis_vector():
