@@ -140,7 +140,7 @@ class ThermalChannelParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if self.n_th < 0.0:
+        if not self.n_th >= 0.0:
             raise ValueError("n_th must be >= 0")
 
     def thermal_weight(self, n):

@@ -27,10 +27,10 @@ class DensityMatrix:
         # |M - M^H|^2 entrywise from the real and imaginary parts, which avoids
         # a conjugated copy read transposed and a hypot per entry
         re, im = matrix.real, matrix.imag
-        if (np.square(re - re.T) + np.square(im + im.T)).max() > herm_tol ** 2:
+        if not (np.square(re - re.T) + np.square(im + im.T)).max() <= herm_tol ** 2:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = np.trace(matrix).real
-        if abs(tr - 1.0) > trace_tol:
+        if not abs(tr - 1.0) <= trace_tol:
             raise ValueError(f"trace {tr} is not 1 within {trace_tol}")
         # M + eig_tol I has a Cholesky factor exactly when no eigenvalue of M lies
         # below -eig_tol, up to rounding; only a failed factorization needs the spectrum
@@ -49,7 +49,7 @@ class DensityMatrix:
     def from_ket(cls, vector, dims, norm_tol=1e-8):
         vector = np.asarray(vector, dtype=complex).ravel()
         nrm = np.linalg.norm(vector)
-        if abs(nrm - 1.0) > norm_tol:
+        if not abs(nrm - 1.0) <= norm_tol:
             raise ValueError(f"ket norm {nrm} is not 1 within {norm_tol}")
         vector = vector / nrm
         return cls(np.outer(vector, vector.conj()), dims)

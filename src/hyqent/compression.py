@@ -56,9 +56,9 @@ def inverse_gram_schmidt(gram):
     n = gram.shape[0]
     if gram.shape != (n, n):
         raise ValueError("gram matrix must be square")
-    if np.abs(gram - gram.conj().T).max() > 1e-8:
+    if not np.abs(gram - gram.conj().T).max() <= 1e-8:
         raise ValueError("gram matrix must be Hermitian")
-    if np.abs(np.diag(gram) - 1.0).max() > 1e-8:
+    if not np.abs(np.diag(gram) - 1.0).max() <= 1e-8:
         raise ValueError("gram matrix must have unit diagonal (normalized kets)")
 
     rows = np.zeros((n, n), dtype=complex)

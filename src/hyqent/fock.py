@@ -253,6 +253,27 @@ def fock_wavefunction(n, x):
     return h1 if h1.ndim else float(h1)
 
 
+def laguerre_rows(m_max, a):
+    """Rows 2m+1+a, sqrt(m(m+a)), sqrt((m+1)(m+1+a)) of laguerre_step for m < m_max.
+
+    At the integer orders a, stacked with shape (3, m_max, *a.shape); each
+    distinct order is computed once and gathered.
+    """
+    m, n = np.arange(m_max)[:, None], np.arange(np.max(a, initial=0) + 1)
+    table = np.array([2.0 * m + 1 + n, np.sqrt(m * (m + n)), np.sqrt((m + 1.0) * (m + 1 + n))])
+    return np.take(table, a, axis=2)
+
+
+def laguerre_step(p, p_prev, z, rise, fall, norm):
+    """p_{m+1} = [((2m+1+a) c + z) p_m - c^2 sqrt(m(m+a)) p_{m-1}] / sqrt((m+1)(m+1+a)).
+
+    rise and fall are laguerre_rows at m times c and c^2.  From p_0 = 1 it gives
+    p_m = c^m l_m^a(-z/c), where l_m^a = sqrt(m! a! / (m+a)!) L_m^(a) is the normalized
+    Laguerre function (Johansson, Nation & Nori, CPC 184, 1234 (2013)); at c = 0 too.
+    """
+    return ((rise + z) * p - fall * p_prev) / norm
+
+
 @dataclass(frozen=True)
 class WignerField:
     """Wigner function samples on a rectangular grid.
@@ -280,10 +301,9 @@ def wigner(rho, grid_x, grid_p):
                                             sum_m (-1)^m rho[m, m+d] l_m^d(r^2)],
 
     where l_m^d = sqrt(m! d! / (m+d)!) L_m^d is the normalized generalized
-    Laguerre function.  One three-term recursion in m (Johansson, Nation &
-    Nori, CPC 184, 1234 (2013)) advances every diagonal d at once on the
-    distinct radii of the grid; diagonals beyond the farthest nonzero entry of
-    rho are never formed.
+    Laguerre function: laguerre_step at c = 1, z = -r^2 advances every
+    diagonal d at once on the distinct radii of the grid; diagonals beyond
+    the farthest nonzero entry of rho are never formed.
     """
     matrix = getattr(rho, "matrix", rho)
     matrix = np.asarray(matrix, dtype=complex)
@@ -294,16 +314,15 @@ def wigner(rho, grid_x, grid_p):
     radii, where = np.unique(2.0 * (x2 * x2 + p2 * p2).ravel(), return_inverse=True)
     rows, cols = np.nonzero(matrix)
     n_diag = int(np.abs(rows - cols).max(initial=0)) + 1
-    d = np.arange(n_diag)[:, None]
+    rise, fall, norm = laguerre_rows(dim, np.arange(n_diag)[:, None])  # at c = 1
     sums = np.zeros((n_diag, radii.size), dtype=complex)
     lag_prev, lag = np.zeros(sums.shape), np.ones(sums.shape)
     for m in range(dim):
         k = min(n_diag, dim - m)  # diagonals that still have an entry rho[m, m+d]
         sums[:k] += (-1) ** m * matrix[m, m:m + k, None] * lag[:k]
         k = min(k, dim - m - 1)  # diagonals the next step still needs
-        dk = d[:k]
-        lag_prev, lag = lag[:k], ((2 * m + 1 + dk - radii) * lag[:k] - np.sqrt(m * (m + dk))
-                                  * lag_prev[:k]) / np.sqrt((m + 1) * (m + 1 + dk))
+        lag_prev, lag = lag[:k], laguerre_step(lag[:k], lag_prev[:k], -radii, rise[m, :k],
+                                               fall[m, :k], norm[m, :k])
     sums *= np.exp(-radii / 2.0)
     values = sums[0, where].real
     phase = np.ones(x2.size, dtype=complex)

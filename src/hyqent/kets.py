@@ -5,6 +5,7 @@ pair of kets has an exact overlap, no Fock truncation enters the effective
 finite-dimensional description.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -87,13 +88,13 @@ class SymbolicKet:
         v = fock.squeezed_amplitudes(self.alpha, self.r, self.theta, n_cut + self.k + 1)
         root = np.sqrt(np.arange(1, v.size))
         up, down = np.cosh(self.r), np.exp(-1j * self.theta) * np.sinh(self.r)
-        for _ in range(self.k):
-            raised = down * root[:v.size - 1] * v[1:]
-            raised[1:] += up * root[:v.size - 2] * v[:-2]
+        for j in range(self.k):  # v becomes a^dag^(j+1) |alpha> / sqrt((j+1)!), squeezed
+            raised = down / root[j] * root[:v.size - 1] * v[1:]
+            raised[1:] += up / root[j] * root[:v.size - 2] * v[:-2]
             v = raised
         if self.k:
             lost = 1.0 - np.vdot(v, v).real / ladder_sum(self.k, self.k, np.conj(self.alpha),
-                                                           self.alpha).real
+                                                           self.alpha, normalized=True).real
             if not lost <= tail_tol:
                 raise CutoffTooSmall(f"{self!r} loses weight {lost:.3e} > {tail_tol:.1e} above "
                                      f"cutoff {n_cut}",
@@ -101,27 +102,31 @@ class SymbolicKet:
         return (v.view(float) / np.linalg.norm(v)).view(complex)  # true division, part by part
 
 
-@lru_cache(maxsize=8)
-def _falling_factorials(n_max):
-    """Read-only table F[n, j] = j! C(n, j) = n (n-1) ... (n-j+1) for n, j <= n_max."""
-    n = np.arange(n_max + 1.0)
-    table = np.cumprod(np.column_stack([np.ones_like(n), n[:, None] - n[:-1]]), axis=1)
-    table.flags.writeable = False
-    return table
+MAX_ORDER = 166  # the one cap on ladder orders: it bounds the recurrence, and 166! is a double
+_INV_SQRT_FACTORIAL = np.array([math.factorial(n) ** -0.5 for n in range(MAX_ORDER + 1)])
 
 
-def pairing_weights(k, l, j):
-    """j! C(k, j) C(l, j) over broadcast integer arrays, zero for j > min(k, l).
+@lru_cache(maxsize=16)
+def _ladder_plan(shape, dtype, lo_bytes, d_bytes, z_shape, normalized):
+    """What ladder_sum takes from lo = min(k, l) and d = k - l alone; cached and shared.
 
-    The coefficient of every reordering sum of ladder operators, read exactly
-    from one table of falling factorials as F[k, j] (F[l, j] / F[j, j]); the
-    quotient is C(l, j), so nothing overflows before the weight itself.
+    Orders held apart from z (as for dyad moments) recur one row per a = |d|
+    for each z, other orders one row per element; `at` reads each at its lo.
     """
-    table = _falling_factorials(int(max(np.max(k), np.max(l), np.max(j))))
-    return table[k, j] * (table[l, j] / table[j, j])
+    lo, d = (np.frombuffer(b, dtype=dtype).reshape(shape) for b in (lo_bytes, d_bytes))
+    a, full = np.abs(d), np.broadcast_shapes(shape, z_shape)
+    if lo.size * math.prod(z_shape) == math.prod(full):
+        rows, at = np.arange(a.max(initial=0) + 1)[:, None], (lo, a)
+    else:
+        rows, at, z_shape = np.broadcast_to(a, full).ravel(), (lo,), full
+    weight = _INV_SQRT_FACTORIAL[a]  # times sqrt(k! l!) unless normalized
+    if not normalized:
+        weight = weight / (_INV_SQRT_FACTORIAL[lo] * _INV_SQRT_FACTORIAL[lo + a])
+    return (fock.laguerre_rows(int(lo.max(initial=0)), rows),
+            at + (np.arange(math.prod(z_shape)).reshape(z_shape),), d >= 0, a, weight)
 
 
-def ladder_sum(k, l, x, y, c=1.0):
+def ladder_sum(k, l, x, y, c=1.0, normalized=False):
     """sum_t t! C(k,t) C(l,t) c^t x^(l-t) y^(k-t), broadcast over orders and amplitudes.
 
     The one normal-ordered sum of the ladder closed forms.  At c = 1 with
@@ -129,15 +134,26 @@ def ladder_sum(k, l, x, y, c=1.0):
     the photon-added overlap (Agarwal & Tara, PRA 43, 492 (1991)); at
     c = (1-eta) n_th with x = sqrt(eta) alpha, y = sqrt(eta) conj(beta) it is
     a thermal-channel dyad moment over the overlap (thermal_dyad_moments).
+    For k >= l it is l! c^l y^(k-l) L_l^(k-l)(-xy/c) (k < l swaps (k, y) for
+    (l, x)), evaluated as sqrt(k! l! / a!) w^a p with lo, a = min(k, l),
+    |k - l|, w = y where k >= l, else x, and p the normalized
+    fock.laguerre_step polynomial at z = xy read at lo.  normalized leaves out
+    sqrt(k! l!), so no factorial is ever formed.
     """
-    k, l = (np.asarray(n)[..., None] for n in (k, l))
-    t = np.arange(np.minimum(k, l).max() + 1)
-    # exponents below zero only occur where the weight vanishes
-    return (pairing_weights(k, l, t) * c**t * np.asarray(y)[..., None] ** np.maximum(k - t, 0)
-            * np.asarray(x)[..., None] ** np.maximum(l - t, 0)).sum(axis=-1)
-
-
-MAX_ORDER = 166  # the largest order whose pairing weights stay below the double range
+    k, l, x, y = np.asarray(k), np.asarray(l), np.asarray(x), np.asarray(y)
+    lo, d, z = np.minimum(k, l), k - l, x * y
+    # plans of at most 1024 orders (32-ket families, every dyad-moment grid) are cached;
+    # larger ones are rebuilt, which keeps the cache small
+    plan = _ladder_plan if lo.size <= 1024 else _ladder_plan.__wrapped__
+    rows, at, ge, a, weight = plan(lo.shape, lo.dtype.str, lo.tobytes(), d.tobytes(), z.shape,
+                                   normalized)
+    z = (z if z.shape == at[-1].shape else np.broadcast_to(z, at[-1].shape)).ravel()
+    rise, fall, norm = rows if c == 1 else (rows[0] * c, rows[1] * (c * c), rows[2])
+    # p[m] over the recursion's rows and z values, for m = 0 .. the largest lo
+    p = np.ones((len(norm) + 1,) + np.broadcast(norm[:1], z).shape[1:], dtype=complex)
+    for m in range(len(norm)):  # at m = 0, fall is 0 and p[-1] a finite placeholder
+        p[m + 1] = fock.laguerre_step(p[m], p[m - 1], z, rise[m], fall[m], norm[m])
+    return np.where(ge, y, x) ** a * weight * p[at]
 
 
 def _ladder_forms(kets):
@@ -152,7 +168,7 @@ def _ladder_forms(kets):
         raise UnsupportedKet("squeezed kets have closed-form overlaps only at equal squeezing")
     orders = [ket.k for ket in kets]
     if max(orders, default=0) > MAX_ORDER:
-        raise UnsupportedKet(f"ladder orders above {MAX_ORDER} overflow the closed form")
+        raise UnsupportedKet(f"ladder orders above {MAX_ORDER} have no closed form here")
     return np.array(orders, dtype=int), np.array([ket.alpha for ket in kets], dtype=complex)
 
 
@@ -160,16 +176,21 @@ def _family_overlaps(kets):
     """<kets[i]|kets[j]> for every pair of one family, by the ladder closed form.
 
     <alpha| a^k a^dag^l |beta> = <alpha|beta> ladder_sum(k, l, conj(alpha), beta)
-    for bra order k and ket order l; at l = k and beta = alpha the sum is the
-    squared norm of a^dag^k |alpha>.
+    for bra order k and ket order l, so the overlap of normalized kets is
+    <alpha|beta> times the normalized sum over the square roots of both kets'
+    own, whose product is never formed.  A value beyond the double range
+    raises UnsupportedKet.
     """
     orders, amps = _ladder_forms(kets)
     value = fock.overlap_coherent(amps, amps[:, None])
-    if orders.any():  # at order 0 the sum and the norms are 1
-        ladder = ladder_sum(orders[:, None], orders, np.conj(amps)[:, None], amps)
-        norm_sq = ladder.diagonal().real
-        # exactly 1 on the diagonal, and no overflow for large Fock indices
-        value *= ladder / norm_sq[:, None] * np.sqrt(norm_sq[:, None] / norm_sq)
+    if orders.any():  # at order 0 the factor and the norms are 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = ladder_sum(orders[:, None], orders, np.conj(amps)[:, None], amps,
+                                normalized=True)
+            norm = factor.diagonal().real
+            value *= factor / norm[:, None] * np.sqrt(norm[:, None] / norm)
+        if not np.isfinite(value).all():
+            raise UnsupportedKet("a ladder overlap of this family lies beyond the double range")
     return value
 
 
@@ -283,15 +304,15 @@ class HybridState:
         total_p = 0.0
         for p, branches in terms:
             p = float(p)
-            if p <= 0:
+            if not p > 0:
                 raise ValueError("term probabilities must be positive")
             bs = tuple(Branch(complex(c), _site_values(sites, values)) for c, values in branches)
             norm = term_norm(sites, bs) if set(sites) != {MODE} else 1.0
-            if abs(norm - 1.0) > 1e-12:
+            if not abs(norm - 1.0) <= 1e-12:
                 raise ValueError(f"term has norm^2 {norm} from its ket overlaps, expected 1")
             norm_terms.append(Term(p, bs))
             total_p += p
-        if abs(total_p - 1.0) > 1e-12:
+        if not abs(total_p - 1.0) <= 1e-12:
             raise ValueError(f"term probabilities sum to {total_p}, expected 1")
         self.sites = sites
         self.terms = tuple(norm_terms)

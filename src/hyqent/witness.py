@@ -5,6 +5,7 @@ partially transposed moments is negative; on separable states every principal
 minor is nonnegative.  Mode a is always the CV subsystem, mode b the qudit.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ from .channels import (ThermalChannelParams, ThermalHybridState, require_coheren
                        thermal_dyad_moments)
 from .errors import InconsistentMoments, NumericInconsistency
 from .fock import mode_operators
-from .kets import HybridState, pairing_weights
+from .kets import HybridState
 
 INCONCLUSIVE_BAND = 1e-12
 MOMENT_HERM_TOL = 1e-8   # largest non-Hermitian moment deviation a provider may show
@@ -249,7 +250,9 @@ def _normal_order(a_words):
     # a^dag^p a^q a^dag^r a^s = sum_t t! C(q,t) C(r,t) a^dag^(p+r-t) a^(q+s-t)
     t = np.arange(np.minimum(q, r).max() + 1)
     k, l = np.maximum(p + r - t, 0), np.maximum(q + s - t, 0)
-    return pairing_weights(q, r, t), k, l, np.arange(max(k.max(), l.max()) + 1)
+    weights = np.frompyfunc(lambda q, r, t: math.factorial(t) * math.comb(q, t) * math.comb(r, t),
+                            3, 1)(q, r, t).astype(float)  # zero for t > min(q, r)
+    return weights, k, l, np.arange(max(k.max(), l.max()) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -405,3 +405,8 @@ def test_damped_concurrence_closed_form_rederived():
             tau = np.exp(-2 * (1 - eta) * al**2)
             lam = np.exp(-2 * eta * al**2)
             assert got == pytest.approx(tau * np.sqrt(1 - lam**2), abs=1e-12)
+
+
+def test_nan_thermal_photon_number_is_rejected():
+    with pytest.raises(ValueError):
+        ThermalChannelParams(0.5, float("nan"))

@@ -139,3 +139,10 @@ def test_positivity_check_strength(rng, dim, rank):
             DensityMatrix(_with_smallest_eigenvalue(rng, lam, dim, rank), (dim,))
         assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(lam, abs=1e-13)
     DensityMatrix(_with_smallest_eigenvalue(rng, -5e-11, dim, rank), (dim,))
+
+
+def test_nan_matrix_is_rejected():
+    with pytest.raises(ValueError):
+        DensityMatrix(np.full((2, 2), np.nan), (2,))
+    with pytest.raises(ValueError):
+        DensityMatrix.from_ket([np.nan, 0.0], (2,))

@@ -37,6 +37,11 @@ def test_identity_gram_gives_identity():
     assert np.allclose(coeffs.matrix, np.eye(4))
 
 
+def test_nan_gram_is_rejected():
+    with pytest.raises(ValueError):
+        inverse_gram_schmidt(np.full((2, 2), np.nan))
+
+
 def test_random_coherent_kets_preserve_overlaps(rng):
     for _ in range(10):
         n = rng.integers(2, 7)

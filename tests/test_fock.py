@@ -352,3 +352,38 @@ def test_wigner_cat_negative():
     assert abs(field.mass - 1.0) < 1e-6
     amps = (al * np.exp(1j * phi), al * np.exp(-1j * phi))
     assert np.abs(field.values - cat_wigner_closed_form(amps, grid, grid)).max() < 1e-8
+
+
+def _shrinking_recursion_wigner(matrix, xs, ps):
+    """W by a one-off three-term recursion that drops each diagonal once it is spent."""
+    dim = matrix.shape[0]
+    x2, p2 = np.meshgrid(xs, ps, indexing="ij")
+    radii, where = np.unique(2.0 * (x2 * x2 + p2 * p2).ravel(), return_inverse=True)
+    rows, cols = np.nonzero(matrix)
+    n_diag = int(np.abs(rows - cols).max(initial=0)) + 1
+    d = np.arange(n_diag)[:, None]
+    sums = np.zeros((n_diag, radii.size), dtype=complex)
+    lag_prev, lag = np.zeros(sums.shape), np.ones(sums.shape)
+    for m in range(dim):
+        k = min(n_diag, dim - m)
+        sums[:k] += (-1) ** m * matrix[m, m:m + k, None] * lag[:k]
+        k = min(k, dim - m - 1)
+        dk = d[:k]
+        lag_prev, lag = lag[:k], ((2 * m + 1 + dk - radii) * lag[:k] - np.sqrt(m * (m + dk))
+                                  * lag_prev[:k]) / np.sqrt((m + 1) * (m + 1 + dk))
+    sums *= np.exp(-radii / 2.0)
+    values = sums[0, where].real
+    phase = np.ones(x2.size, dtype=complex)
+    step = np.sqrt(2.0) * (x2 + 1j * p2).ravel()
+    for n in range(1, n_diag):
+        phase *= step / np.sqrt(n)
+        values += 2.0 * (sums[n, where] * phase).real
+    return values.reshape(x2.shape) / np.pi
+
+
+def test_wigner_is_bitwise_the_shrinking_recursion(rng):
+    grid = np.linspace(-5.0, 5.0, 41)
+    v = coherent_ket(2.0, 40) + coherent_ket(-2.0, 40)
+    for rho in (np.outer(v, v.conj()) / np.vdot(v, v).real, random_density(rng, 30)):
+        assert np.array_equal(wigner(rho, grid, grid).values,
+                              _shrinking_recursion_wigner(rho, grid, grid))

@@ -367,3 +367,73 @@ def test_high_fock_indices_keep_exact_orthonormality():
     # <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!)
     expect = np.exp(-50.0 + 166 * np.log(10.0) - 0.5 * math.lgamma(167))
     assert overlap(kets[-1], SymbolicKet.coherent(10.0)) == pytest.approx(expect, rel=1e-12)
+
+
+def _mp_overlap(k, alpha, l, beta):
+    """<a^dag^k alpha | a^dag^l beta> of normalized kets, by the pairing sum at 120 digits."""
+    import mpmath as mp
+
+    def pairing(k, l, x, y):
+        return mp.fsum(mp.factorial(t) * mp.binomial(k, t) * mp.binomial(l, t)
+                       * x ** (l - t) * y ** (k - t) for t in range(min(k, l) + 1))
+
+    with mp.workdps(120):
+        a, b = mp.mpc(alpha), mp.mpc(beta)
+        gauss = mp.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + mp.conj(a) * b)
+        norm = pairing(k, k, mp.conj(a), a).real * pairing(l, l, mp.conj(b), b).real
+        return complex(gauss * pairing(k, l, mp.conj(a), b) / mp.sqrt(norm))
+
+
+def test_high_order_overlaps_match_120_digit_reference():
+    rng = np.random.default_rng(17)
+    pairs = []
+    while len(pairs) < 25:  # a third of the pairs with -conj(alpha) beta > 0
+        k, l = (int(n) for n in rng.integers(0, 161, 2))
+        a = rng.uniform(0, 8) * np.exp(2j * np.pi * rng.random())
+        b = rng.uniform(0, 8) * np.exp(2j * np.pi * rng.random())
+        if len(pairs) % 3 == 0:
+            b = -a * rng.uniform(0.5, 1.0) * np.exp(0.1j * rng.normal())
+        pairs.append((k, a, l, b))
+    assert sum((-np.conj(a) * b).real > 0 for _, a, _, b in pairs) >= len(pairs) / 4
+    pairs += [(160, 4.0, 160, 4.0), (140, 8.0, 139, 7.92), (100, 6.0, 100, -6.0)]
+    for k, a, l, b in pairs:
+        got = overlap(SymbolicKet.photon_added(k, a), SymbolicKet.photon_added(l, b))
+        ref = _mp_overlap(k, a, l, b)
+        assert np.isfinite(got) and abs(got) <= 1 + 1e-12
+        assert abs(got - ref) <= 1e-12
+        assert abs(ref) <= 1e-300 or abs(got - ref) <= 1e-10 * abs(ref)
+    pa = SymbolicKet.photon_added
+    assert overlap(pa(160, 4.0), pa(160, 4.0)) == pytest.approx(1.0, abs=1e-15)
+    assert overlap(pa(140, 8.0), pa(139, 7.92)) == pytest.approx(0.98657608162599, abs=1e-13)
+    assert overlap(pa(100, 6.0), pa(100, -6.0)) == pytest.approx(-5.450593e-70, rel=1e-6)
+    assert gram_matrix([pa(140, 8.0), pa(139, 7.92)])[0, 1] == pytest.approx(
+        0.98657608162599, abs=1e-13)
+
+
+def test_family_beyond_the_double_range_raises():
+    # the self-norm L_166(-10^4) of a^dag^166 |100> exceeds the double range
+    with pytest.raises(UnsupportedKet):
+        gram_matrix([SymbolicKet.photon_added(166, 100.0), SymbolicKet.coherent(1.0)])
+    with pytest.raises(UnsupportedKet):
+        overlap(SymbolicKet.photon_added(166, 100.0), SymbolicKet.coherent(1.0))
+
+
+def test_high_order_to_fock_is_exact():
+    ket, lower = SymbolicKet.photon_added(160, 4.0), SymbolicKet.photon_added(159, 4.0)
+    v, w = ket.to_fock(421), lower.to_fock(421)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert abs(np.vdot(v, w) - overlap(ket, lower)) <= 1e-12
+
+
+def test_nan_probability_is_rejected():
+    with pytest.raises(ValueError):
+        HybridState(2, [(float("nan"), [(1.0, 0, SymbolicKet.coherent(0.5))])])
+
+
+def test_high_order_branches_on_one_level_are_checked():
+    a, b = SymbolicKet.photon_added(160, 4.0), SymbolicKet.photon_added(159, 4.0)
+    with pytest.raises(ValueError):
+        HybridState(2, [(1.0, [(2 ** -0.5, 0, a), (2 ** -0.5, 0, b)])])
+    c = 1 / math.sqrt(2 + 2 * overlap(a, b).real)
+    state = HybridState(2, [(1.0, [(c, 0, a), (c, 0, b)])])
+    assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
