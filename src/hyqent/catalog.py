@@ -40,8 +40,8 @@ def two_mode_cat(alpha, phi):
     """
     alpha = complex(alpha)
     norm = 2.0 + 2.0 * np.exp(-4.0 * abs(alpha) ** 2) * np.cos(phi)
-    if norm < 1e-14:
-        raise DegenerateNormalization("two-mode cat norm vanishes (phi=pi, alpha->0)")
+    if not norm >= 1e-14:
+        raise DegenerateNormalization(f"two-mode cat norm is {norm} (zero at phi=pi, alpha->0)")
     ka, kb = SymbolicKet.coherent(alpha), SymbolicKet.coherent(-alpha)
     pure = HybridState.pure((MODE, MODE),
                             [(1.0 / np.sqrt(norm), (ka, ka)),
@@ -175,7 +175,7 @@ def tripartite_qqm(q):
     Q = 0 is the GHZ state, |Q| = 1 a Bell pair times a factored qumode.
     """
     q = complex(q)
-    if abs(q) > 1.0 + 1e-12:
+    if not abs(q) <= 1.0 + 1e-12:
         raise ValueError("overlap magnitude must be <= 1")
     v = np.zeros(8, dtype=complex)
     v[0] = 1.0 / np.sqrt(2.0)
@@ -191,7 +191,7 @@ def tripartite_qmm(q_phi, q_psi):
     coefficients follow from the two overlaps alone.  (0, 0) is the GHZ state.
     """
     qf, qp = complex(q_phi), complex(q_psi)
-    if abs(qf) > 1 + 1e-12 or abs(qp) > 1 + 1e-12:
+    if not (abs(qf) <= 1 + 1e-12 and abs(qp) <= 1 + 1e-12):
         raise ValueError("overlap magnitudes must be <= 1")
     sf = np.sqrt(max(0.0, 1.0 - abs(qf) ** 2))
     sp = np.sqrt(max(0.0, 1.0 - abs(qp) ** 2))

@@ -22,8 +22,6 @@ from .composite import DensityMatrix
 from .errors import UnsupportedKet
 from .kets import HybridState, SymbolicKet
 
-ENV_NCUT = "HYQENT_NCUT"
-
 SPEC_KEYS = {"family", "params"}
 
 
@@ -196,8 +194,7 @@ def _measure_value(name, named):
     if name == "log_negativity":
         return measures.log_negativity(_bipartite(_to_density(payload)))
     if name == "purity":
-        from .composite import purity
-        return purity(_to_density(payload))
+        return composite.purity(_to_density(payload))
     if name == "entropy":
         v, dims = _pure_vector(payload)
         if len(dims) != 2:
@@ -515,7 +512,7 @@ def _reproduce_wigner(out_dir, full):
     if full:
         variants.append(("wigner-cat-alpha6.csv", 6.0))
     for fname, alpha in variants:
-        n_cut = int(os.environ.get(ENV_NCUT, fock.default_cutoff(alpha)))
+        n_cut = fock.default_cutoff(alpha)
         k1 = fock.coherent_ket(alpha * np.exp(1j * np.pi / 6), n_cut)
         k2 = fock.coherent_ket(alpha * np.exp(-1j * np.pi / 6), n_cut)
         v = k1 + k2

@@ -178,10 +178,8 @@ def overlap_coherent(alpha, beta):
 def displace(alpha, n_cut, tail_tol=DEFAULT_TAIL_TOL):
     """Displacement unitary D(alpha) = exp(alpha a^dag - conj(alpha) a)."""
     require_cutoff(alpha, n_cut, tail_tol)
-    from scipy.linalg import expm
-
     a, adag, _ = mode_operators(n_cut)
-    return expm(alpha * adag - np.conj(alpha) * a)
+    return _unitary_exp(alpha * adag - np.conj(alpha) * a)
 
 
 def phase_shifter(phi, n_cut):
@@ -192,10 +190,9 @@ def phase_shifter(phi, n_cut):
 def squeeze(theta, r, n_cut, tail_tol=DEFAULT_TAIL_TOL):
     """Squeezing unitary S(theta, r) = exp(r/2 (e^{-i theta} a^2 - e^{i theta} a^dag^2))."""
     require_cutoff(0.0, n_cut, tail_tol, r, theta)
-    from scipy.linalg import expm
-
     a, adag, _ = mode_operators(n_cut)
-    return expm(0.5 * r * (np.exp(-1j * theta) * (a @ a) - np.exp(1j * theta) * (adag @ adag)))
+    g = np.exp(-1j * theta) * (a @ a) - np.exp(1j * theta) * (adag @ adag)
+    return _unitary_exp(0.5 * r * g)
 
 
 def beamsplit(theta, phi=0.0, n_cut=None, n_cut2=None):
@@ -210,12 +207,20 @@ def beamsplit(theta, phi=0.0, n_cut=None, n_cut2=None):
         raise ValueError("beamsplit needs n_cut >= 1")
     if n_cut2 is None:
         n_cut2 = n_cut
-    from scipy.linalg import expm
-
     a1, a1d, _ = mode_operators(n_cut)
     a2, a2d, _ = mode_operators(n_cut2)
     g = np.exp(1j * phi) * np.kron(a1, a2d) - np.exp(-1j * phi) * np.kron(a1d, a2)
-    return expm(theta * g)
+    return _unitary_exp(theta * g)
+
+
+def _unitary_exp(g):
+    """exp(g) for an anti-Hermitian g, as V e^{-i lam} V^dag from the eigh of i g.
+
+    i g is Hermitian, so its eigenvector matrix V is unitary and the result is
+    unitary to rounding (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+    """
+    lam, v = np.linalg.eigh(1j * g)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def hermite(n, x):

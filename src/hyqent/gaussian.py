@@ -29,12 +29,12 @@ class GaussianState:
         cov = np.array(self.covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
             raise ValueError("covariance must be real 2N x 2N")
-        if np.abs(cov - cov.T).max() > 1e-12:
+        if not np.abs(cov - cov.T).max() <= 1e-12:
             raise ValueError("covariance must be symmetric")
         disp = (np.zeros(cov.shape[0]) if self.displacement is None
                 else np.array(self.displacement, dtype=float))
-        if disp.shape != (cov.shape[0],):
-            raise ValueError("displacement length must be 2N")
+        if disp.shape != (cov.shape[0],) or not np.isfinite(disp).all():
+            raise ValueError("displacement must be 2N finite reals")
         j = symplectic_form(cov.shape[0] // 2)
         lo = float(np.linalg.eigvalsh(cov + 1j * j).min())
         if lo < -1e-10:

@@ -28,7 +28,7 @@ def _spectrum_entropy(probs):
 def _unit_ket(psi):
     """psi as a flat complex array; raises ValueError unless its norm is 1 within NORM_TOL."""
     psi = np.asarray(psi, dtype=complex).ravel()
-    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:
         raise ValueError("state is not normalized")
     return psi
 
@@ -85,7 +85,8 @@ def majorizes(a, b):
     """
     a = np.sort(np.asarray(a, dtype=float))[::-1]
     b = np.sort(np.asarray(b, dtype=float))[::-1]
-    if abs(a.sum() - 1.0) > PROBABILITY_SUM_TOL or abs(b.sum() - 1.0) > PROBABILITY_SUM_TOL:
+    if not (abs(a.sum() - 1.0) <= PROBABILITY_SUM_TOL
+            and abs(b.sum() - 1.0) <= PROBABILITY_SUM_TOL):
         raise ValueError("majorization needs probability vectors summing to 1")
     n = max(a.size, b.size)
     a = np.pad(a, (0, n - a.size))

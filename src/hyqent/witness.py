@@ -93,13 +93,14 @@ def sv_moment_matrix(provider, max_total_degree, qudit_dim=None):
     A provider inconsistent with Hermiticity beyond MOMENT_HERM_TOL is rejected.
     """
     idx, a_words, b_words = _matrix_words(max_total_degree, qudit_dim)
-    m = np.asarray(provider(a_words, b_words), dtype=complex)
-    if np.abs(m - m.conj().T).max() > MOMENT_HERM_TOL:
-        raise InconsistentMoments("moment provider is not Hermitian-consistent")
-    if abs(m[0, 0] - 1.0) > MOMENT_HERM_TOL:
-        raise InconsistentMoments(f"normalization moment is {m[0, 0]}, expected 1")
-    m = (m + m.conj().T) / 2.0
-    return MomentMatrix(m, idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.asarray(provider(a_words, b_words), dtype=complex)
+        adjoint = m.conj().T
+        if not np.abs(m - adjoint).max() <= MOMENT_HERM_TOL:
+            raise InconsistentMoments("moment provider is not Hermitian-consistent")
+        if not abs(m[0, 0] - 1.0) <= MOMENT_HERM_TOL:
+            raise InconsistentMoments(f"normalization moment is {m[0, 0]}, expected 1")
+    return MomentMatrix((m + adjoint) / 2.0, idx)
 
 
 @lru_cache(maxsize=16)
@@ -315,10 +316,22 @@ def optimal_alpha():
 
     Independent of the transmissivity, which only scales the threshold.
     """
-    from scipy.optimize import brentq
-
     f = lambda a2: (2.0 - 8.0 * a2) * np.exp(4.0 * a2) - 1.0
-    return float(np.sqrt(brentq(f, 0.05, 0.25, xtol=1e-14)))
+    return float(np.sqrt(_bisect(f, 0.05, 0.25, 1e-14)))
+
+
+def _bisect(f, lo, hi, xtol):
+    """Root of f between lo and hi, where f changes sign, by bisection.
+
+    Stops as brentq does: once hi - lo <= xtol + 4 eps |mid|, or once the
+    midpoint is an endpoint, so it ends on axes whose ulp exceeds xtol.
+    """
+    lo_negative = f(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol + 4.0 * np.finfo(float).eps * abs(mid) or mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if (f(mid) < 0.0) == lo_negative else (lo, mid)
 
 
 def _sqrtn_sum(y):
@@ -412,8 +425,6 @@ def witness_region(det_fn, grid, boundary_axis=None):
     inconclusive = np.abs(values) <= INCONCLUSIVE_BAND
     boundary = []
     if boundary_axis is not None:
-        from scipy.optimize import brentq
-
         ax = names.index(boundary_axis)
         moved = np.moveaxis(values, ax, -1)
         for pos in np.ndindex(*moved.shape[:-1]):
@@ -424,7 +435,7 @@ def witness_region(det_fn, grid, boundary_axis=None):
                     fixed = {names[i]: axes[i][pos[i if i < ax else i - 1]]
                              for i in range(len(names)) if i != ax}
                     f = lambda t: det_fn(**{**fixed, boundary_axis: t})
-                    root = brentq(f, lo, hi, xtol=BOUNDARY_XTOL)
+                    root = _bisect(f, lo, hi, BOUNDARY_XTOL)
                     boundary.append({**fixed, boundary_axis: root})
     return WitnessRegion(tuple((k, axes[i]) for i, k in enumerate(names)),
                          values, verdict, inconclusive, tuple(boundary))

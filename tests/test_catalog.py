@@ -21,6 +21,18 @@ def test_two_mode_cat_phi_pi_is_bell_like():
     assert concurrence(DensityMatrix.from_ket(v, dims)) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_two_mode_cat_rejects_nan_amplitude():
+    with pytest.raises(DegenerateNormalization, match="nan"):
+        two_mode_cat(np.nan, 0.0)
+
+
+@pytest.mark.parametrize("overlaps", [(np.nan,), (np.nan, 0.0), (0.0, np.nan)])
+def test_tripartite_states_reject_nan_overlaps(overlaps):
+    ctor = tripartite_qqm if len(overlaps) == 1 else tripartite_qmm
+    with pytest.raises(ValueError, match="overlap magnitude"):
+        ctor(*overlaps)
+
+
 def test_mixed24_holds_four_kets():
     st = mixed24(0.4, 0.9).payload
     assert len(st.kets()) == 4

@@ -377,6 +377,18 @@ def test_family_measure_pair_exits_cleanly(tmp_path, capsys, family, measure):
         assert code == PINNED_CODES[family, measure]
 
 
+@pytest.mark.parametrize("family", ["binary-coherent", "thermal-output"])
+@pytest.mark.parametrize("measure", ["s1", "s2"])
+def test_moment_witness_with_overflowing_moments_exits_2(tmp_path, capsys, family, measure):
+    # |alpha|^2 overflows, so the moments are not finite and the witness has no value
+    spec = write_spec(tmp_path, {"family": family,
+                                 "params": {**FAMILY_POINTS[family], "alpha": 1e160}})
+    assert main(["measure", spec, "--measure", measure]) == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("doc, mode_sites", [
     ({"family": "qubus", "params": {"alpha": 1.0, "theta": 0.2, "eta": 0.9}}, 1),
     ({"family": "two-mode-cat", "params": {"alpha": 0.8, "phi": 0.3}}, 2)])

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Smoke test: every demo script runs to completion against the source tree, without scipy."""
 
 import os
 import subprocess
@@ -9,6 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# runs the demo named in argv as __main__ with scipy blocked, as on a numpy-only install
+RUN_WITHOUT_SCIPY = ("import runpy, sys\n"
+                     "sys.modules['scipy'] = None\n"
+                     "sys.argv = sys.argv[1:]\n"
+                     "runpy.run_path(sys.argv[0], run_name='__main__')")
 
 
 def test_demos_found():
@@ -20,6 +25,6 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hyqent import (CutoffTooSmall, beamsplit, coherent_ket, coherent_tail_weigh
                     default_cutoff, displace, fock_wavefunction, hermite,
                     mode_operators, overlap_coherent, phase_shifter,
                     position_density, squeeze, wigner, wigner_marginal_x)
+from hyqent.cli import FIGURES, MEASURES
 from hyqent.composite import DensityMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,17 +89,61 @@ def test_coherent_tail_weight_matches_incomplete_gamma():
             assert abs(got - gammainc(n_cut + 1, nbar)) <= 1e-12 * exact
 
 
-def test_import_loads_no_scipy():
+# Runs the exact Fock routes, every reproduce figure and every CLI family x
+# measure pair read from stdin; prints each one's exit code, stdout and data
+# file hashes, then the scipy modules loaded.  argv: "blocked" or "present", out dir.
+NO_SCIPY_RUN = """
+import contextlib, hashlib, io, json, pathlib, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+import hyqent
+from hyqent.cli import FIGURES, main
+hyqent.SymbolicKet.squeezed_coherent(1.0, 0.5, 3.1).to_fock(40)
+hyqent.SymbolicKet.photon_added(3, 0.7).to_fock(40)
+root = pathlib.Path(sys.argv[2])
+
+def run(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return [main(args), out.getvalue()]
+
+results = {}
+for fig in sorted(FIGURES):
+    out_dir = root / fig
+    results[fig] = run(["reproduce", fig, "--out-dir", str(out_dir)]) + [
+        {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}]
+for family, measure, doc in json.load(sys.stdin):
+    spec = root / f"{family}.json"
+    spec.write_text(json.dumps(doc))
+    results[f"{family} {measure}"] = run(["measure", str(spec), "--measure", measure])
+print(json.dumps(results))
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    """The runtime needs numpy alone: nothing loads scipy, and blocking it changes no result."""
+    from test_cli import FAMILY_POINTS
+
+    pairs = [(family, measure, {"family": family, "params": params})
+             for family, params in sorted(FAMILY_POINTS.items()) for measure in MEASURES]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, hyqent\n"
-            "hyqent.SymbolicKet.squeezed_coherent(1.0, 0.5, 3.1).to_fock(40)\n"
-            "hyqent.SymbolicKet.photon_added(3, 0.7).to_fock(40)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    procs = {}
+    for mode in ("present", "blocked"):
+        procs[mode] = subprocess.Popen(
+            [sys.executable, "-c", NO_SCIPY_RUN, mode, str(tmp_path / mode)], cwd=ROOT, env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    outputs = {}
+    for mode, proc in procs.items():
+        out, err = proc.communicate(json.dumps(pairs), timeout=300)
+        assert proc.returncode == 0, err[-2000:]
+        results, loaded = out.splitlines()
+        assert loaded == "[]"
+        outputs[mode] = json.loads(results)
+    assert len(outputs["present"]) == len(FIGURES) + len(pairs)
+    assert all(outputs["present"][fig][0] == 0 for fig in FIGURES)
+    assert outputs["blocked"] == outputs["present"]
 
 
 def test_coherent_ket_is_the_glauber_loop_bit_for_bit():
@@ -178,6 +224,33 @@ def test_unitarity_on_converged_subspace():
         gap = u.conj().T @ u - np.eye(u.shape[0])
         sub = gap[:12, :12]  # kets supported well below the cutoff
         assert np.abs(sub).max() < 1e-10
+
+
+@pytest.mark.parametrize("name, args", [
+    ("displace", (1.2 - 0.4j, 30)), ("displace", (5.0, 80)), ("displace", (0.3j, 6)),
+    ("squeeze", (0.3, 0.6, 40)), ("squeeze", (1.0, 0.5, 120)),
+    ("beamsplit", (0.7, 0.0, 14, 14)), ("beamsplit", (0.4, 0.9, 9, 13)),
+    ("beamsplit", (1.1, -2.0, 16, 5))])
+def test_fock_unitaries_match_expm_of_the_truncated_generator(name, args):
+    from scipy.linalg import expm
+
+    if name == "displace":
+        alpha, n_cut = args
+        a, adag, _ = mode_operators(n_cut)
+        u, g = displace(alpha, n_cut), alpha * adag - np.conj(alpha) * a
+    elif name == "squeeze":
+        theta, r, n_cut = args
+        a, adag, _ = mode_operators(n_cut)
+        u = squeeze(theta, r, n_cut)
+        g = 0.5 * r * (np.exp(-1j * theta) * (a @ a) - np.exp(1j * theta) * (adag @ adag))
+    else:
+        theta, phi, n_cut, n_cut2 = args
+        (a1, a1d, _), (a2, a2d, _) = mode_operators(n_cut), mode_operators(n_cut2)
+        u = beamsplit(theta, phi, n_cut, n_cut2)
+        g = theta * (np.exp(1j * phi) * np.kron(a1, a2d) - np.exp(-1j * phi) * np.kron(a1d, a2))
+    assert np.abs(u - expm(g)).max() <= 1e-12
+    # unitary on the whole truncated space, not only below the cutoff
+    assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-13
 
 
 def test_squeeze_cutoff_guard():

@@ -31,6 +31,13 @@ def test_heisenberg_validation():
         GaussianState(0.5 * vacuum_cov(1))  # below vacuum noise
 
 
+def test_nan_covariance_or_displacement_is_rejected():
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianState(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(vacuum_cov(1), [np.nan, 0.0])
+
+
 def test_tmss_reduced_spectrum_and_entropy():
     r = 0.6
     gamma = tmss_cov(r)

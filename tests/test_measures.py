@@ -96,6 +96,20 @@ def test_majorization_direction_and_incomparable():
         majorizes([0.5, 0.2], [1.0, 0.0])
 
 
+def test_majorizes_rejects_nan_entries():
+    with pytest.raises(ValueError, match="summing to 1"):
+        majorizes([np.nan, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="summing to 1"):
+        majorizes([1.0, 0.0], [np.nan, 1.0])
+
+
+@pytest.mark.parametrize("measure", [entropy_of_entanglement, schmidt])
+def test_pure_state_measures_reject_nan_kets(measure):
+    # LinAlgError is a ValueError too, so the message tells the two apart
+    with pytest.raises(ValueError, match="not normalized"):
+        measure([np.nan, 0.0, 0.0, 0.0], (2, 2))
+
+
 def test_concurrence_cat_family():
     v, dims = compress_vector(two_mode_cat(0.7, np.pi).payload)
     assert concurrence(DensityMatrix.from_ket(v, dims)) == pytest.approx(1.0, abs=1e-10)

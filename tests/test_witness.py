@@ -15,6 +15,7 @@ from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider,
 from hyqent.catalog import (binary_coherent, mixed24, qutrit_qumode,
                             squeezed_binary_coherent)
 from hyqent.composite import DensityMatrix
+from hyqent.witness import BOUNDARY_XTOL
 
 
 def test_multi_index_ordering_head():
@@ -190,15 +191,35 @@ def test_mixed24_s1_matches_generic_path():
 
 
 def test_mixed24_region_boundary_crosses_half():
+    from scipy.optimize import brentq
+
     # at p = 1/2 the zero crossing solves 1/4 = e^{-4 a^2}(1 - 3/8 + ...)
-    region = witness_region(lambda alpha: mixed24_s1(0.5, alpha),
-                            {"alpha": np.linspace(0.01, 1.5, 40)},
+    axis = np.linspace(0.01, 1.5, 40)
+    region = witness_region(lambda alpha: mixed24_s1(0.5, alpha), {"alpha": axis},
                             boundary_axis="alpha")
     assert len(region.boundary) == 1
     root = region.boundary[0]["alpha"]
     lhs = 0.25
     rhs = np.exp(-4 * root**2) * (1 - 1.5 * 0.25)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+    k = int(np.searchsorted(axis, root))
+    reference = brentq(lambda a: mixed24_s1(0.5, a), axis[k - 1], axis[k], xtol=BOUNDARY_XTOL)
+    assert abs(root - reference) <= BOUNDARY_XTOL
+
+
+def test_witness_region_boundary_terminates_where_an_ulp_exceeds_the_tolerance():
+    # one ulp near 1e7 is 1.9e-9 > BOUNDARY_XTOL, so a plain hi - lo > xtol loop never ends
+    root = 1e7 + 0.123456789
+    region = witness_region(lambda x: x - root, {"x": [1e7 - 1.0, 1e7 + 1.0]},
+                            boundary_axis="x")
+    assert abs(region.boundary[0]["x"] - root) <= 1e-8
+
+
+def test_optimal_alpha_matches_brentq():
+    from scipy.optimize import brentq
+
+    f = lambda a2: (2.0 - 8.0 * a2) * np.exp(4.0 * a2) - 1.0
+    assert abs(optimal_alpha() - np.sqrt(brentq(f, 0.05, 0.25, xtol=1e-14))) <= 1e-14
 
 
 def test_thermal_s1_and_threshold():
