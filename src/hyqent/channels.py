@@ -144,8 +144,8 @@ class ThermalChannelParams:
             raise ValueError("n_th must be >= 0")
 
     def thermal_weight(self, n):
-        """Thermal photon distribution n_th^n / (1 + n_th)^(n+1)."""
-        return self.n_th**n / (1.0 + self.n_th) ** (n + 1)
+        """Thermal photon distribution n_th^n / (1 + n_th)^(n+1), as q^n / (1 + n_th) for q < 1."""
+        return (self.n_th / (1.0 + self.n_th)) ** n / (1.0 + self.n_th)
 
     def env_cutoff(self, weight_tol=DEFAULT_WEIGHT_TOL):
         """Smallest env Fock cutoff whose neglected thermal weight is below tol."""
@@ -328,15 +328,6 @@ class ThermalHybridState:
 
     def __post_init__(self):
         require_coherent(self.base, "the thermal channel")
-
-    def dyad_terms(self):
-        """(weight, (m, m'), (alpha_i, alpha_j)) triples of the output.
-
-        weight |m><m'| x Y(|alpha_i><alpha_j|) summed over the base state's
-        terms and branch pairs.
-        """
-        return [(p * bi.c * np.conj(bj.c), (bi.m, bj.m), (bi.ket.alpha, bj.ket.alpha))
-                for p, branches in self.base.terms for bi in branches for bj in branches]
 
     def truncated_density(self, n_cut):
         """Kraus-route truncation at the default tolerances; a cross-check, not the state."""

@@ -141,18 +141,25 @@ def squeezed_amplitudes(alpha, r, theta, size):
     eigenvalue alpha (Yuen, PRA 13, 2226 (1976)), so its amplitudes obey the recursion
     sqrt(n+1) cosh r psi_{n+1} = alpha psi_n - sqrt(n) e^{i theta} sinh r psi_{n-1}, run
     from 1 and scaled by the closed form psi_0 = exp(-|alpha|^2/2 + e^{-i theta} tanh r
-    alpha^2/2) / sqrt(cosh r).  At r = 0 it is the Glauber expansion.
+    alpha^2/2) / sqrt(cosh r).  At r = 0 it is the Glauber expansion.  Exact rescalings by
+    2^-500, and psi_0 in log form below the normal range, keep large amplitudes finite.
     """
     alpha = complex(alpha)
     c, s = math.cosh(r), cmath.exp(1j * theta) * math.sinh(r)
-    prev, amp = 0j, 1 + 0j
+    prev, amp, cuts = 0j, 1 + 0j, []
     amps = [amp]
     for n in range(1, size):
         prev, amp = amp, (alpha * amp - math.sqrt(n - 1) * s * prev) * (1 / (c * math.sqrt(n)))
+        if abs(amp) > 2.0**500:
+            prev, amp, cuts = prev * 2.0**-500, amp * 2.0**-500, cuts + [n]
         amps.append(amp)
     lift = cmath.exp(-1j * theta) * math.tanh(r) * alpha * alpha / 2
+    log_psi_0 = lift.real - abs(alpha) ** 2 / 2
+    shift = len(cuts) if log_psi_0 < -708.4 else 0  # so that psi_0 2^(500 shift) is normal
     # np.exp, not math.exp (they can differ by an ulp): coherent_ket's bits are np.exp's
-    psi_0 = np.exp(lift.real - abs(alpha) ** 2 / 2) * cmath.exp(1j * lift.imag) / math.sqrt(c)
+    psi_0 = np.exp(log_psi_0 + shift * 500 * math.log(2)) * cmath.exp(1j * lift.imag) / math.sqrt(c)
+    if cuts:  # powers of two, exact wherever psi_0 is normal
+        psi_0 = psi_0 * 2.0 ** (500 * (np.searchsorted(cuts, np.arange(size), "right") - shift))
     return np.array(amps) * psi_0
 
 

@@ -163,8 +163,7 @@ def _ladder_forms(kets):
     a family enters by its ladder kets alone.  Unequal squeezing, and ladder
     orders above MAX_ORDER, raise UnsupportedKet.
     """
-    squeezing = list({(ket.r, ket.theta) for ket in kets})  # one pair for most families
-    if len(squeezing) > 1 and not np.isclose(np.array(squeezing)[:, None], squeezing).all():
+    if len({(ket.r, ket.theta) for ket in kets}) > 1:
         raise UnsupportedKet("squeezed kets have closed-form overlaps only at equal squeezing")
     orders = [ket.k for ket in kets]
     if max(orders, default=0) > MAX_ORDER:

@@ -23,6 +23,7 @@ MINOR_IMAG_TOL = 1e-10   # largest relative imaginary part of a principal minor
 BOUNDARY_XTOL = 1e-10    # bisection tolerance of witness_region boundary samples
 SERIES_TOL = 1e-14       # tail bound of the sqrt(n)-weighted geometric sums
 EMBED_PAD = 4            # Fock levels added to the qudit in qudit_mode="embedded"
+IDENTITY_CHANNEL = ThermalChannelParams(1.0, 0.0)  # the channel a plain HybridState has passed
 
 
 def heaviside_half(x):
@@ -220,17 +221,18 @@ class SymbolicMomentProvider:
     """
 
     def __init__(self, state):
-        if isinstance(state, HybridState):
+        if isinstance(state, ThermalHybridState):
+            state, self._params = state.base, state.params
+        elif isinstance(state, HybridState):
             require_coherent(state, "the exact moment route")
-            state = ThermalHybridState(state, ThermalChannelParams(1.0, 0.0))
-        elif not isinstance(state, ThermalHybridState):
+            self._params = IDENTITY_CHANNEL
+        else:
             raise TypeError("SymbolicMomentProvider needs a HybridState or a ThermalHybridState")
-        self.qudit_dim = state.base.qudit_dim
-        weights, levels, dyads = zip(*state.dyad_terms())
-        self._weights = np.array(weights)
-        self._m, self._mp = np.array(levels).T
-        self._alpha, self._beta = np.array(dyads, dtype=complex).T
-        self._params = state.params
+        self.qudit_dim = state.qudit_dim
+        # weight p c_i conj(c_j) of |m_i><m_j| x Y(|alpha_i><alpha_j|), per branch pair of each term
+        self._weights, self._m, self._mp, self._alpha, self._beta = map(np.array, zip(*(
+            (p * bi.c * np.conj(bj.c), bi.m, bj.m, bi.ket.alpha, bj.ket.alpha)
+            for p, branches in state.terms for bi in branches for bj in branches)))
 
     def __call__(self, a_words, b_words):
         wb, ib = _qudit_words(self.qudit_dim, b_words)

@@ -205,6 +205,14 @@ def test_thermal_kraus_completeness_and_reduction():
         assert np.abs(op - expect).max() < 1e-10
 
 
+def test_hot_thermal_channel_is_complete():
+    # n_th^n and (1 + n_th)^(n + 1) overflow a double long before the n = 356 the tail needs
+    params = ThermalChannelParams(0.5, 15.0)
+    weights = [params.thermal_weight(n) for n in range(params.env_cutoff() + 1)]
+    assert np.isfinite(weights).all() and 1.0 - 1e-10 <= sum(weights) <= 1.0
+    assert thermal_kraus(params, 2).completeness_residual <= 1e-10
+
+
 @pytest.mark.parametrize("eta, n_th", [(0.3, 0.4), (0.55, 1.0), (0.8, 0.7), (0.0, 0.5),
                                          (1.0, 0.9)])
 def test_thermal_kraus_matches_beamsplitter_dilation(rng, eta, n_th):

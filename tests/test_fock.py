@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
-from hyqent import (CutoffTooSmall, beamsplit, coherent_ket, coherent_tail_weight,
+from hyqent import (CutoffTooSmall, SymbolicKet, beamsplit, coherent_ket, coherent_tail_weight,
                     default_cutoff, displace, fock_wavefunction, hermite,
                     mode_operators, overlap_coherent, phase_shifter,
                     position_density, squeeze, wigner, wigner_marginal_x)
@@ -156,6 +156,26 @@ def test_coherent_ket_is_the_glauber_loop_bit_for_bit():
         for n in range(1, n_cut + 1):
             loop[n] = loop[n - 1] * alpha / np.sqrt(n)
         assert np.array_equal(coherent_ket(alpha, n_cut), loop * np.exp(-abs(alpha) ** 2 / 2.0))
+
+
+@pytest.mark.parametrize("alpha", [38.0, 40.0 * np.exp(0.7j), 100j],
+                         ids=["38", "40e^0.7i", "100i"])
+def test_coherent_ket_stays_finite_at_large_amplitudes(alpha):
+    # alpha^n / sqrt(n!) passes the double range near |alpha| = 37.6, and e^{-|alpha|^2/2}
+    # falls below it
+    mpmath = pytest.importorskip("mpmath")
+    v = coherent_ket(alpha)
+    levels = range(0, v.size, 5)
+    with mpmath.workdps(30):  # the amplitudes exp(-|a|^2/2 + n log a - log(n!)/2)
+        a = mpmath.mpc(alpha)
+        exact = [complex(mpmath.exp(-abs(a) ** 2 / 2 + n * mpmath.log(a)
+                                    - mpmath.loggamma(n + 1) / 2)) for n in levels]
+    assert np.isfinite(v).all()
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert np.abs(v[levels] - exact).max() < 1e-12
+    if alpha == 38.0:
+        raised = SymbolicKet.photon_added(2, alpha).to_fock(1800)
+        assert np.isfinite(raised).all() and abs(np.linalg.norm(raised) - 1.0) < 1e-12
 
 
 def test_squeeze_guard_raises_exactly_when_the_squeezed_vacuum_tail_exceeds_tail_tol():

@@ -43,10 +43,13 @@ def test_overlaps_match_fock_numerics(rng):
 
 
 def test_unequal_squeezing_is_unsupported():
-    k1 = SymbolicKet.displaced_squeezed(0.5, 0.3)
-    k2 = SymbolicKet.displaced_squeezed(0.5, 0.6)
-    with pytest.raises(UnsupportedKet):
-        overlap(k1, k2)
+    for k1, k2 in [
+        (SymbolicKet.displaced_squeezed(0.5, 0.3), SymbolicKet.displaced_squeezed(0.5, 0.6)),
+        # nearly equal squeezers do not cancel: the Fock overlap at n_cut 160 is 1 - 3.6e-11
+        (SymbolicKet.squeezed_coherent(2.0, 0.5), SymbolicKet.squeezed_coherent(2.0, 0.500004)),
+    ]:
+        with pytest.raises(UnsupportedKet):
+            overlap(k1, k2)
 
 
 def test_squeezed_coherent_conversion():

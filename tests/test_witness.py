@@ -1,12 +1,15 @@
+import copy
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
+import hyqent.channels
+import hyqent.witness
 from conftest import random_ket, shared_level_qubit
 from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider,
-                    SymbolicKet, SymbolicMomentProvider, ThermalChannelParams,
+                    SymbolicKet, SymbolicMomentProvider, ThermalChannelParams, ThermalHybridState,
                     UnsupportedKet, apply_thermal, cat_witness_determinants, default_cutoff,
                     geometric_mixture_s1, heaviside_half, mixed24_s1, optimal_alpha,
                     principal_minor, qudit_mode_operators, s1_minor, s2_minor,
@@ -284,6 +287,48 @@ def test_symbolic_provider_takes_coherent_kets_built_as_fock_or_photon_added():
     oracle = sv_moment_matrix(MatrixMomentProvider(state.to_fock_density(40), mode_subsystem=1),
                               2, qudit_dim=2)
     assert np.abs(exact.matrix - oracle.matrix).max() < 1e-10
+
+
+def _dyad_arrays_from_triples(state):
+    """Dyad arrays by the two-step route: (weight, levels, amplitudes) triples, then unzipped."""
+    if isinstance(state, HybridState):
+        state = ThermalHybridState(state, ThermalChannelParams(1.0, 0.0))
+    triples = [(p * bi.c * np.conj(bj.c), (bi.m, bj.m), (bi.ket.alpha, bj.ket.alpha))
+               for p, branches in state.base.terms for bi in branches for bj in branches]
+    weights, levels, dyads = zip(*triples)
+    m, mp = np.array(levels).T
+    alpha, beta = np.array(dyads, dtype=complex).T
+    return np.array(weights), m, mp, alpha, beta, state.params
+
+
+@pytest.mark.parametrize("state, d", [
+    (binary_coherent(0.9).payload, 2),
+    (qutrit_qumode(0.6).payload, 3),
+    (mixed24(0.3, 1.1).payload, 2),
+    (apply_thermal(binary_coherent(0.9).payload, ThermalChannelParams(0.55, 0.4)), 2),
+    (apply_thermal(qutrit_qumode(0.6).payload, ThermalChannelParams(0.6, 0.2)), 3),
+])
+def test_symbolic_provider_dyads_match_the_triple_route_bit_for_bit(state, d):
+    provider = SymbolicMomentProvider(state)
+    reference = copy.copy(provider)
+    (reference._weights, reference._m, reference._mp, reference._alpha, reference._beta,
+     reference._params) = _dyad_arrays_from_triples(state)
+    for degree in (2, 3):
+        assert np.array_equal(sv_moment_matrix(provider, degree, qudit_dim=d).matrix,
+                              sv_moment_matrix(reference, degree, qudit_dim=d).matrix)
+
+
+def test_symbolic_provider_checks_a_plain_state_once(monkeypatch):
+    calls = []
+    check = hyqent.channels.require_coherent
+    counted = lambda state, what: calls.append(what) or check(state, what)
+    monkeypatch.setattr(hyqent.channels, "require_coherent", counted)
+    monkeypatch.setattr(hyqent.witness, "require_coherent", counted)
+    SymbolicMomentProvider(binary_coherent(0.9).payload)
+    assert len(calls) == 1
+    thermal = apply_thermal(binary_coherent(0.9).payload, ThermalChannelParams(0.55, 0.4))
+    SymbolicMomentProvider(thermal)
+    assert len(calls) == 2  # the one check is the channel's own, at construction
 
 
 def test_symbolic_provider_rejects_other_payloads():
