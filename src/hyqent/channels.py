@@ -16,6 +16,9 @@ from .fock import overlap_coherent
 from .kets import HybridState, SymbolicKet, gram_matrix, ladder_sum, term_norm
 
 DEFAULT_WEIGHT_TOL = 1e-10
+# thermal_kraus stages its amplitudes in one dense float array; a channel whose
+# array would pass this many bytes is refused before anything is allocated
+KRAUS_STAGING_LIMIT = 2**28
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,9 @@ class ThermalChannelParams:
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if not self.n_th >= 0.0:
-            raise ValueError("n_th must be >= 0")
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
+        if not 0.0 <= self.n_th < np.inf:
+            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th!r}")
 
     def thermal_weight(self, n):
         """Thermal photon distribution n_th^n / (1 + n_th)^(n+1), as q^n / (1 + n_th) for q < 1."""
@@ -194,11 +197,20 @@ def thermal_kraus(params, n_cut, weight_tol=DEFAULT_WEIGHT_TOL):
     through one port alone, errs by up to 4.8e-9.  The environment cutoff
     n_env_cut = params.env_cutoff(weight_tol) leaves thermal weight below
     weight_tol, and the output space has dimension n_cut + n_env_cut + 1,
-    so the only completeness deficit is that neglected thermal tail.
+    so the only completeness deficit is that neglected thermal tail.  The
+    amplitudes are staged in a dense (n_env_cut + 2) x (dim_out + 1) x
+    (n_cut + 2) float array; past KRAUS_STAGING_LIMIT bytes (2**28, 268 MB) the
+    call raises ValueError, giving the size, before anything is allocated.
     """
     n_env_cut = params.env_cutoff(weight_tol)
     dim_in = n_cut + 1
     dim_out = n_cut + n_env_cut + 1
+    staging = (n_env_cut + 2) * (dim_out + 1) * (dim_in + 1) * 8
+    if staging > KRAUS_STAGING_LIMIT:
+        raise ValueError(f"thermal_kraus at n_th = {params.n_th}, n_cut = {n_cut} needs a "
+                         f"{n_env_cut + 2} x {dim_out + 1} x {dim_in + 1} staging array "
+                         f"({staging / 1e6:.0f} MB), past the {KRAUS_STAGING_LIMIT / 1e6:.0f} MB "
+                         f"bound; lower n_cut or n_th, or raise weight_tol")
     t, r = np.sqrt(params.eta), np.sqrt(1.0 - params.eta)
     root = np.sqrt(np.arange(dim_out + 1))
     # amp[n + 1, m + 1, k + 1] = psi_n[m, k]; the zero border stands for k - 1,

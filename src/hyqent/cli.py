@@ -150,7 +150,7 @@ def build_state(family, params):
 
 
 def _to_density(payload):
-    if isinstance(payload, HybridState):
+    if isinstance(payload, compression.Stack):
         return compression.compress(payload)
     if isinstance(payload, DiscreteKet):
         return DensityMatrix.from_ket(payload.vector, payload.dims)
@@ -158,7 +158,7 @@ def _to_density(payload):
 
 
 def _pure_vector(payload):
-    if isinstance(payload, HybridState) and payload.is_pure:
+    if isinstance(payload, compression.Stack) and payload.is_pure:
         return compression.compress_vector(payload)
     if isinstance(payload, DiscreteKet):
         return payload.vector, payload.dims
@@ -181,8 +181,30 @@ def _generic_s_minor(payload, which):
     return witness.s1_minor(mm) if which == 1 else witness.s2_minor(mm)
 
 
-def _measure_value(name, named):
-    payload = named.payload
+def _stacks(payloads):
+    """(indices, stacked payload) for each template among the payloads.
+
+    HybridStates stack by compression.stacks; DiscreteKets of equal dims stack
+    as one DiscreteKet of (P, D) vectors; any other payload stands alone.
+    """
+    hybrid, discrete, out = [], {}, []
+    for i, payload in enumerate(payloads):
+        if isinstance(payload, HybridState):
+            hybrid.append(i)
+        elif isinstance(payload, DiscreteKet):
+            discrete.setdefault(payload.dims, []).append(i)
+        else:
+            out.append(([i], payload))
+    if hybrid:
+        out += [(np.take(hybrid, index), stack)
+                for index, stack in compression.stacks([payloads[i] for i in hybrid])]
+    out += [(index, DiscreteKet(np.array([payloads[i].vector for i in index]), dims))
+            for dims, index in discrete.items()]
+    return out
+
+
+def _stack_measure(name, payload):
+    """A stackable measure at each state of a stacked payload."""
     if name == "concurrence":
         rho = _bipartite(_to_density(payload))
         try:
@@ -200,24 +222,46 @@ def _measure_value(name, named):
         if len(dims) != 2:
             raise Inapplicable("entropy of entanglement needs a bipartite pure state")
         return measures.entropy_of_entanglement(v, dims)
-    if name == "tau_res":
-        v, dims = _pure_vector(payload)
-        if dims != (2, 2, 2):
-            raise Inapplicable("residual tangle needs an effective three-qubit state")
-        return measures.ckw(v).tau_res
+    v, dims = _pure_vector(payload)  # tau_res
+    if dims != (2, 2, 2):
+        raise Inapplicable("residual tangle needs an effective three-qubit state")
+    return measures.ckw(v).tau_res
+
+
+def _point_measure(name, named):
+    """A measure that takes its own route at each state."""
     if name == "s1":
-        return _generic_s_minor(payload, 1)
+        return _generic_s_minor(named.payload, 1)
     if name == "s2":
-        return _generic_s_minor(payload, 2)
-    if name == "fidelity":
-        if named.id != "qubus":
-            raise Inapplicable("fidelity is defined for the qubus family")
-        return named.extra["fidelity"]
-    raise SpecError(f"unknown measure {name!r}; valid: {', '.join(sorted(MEASURES))}")
+        return _generic_s_minor(named.payload, 2)
+    if named.id != "qubus":  # fidelity
+        raise Inapplicable("fidelity is defined for the qubus family")
+    return named.extra["fidelity"]
+
+
+def _measure_values(name, states):
+    """One measure at each NamedState, as floats.
+
+    The stackable measures compress and measure each template's states as one
+    stack; the moment witnesses and the fidelity go state by state.
+    """
+    if name in POINT_MEASURES:
+        return [float(_point_measure(name, named)) for named in states]
+    if name not in MEASURES:
+        raise SpecError(f"unknown measure {name!r}; valid: {', '.join(sorted(MEASURES))}")
+    values = np.empty(len(states))
+    for index, payload in _stacks([named.payload for named in states]):
+        values[index] = _stack_measure(name, payload)
+    return values.tolist()
+
+
+def _measure_value(name, named):
+    return _measure_values(name, [named])[0]
 
 
 MEASURES = ("concurrence", "negativity", "log_negativity", "purity", "entropy",
             "tau_res", "s1", "s2", "fidelity")
+POINT_MEASURES = ("s1", "s2", "fidelity")
 
 # closed-form outputs available to sweeps, keyed by (name) -> fn(params) and a
 # formula string recorded in reproduction manifests
@@ -275,7 +319,7 @@ def evaluate_output(name, family, params):
             raise SpecError(f"output {name!r} needs parameter {exc.args[0]!r} "
                             f"(set it in params or as an axis)") from exc
     if name in MEASURES:
-        return float(_measure_value(name, build_state(family, params)))
+        return _measure_value(name, build_state(family, params))
     raise SpecError(f"unknown output {name!r}")
 
 
@@ -378,25 +422,76 @@ def _parse_axis(text):
     return name, values
 
 
-def _sweep_point(packed):
-    family, base_params, names, values, outputs = packed
-    params = dict(base_params)
-    params.update(dict(zip(names, values)))
-    return [evaluate_output(out, family, params) for out in outputs]
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # kept in its cell; run_sweep raises the first in row-major order
+        return exc
+
+
+def _sweep_chunk(packed):
+    """Each output at each point of a contiguous run of sweep points: its value or its exception.
+
+    Closed forms and the moment witnesses go point by point.  Each point's
+    state is built once, and each stackable measure is evaluated as one stack
+    per template; a stack that raises is evaluated again point by point up to
+    its first failing point, whose exception is the one the point raises alone.
+    Once a point has failed, later points need no more cells: the sweep raises
+    at or before that point.
+    """
+    family, base_params, names, points, outputs = packed
+    params = [{**base_params, **dict(zip(names, p))} for p in points]
+    cells = [[None] * len(outputs) for _ in points]
+    needed = len(points)  # the points before the first failing one
+    built = None
+    for j, out in enumerate(outputs):
+        if out in MEASURES and out not in POINT_MEASURES:
+            if built is None:
+                built = [_attempt(build_state, family, p) for p in params]
+            failed = [isinstance(named, Exception) for named in built[:needed]]
+            if any(failed):
+                needed = failed.index(True)
+                cells[needed][j] = built[needed]
+            values = _attempt(_measure_values, out, built[:needed])
+            if isinstance(values, Exception):
+                values = []
+                for named in built[:needed]:
+                    values.append(_attempt(_measure_value, out, named))
+                    if isinstance(values[-1], Exception):
+                        break
+        else:
+            values = [_attempt(evaluate_output, out, family, p) for p in params[:needed]]
+        for i, value in enumerate(values):
+            cells[i][j] = value
+            if isinstance(value, Exception):
+                needed = i
+                break
+    return cells
 
 
 def run_sweep(family, params, axes, outputs, workers=1):
-    """Row-major sweep over the axes; deterministic regardless of worker count."""
+    """Row-major sweep over the axes; deterministic regardless of worker count.
+
+    With workers > 1 each worker evaluates one contiguous chunk of the points.
+    The first output, in row-major order, that raises makes the sweep raise
+    that exception, as a point-by-point loop would.
+    """
     names = [n for n, _ in axes]
     grids = np.meshgrid(*[v for _, v in axes], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    jobs = [(family, params, names, tuple(p), tuple(outputs)) for p in points]
-    if workers <= 1:
-        results = [_sweep_point(j) for j in jobs]
+    chunks = min(workers, len(points))
+    jobs = [(family, params, names, [tuple(p) for p in chunk], tuple(outputs))
+            for chunk in (np.array_split(points, chunks) if chunks > 1 else [points])]
+    if len(jobs) == 1:
+        cells = _sweep_chunk(jobs[0])
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    rows = [list(p) + r for p, r in zip(points, results)]
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            cells = [row for chunk in pool.map(_sweep_chunk, jobs) for row in chunk]
+    for row in cells:
+        for cell in row:
+            if isinstance(cell, Exception):
+                raise cell
+    rows = [list(p) + r for p, r in zip(points, cells)]
     return names + list(outputs), rows
 
 

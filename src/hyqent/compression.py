@@ -5,11 +5,16 @@ re-expressed in an orthonormal basis of the subspace it spans by a
 lower-triangular coefficient matrix that preserves every overlap.  Hybrid
 states supported on finitely many qumode kets thereby become ordinary
 finite-dimensional density matrices, where the full DV toolbox applies.
+
+States that differ only in their amplitudes, coefficients and weights
+compress together: stacks() groups them, and compress and compress_vector
+take such a Stack and return one result per state on a leading point axis.
+One state is the one-point case of the same computation.
 """
 
 from dataclasses import dataclass
 from functools import reduce
-from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,8 @@ class GramCoefficients:
     reads sum_k conj(matrix[i, k]) matrix[j, k] = <psi_i|psi_j>, i.e.
     matrix.conj() @ matrix.T reproduces the Gram matrix.  When kets are
     linearly dependent the basis is smaller than the family and matrix is
-    rectangular (n x basis_size).
+    rectangular (n x basis_size).  Families with the same pivots stack on a
+    leading point axis.
     """
 
     matrix: np.ndarray
@@ -36,10 +42,51 @@ class GramCoefficients:
 
     @property
     def basis_size(self):
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     def reconstructed_gram(self):
-        return self.matrix.conj() @ self.matrix.T
+        return self.matrix.conj() @ self.matrix.swapaxes(-1, -2)
+
+
+def _factor(gram):
+    """Column-Cholesky rows of a (P, n, n) Gram stack, one column per ket, and the pivot mask.
+
+    Rows are processed in order; each new ket either extends the orthonormal
+    basis (positive residual) or, when its residual norm^2 falls below
+    DEPENDENCE_TOL, is expressed in the basis built so far and keeps an
+    all-zero column.  A new basis vector fills its whole column at once.
+    """
+    if not np.isfinite(gram).all():
+        raise ValueError("gram matrix is not finite")
+    n = gram.shape[-1]
+    rows = np.zeros(gram.shape, dtype=complex)
+    columns = rows.transpose(2, 0, 1)  # columns[i] is column i of every point's rows
+    norms = gram.diagonal(axis1=1, axis2=2).real
+    for i in range(n):
+        row = rows[:, i, :i]
+        residual = norms[:, i:i + 1] - np.add.reduce(np.square(np.abs(row)), axis=-1, keepdims=True)
+        keep = residual > DEPENDENCE_TOL
+        # a dependent ket divides by d = inf, which leaves its column 0 (a ket
+        # dependent at every point skips the division); its diagonal entry,
+        # which no later step reads, marks it until the end
+        d = np.sqrt(np.where(keep, residual, np.inf))
+        columns[i, :, i:i + 1] = d
+        if i + 1 < n and keep.any():
+            # <psi_i|psi_j> = sum_k conj(A_ik) A_jk fixes the new column of every later row j
+            later = (rows[:, i + 1:, :i] @ row.conj()[..., None])[..., 0]
+            columns[i, :, i + 1:] = (gram[:, i, i + 1:] - later) / d
+    diagonal = np.arange(n)
+    d = rows[:, diagonal, diagonal]
+    pivot = d.real < np.inf
+    rows[:, diagonal, diagonal] = np.where(pivot, d, 0.0)
+    return rows, pivot
+
+
+def _coefficients(rows, keep):
+    """GramCoefficients of factor rows with the pivot mask keep shared by all points."""
+    if keep.all():
+        return GramCoefficients(rows, tuple(range(keep.size)))
+    return GramCoefficients(rows[..., keep], tuple(np.flatnonzero(keep).tolist()))
 
 
 def inverse_gram_schmidt(gram):
@@ -51,34 +98,44 @@ def inverse_gram_schmidt(gram):
     DEPENDENCE_TOL, is expressed in the basis built so far, reducing the
     effective dimension instead of failing.  A new basis vector fills its
     whole column at once, as in the column form of Cholesky factorization.
+    stacks() factors many Gram matrices of one template at once.
     """
     gram = np.asarray(gram, dtype=complex)
     n = gram.shape[0]
     if gram.shape != (n, n):
         raise ValueError("gram matrix must be square")
-    if not np.abs(gram - gram.conj().T).max() <= 1e-8:
+    if not np.abs(gram - gram.conj().T).max(initial=0.0) <= 1e-8:
         raise ValueError("gram matrix must be Hermitian")
-    if not np.abs(np.diag(gram) - 1.0).max() <= 1e-8:
+    if not np.abs(np.diag(gram) - 1.0).max(initial=0.0) <= 1e-8:
         raise ValueError("gram matrix must have unit diagonal (normalized kets)")
-
-    rows = np.zeros((n, n), dtype=complex)
-    pivots = []
-    for i in range(n):
-        r = len(pivots)
-        residual = gram[i, i].real - float(np.sum(np.abs(rows[i, :r]) ** 2))
-        if residual > DEPENDENCE_TOL:
-            d = np.sqrt(residual)
-            rows[i, r] = d
-            # <psi_i|psi_j> = sum_k conj(A_ik) A_jk fixes the new column of every later row j
-            rows[i + 1:, r] = (gram[i, i + 1:] - rows[i + 1:, :r] @ rows[i, :r].conj()) / d
-            pivots.append(i)
-    r = len(pivots)
-    return GramCoefficients(rows[:, :r], tuple(pivots))
+    rows, pivot = _factor(gram[None])
+    return _coefficients(rows[0], pivot[0])
 
 
 def ket_expansion(kets):
     """GramCoefficients for a list of SymbolicKet built from analytic overlaps."""
     return inverse_gram_schmidt(gram_matrix(kets))
+
+
+def _layout(state):
+    """(template, site kets) of a HybridState.
+
+    The template is the state without its amplitudes, coefficients and
+    weights: its sites, the branch count of each term, one column per site
+    over all branches in order (the qudit level, or on a mode site the slot of
+    the branch's ket among that site's distinct kets, in order of first
+    appearance) and the ladder order and squeezing of every slot.  Site kets
+    maps each mode axis to its distinct kets, as a dict from ket to slot.
+    """
+    columns = list(zip(*[values for term in state.terms for _, values in term.branches]))
+    slots = {}
+    for a, site in enumerate(state.sites):
+        if site == MODE:
+            slot = slots[a] = {}
+            columns[a] = tuple([slot.setdefault(ket, len(slot)) for ket in columns[a]])
+    counts = tuple([len(term.branches) for term in state.terms])
+    forms = tuple([(ket.k, ket.r, ket.theta) for slot in slots.values() for ket in slot])
+    return (state.sites, counts, tuple(columns), forms), slots
 
 
 def site_expansions(state):
@@ -87,36 +144,108 @@ def site_expansions(state):
     A site's kets are its distinct kets in order of first appearance over all
     terms; each site gets one ket_expansion.
     """
+    return [(axis, list(kets), ket_expansion(list(kets)))
+            for axis, kets in _layout(state)[1].items()]
+
+
+class Stack(NamedTuple):
+    """HybridStates that compress together, with their template and each mode site's expansion.
+
+    The states share a template and the pivots of every mode site, so each
+    (axis, GramCoefficients) of expansions has a leading point axis.
+    """
+
+    states: tuple
+    template: tuple
+    expansions: tuple
+
+    @property
+    def is_pure(self):
+        return self.states[0].is_pure
+
+
+def stacks(states):
+    """Split HybridStates into the stacks that compress together.
+
+    Two states share a stack when they share a template (the sites, the term
+    count and branch layout, and the ladder order and squeezing of each ket
+    slot) and the pivots of each mode site's Gram factorization, so that only
+    amplitudes, coefficients and weights differ.  Each template's Gram
+    matrices are built and factorized as one stack.  Returns (indices, Stack)
+    pairs, with the indices (a list) into states in increasing order.
+    """
+    states, templates = list(states), {}
+    for i, state in enumerate(states):
+        template, site_kets = _layout(state)
+        templates.setdefault(template, []).append((i, state, site_kets))
     out = []
-    for axis, site in enumerate(state.sites):
-        if site == MODE:
-            kets = list(dict.fromkeys(b.values[axis] for _, bs in state.terms for b in bs))
-            out.append((axis, kets, ket_expansion(kets)))
+    for template, members in templates.items():
+        index = [i for i, _, _ in members]
+        factors = [(axis, *_factor(gram_matrix([m[2][axis] for m in members])))
+                   for axis in members[0][2]]
+        groups = [slice(None)]
+        if len(members) > 1:
+            pivots = np.concatenate([pivot for _, _, pivot in factors], axis=1)
+            if (pivots != pivots[:1]).any():
+                _, pattern = np.unique(pivots, axis=0, return_inverse=True)
+                groups = [np.flatnonzero(pattern.ravel() == g) for g in range(pattern.max() + 1)]
+        for sel in groups:
+            picked = index[sel] if isinstance(sel, slice) else [index[j] for j in sel]
+            expansions = tuple((axis, _coefficients(rows[sel], pivot[sel][0]))
+                               for axis, rows, pivot in factors)
+            out.append((picked, Stack(tuple(states[i] for i in picked), template, expansions)))
     return out
 
 
-def _term_vectors(state):
-    """Compressed vectors of the terms of a HybridState, one per row, and the effective dims.
+def _as_stack(state):
+    if isinstance(state, Stack):
+        return state
+    [(_, stack)] = stacks([state])
+    return stack
+
+
+def _outer(factors):
+    """Outer product over two leading axes: (P, B, r_1), ..., (P, B, r_k) to (P, B, r_1, ...)."""
+    return reduce(lambda x, y: x[..., None] * y.reshape(y.shape[:2] + (1,) * (x.ndim - 2) + (-1,)),
+                  factors)
+
+
+def _term_vectors(stack):
+    """Compressed vectors of the terms of a Stack, (P, terms, D), and the effective dims.
 
     Each mode site becomes its orthonormal basis, and each branch lands by
-    index: its qudit levels select one entry per qudit axis, and the outer
-    product of the rows of its kets fills the mode axes.  Terms on a layout of
-    mode sites only are normalized through the ket overlaps and renormalized here.
+    index: its qudit levels select one entry per qudit axis, and its
+    coefficient times the outer product of the rows of its kets fills the mode
+    axes.  Branches that land on one block add up in branch order.  Terms on a
+    layout of mode sites only are normalized through the ket overlaps and
+    renormalized here.
     """
-    sites = state.sites
-    dims, rows = list(sites), {}
-    for axis, kets, coeffs in site_expansions(state):
-        dims[axis] = coeffs.basis_size
-        rows[axis] = dict(zip(kets, coeffs.matrix))
-    vectors = np.zeros((state.term_count, prod(dims)), dtype=complex)
-    for v, (_, branches) in zip(vectors, state.terms):
-        view = v.reshape(dims)
-        for c, values in branches:
-            index = tuple(slice(None) if s == MODE else x for s, x in zip(sites, values))
-            view[index] += c * reduce(np.multiply.outer, [rows[a][values[a]] for a in rows])
-    if len(rows) == len(sites):
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return vectors, tuple(dims)
+    sites, counts, columns, _ = stack.template
+    modes = [a for a, site in enumerate(sites) if site == MODE]
+    qudits = [a for a, site in enumerate(sites) if site != MODE]
+    rows = [coeffs.matrix for _, coeffs in stack.expansions]
+    c = np.array([[b.c for term in state.terms for b in term.branches] for state in stack.states])
+    blocks = _outer([m[:, columns[a]] for a, m in zip(modes, rows)])
+    blocks = c.reshape(c.shape + (1,) * len(modes)) * blocks
+    # work holds the qudit axes before the mode axes; a branch's rank among the
+    # branches with its term and levels orders the additions onto one block
+    terms = [t for t, count in enumerate(counts) for _ in range(count)]
+    rank, seen = [], {}
+    for target in zip(terms, *[columns[a] for a in qudits]):
+        rank.append(seen.get(target, 0))
+        seen[target] = rank[-1] + 1
+    rank = np.array(rank)
+    target = [np.array(terms)] + [np.array(columns[a]) for a in qudits]
+    work = np.zeros((len(c), len(counts)) + tuple(sites[a] for a in qudits) + blocks.shape[2:],
+                    dtype=complex)
+    for r in range(rank.max(initial=-1) + 1):
+        sel = np.flatnonzero(rank == r)
+        work[(slice(None),) + tuple(t[sel] for t in target)] += blocks[:, sel]
+    order = [0, 1] + [2 + (qudits + modes).index(a) for a in range(len(sites))]
+    vectors = work.transpose(order).reshape(len(c), len(counts), -1)
+    if not qudits:
+        vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return vectors, tuple(work.shape[i] for i in order[2:])
 
 
 def compress_vector(state):
@@ -125,17 +254,24 @@ def compress_vector(state):
     The qumode kets of each mode site are replaced by their orthonormal
     expansion; all overlaps, and hence all entanglement properties, are
     preserved exactly.  It is a unit vector whose outer product is compress(state).matrix.
+    A Stack of pure states gives one ket per state, (P, D).
     """
     if not state.is_pure:
         raise ValueError("compress_vector needs a pure (single-term) state")
-    vectors, dims = _term_vectors(state)
-    return vectors[0], dims
+    vectors, dims = _term_vectors(_as_stack(state))
+    return (vectors[:, 0] if isinstance(state, Stack) else vectors[0, 0]), dims
 
 
 def compress(state):
-    """Effective DV density matrix sum_n p_n |v_n><v_n| of a HybridState, one factor per site."""
-    vectors, dims = _term_vectors(state)
-    return DensityMatrix((vectors.T * state.weights) @ vectors.conj(), dims)
+    """Effective DV density matrix sum_n p_n |v_n><v_n| of a HybridState, one factor per site.
+
+    A Stack gives a DensityMatrix stack, one matrix per state on a leading axis.
+    """
+    stack = _as_stack(state)
+    vectors, dims = _term_vectors(stack)
+    weights = np.array([s.weights for s in stack.states])
+    matrix = (vectors.swapaxes(1, 2) * weights[:, None, :]) @ vectors.conj()
+    return DensityMatrix(matrix if stack is state else matrix[0], dims)
 
 
 @dataclass(frozen=True)

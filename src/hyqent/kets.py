@@ -157,18 +157,27 @@ def ladder_sum(k, l, x, y, c=1.0, normalized=False):
 
 
 def _ladder_forms(kets):
-    """Ladder order k and amplitude alpha of each ket S(xi) a^dag^k |alpha> of one family.
+    """Ladder orders k and amplitudes alpha of the kets S(xi) a^dag^k |alpha> of one family.
 
     The squeezers cancel in every overlap of kets at equal squeezing, so such
     a family enters by its ladder kets alone.  Unequal squeezing, and ladder
-    orders above MAX_ORDER, raise UnsupportedKet.
+    orders above MAX_ORDER, raise UnsupportedKet.  A sequence of P families
+    (each an iterable of kets) with the same ladder orders and squeezing slot
+    by slot gives the orders once and a (P, n) amplitude array.
     """
-    if len({(ket.r, ket.theta) for ket in kets}) > 1:
+    stacked = bool(kets) and not isinstance(kets[0], SymbolicKet)
+    families = kets if stacked else [kets]
+    forms = [(ket.k, ket.r, ket.theta) for ket in families[0]]
+    if len({form[1:] for form in forms}) > 1:
         raise UnsupportedKet("squeezed kets have closed-form overlaps only at equal squeezing")
-    orders = [ket.k for ket in kets]
-    if max(orders, default=0) > MAX_ORDER:
+    if any([(ket.k, ket.r, ket.theta) for ket in family] != forms for family in families[1:]):
+        raise ValueError("stacked ket families must share their ladder orders and squeezing")
+    orders = np.array([form[0] for form in forms], dtype=int)
+    if orders.max(initial=0) > MAX_ORDER:
         raise UnsupportedKet(f"ladder orders above {MAX_ORDER} have no closed form here")
-    return np.array(orders, dtype=int), np.array([ket.alpha for ket in kets], dtype=complex)
+    if stacked:
+        return orders, np.array([[ket.alpha for ket in family] for family in kets], dtype=complex)
+    return orders, np.array([ket.alpha for ket in kets], dtype=complex)
 
 
 def _family_overlaps(kets):
@@ -178,16 +187,17 @@ def _family_overlaps(kets):
     for bra order k and ket order l, so the overlap of normalized kets is
     <alpha|beta> times the normalized sum over the square roots of both kets'
     own, whose product is never formed.  A value beyond the double range
-    raises UnsupportedKet.
+    raises UnsupportedKet.  A sequence of families (see _ladder_forms) gives a
+    (P, n, n) stack, each matrix as its family alone would.
     """
     orders, amps = _ladder_forms(kets)
-    value = fock.overlap_coherent(amps, amps[:, None])
+    bra, ket = amps[..., :, None], amps[..., None, :]
+    value = fock.overlap_coherent(ket, bra)
     if orders.any():  # at order 0 the factor and the norms are 1
         with np.errstate(over="ignore", invalid="ignore"):
-            factor = ladder_sum(orders[:, None], orders, np.conj(amps)[:, None], amps,
-                                normalized=True)
-            norm = factor.diagonal().real
-            value *= factor / norm[:, None] * np.sqrt(norm[:, None] / norm)
+            factor = ladder_sum(orders[:, None], orders, np.conj(bra), ket, normalized=True)
+            norm = factor.diagonal(axis1=-2, axis2=-1).real
+            value *= factor / norm[..., :, None] * np.sqrt(norm[..., :, None] / norm[..., None, :])
         if not np.isfinite(value).all():
             raise UnsupportedKet("a ladder overlap of this family lies beyond the double range")
     return value
@@ -210,10 +220,15 @@ def overlap(bra, ket):
 
 
 def gram_matrix(kets):
-    """Gram matrix <kets[i]|kets[j]>, exactly Hermitian with a unit diagonal."""
+    """Gram matrix <kets[i]|kets[j]>, exactly Hermitian with a unit diagonal.
+
+    A sequence of families with the same ladder orders and squeezing slot by
+    slot gives a (P, n, n) stack.
+    """
     upper = np.triu(_family_overlaps(kets), 1)
-    gram = upper + upper.conj().T
-    np.fill_diagonal(gram, 1.0)
+    gram = upper + upper.conj().swapaxes(-1, -2)
+    diagonal = np.arange(gram.shape[-1])
+    gram[..., diagonal, diagonal] = 1.0
     return gram
 
 

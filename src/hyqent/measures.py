@@ -2,13 +2,17 @@
 
 All logarithms are base 2, so entropies and logarithmic negativities are in
 e-bits, including for qutrit and larger subsystems.
+
+Every measure of a DensityMatrix or pure-state vector also takes a stack of
+them on a leading point axis and returns one value per point: a float for one
+state, an array for a stack, from the same array operations.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import DensityMatrix, partial_trace, partial_transpose
+from .composite import DensityMatrix, norms, partial_trace, partial_transpose, point_values
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SY, _SY)
@@ -18,17 +22,23 @@ MAJORIZATION_TOL = 1e-12  # slack on each partial-sum comparison
 PROBABILITY_SUM_TOL = 1e-10  # how far a probability vector's sum may be from 1
 
 
+def _positive_part(values):
+    """max(0, x) per point, with +0.0 for x <= 0 (numpy.maximum keeps -0.0)."""
+    return point_values(np.where(values > 0.0, values, 0.0))
+
+
 def _spectrum_entropy(probs):
+    """Shannon entropy (bits) of probability vectors along the last axis."""
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    nz = probs[probs > 0]
+    logs = np.log2(probs, where=probs > 0, out=np.zeros_like(probs))
     # a product state's entropy rounds to -0 or a few ulps below it; it is 0
-    return max(0.0, float(-(nz * np.log2(nz)).sum()))
+    return _positive_part(-(probs * logs).sum(axis=-1))
 
 
 def _unit_ket(psi):
-    """psi as a flat complex array; raises ValueError unless its norm is 1 within NORM_TOL."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:
+    """psi as complex vectors (the last axis); ValueError unless each norm is 1 within NORM_TOL."""
+    psi = np.asarray(psi, dtype=complex)
+    if not (abs(norms(psi) - 1.0) <= NORM_TOL).all():
         raise ValueError("state is not normalized")
     return psi
 
@@ -37,9 +47,9 @@ def entropy_of_entanglement(psi, dims):
     """Von Neumann entropy (bits) of either reduction of a pure bipartite state."""
     psi = _unit_ket(psi)
     da, db = dims
-    if psi.size != da * db:
+    if psi.shape[-1] != da * db:
         raise ValueError("state length does not match dims")
-    s = np.linalg.svd(psi.reshape(da, db), compute_uv=False)
+    s = np.linalg.svd(psi.reshape(psi.shape[:-1] + (da, db)), compute_uv=False)
     return _spectrum_entropy(s**2)
 
 
@@ -110,23 +120,24 @@ def concurrence(rho):
     concurrence is exactly 0.
     """
     if rho.dims in ((2, 1), (1, 2)):
-        return 0.0
+        return point_values(np.zeros(rho.matrix.shape[:-2]))
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence needs dims (2, 2), got {rho.dims}")
     w, v = np.linalg.eigh(rho.matrix)
-    left = v * np.sqrt(np.clip(w, 0.0, None))
-    roots = np.linalg.svd(left.conj().T @ _YY @ left.conj(), compute_uv=False)
+    left = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    roots = np.linalg.svd(left.conj().swapaxes(-1, -2) @ _YY @ left.conj(), compute_uv=False)
     # roots below ~sqrt(machine eps) of the leading one are rank-deficiency
     # noise (they scale as sqrt of spurious eigenvalues of rho), not data
-    roots[roots < 1e-7 * roots.max()] = 0.0
-    return float(max(0.0, 2.0 * roots.max() - roots.sum()))
+    top = roots.max(axis=-1)
+    roots[roots < 1e-7 * top[..., None]] = 0.0
+    return _positive_part(2.0 * top - roots.sum(axis=-1))
 
 
 def entanglement_of_formation(rho):
     """Two-qubit entanglement of formation s((1 + sqrt(1 - C^2))/2)."""
     c = concurrence(rho)
-    x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
-    return _spectrum_entropy([x, 1.0 - x])
+    x = (1.0 + np.sqrt(np.clip(1.0 - np.square(c), 0.0, None))) / 2.0
+    return _spectrum_entropy(np.stack([x, 1.0 - x], axis=-1))
 
 
 def negativity(rho, subsystem=1):
@@ -135,12 +146,12 @@ def negativity(rho, subsystem=1):
     Zero exactly for PPT states; which side is transposed is irrelevant.
     """
     ev = np.linalg.eigvalsh(partial_transpose(rho, subsystem))
-    return float((np.abs(ev).sum() - ev.sum()) / 2.0)
+    return point_values((np.abs(ev).sum(axis=-1) - ev.sum(axis=-1)) / 2.0)
 
 
 def log_negativity(rho, subsystem=1):
     """log2(1 + 2 negativity) = log2 of the partial-transpose trace norm (bits)."""
-    return float(np.log2(1.0 + 2.0 * negativity(rho, subsystem)))
+    return point_values(np.log2(1.0 + 2.0 * negativity(rho, subsystem)))
 
 
 @dataclass(frozen=True)
@@ -168,14 +179,15 @@ def ckw(psi):
     """Pairwise tangles and residual entanglement of a pure 2x2x2 state.
 
     The one-vs-rest tangle uses C^2(A|BC) = 4 det(rho_A), valid for pure
-    states, which is also where the residual tangle is defined.
+    states, which is also where the residual tangle is defined.  A (P, 8)
+    stack of states gives a report whose fields are arrays over the points.
     """
-    if np.size(psi) != 8:
+    if np.shape(psi)[-1:] != (8,):
         raise ValueError("ckw needs a pure three-qubit state vector")
     rho = DensityMatrix.from_ket(psi, (2, 2, 2))  # checks the norm
     c2_ab = concurrence(partial_trace(rho, [0, 1])) ** 2
     c2_ac = concurrence(partial_trace(rho, [0, 2])) ** 2
     c2_bc = concurrence(partial_trace(rho, [1, 2])) ** 2
     rho_a = partial_trace(rho, [0]).matrix
-    c2_a_bc = float(np.clip(4.0 * np.linalg.det(rho_a).real, 0.0, 1.0))
+    c2_a_bc = point_values(np.clip(4.0 * np.linalg.det(rho_a).real, 0.0, 1.0))
     return TangleReport(c2_ab, c2_ac, c2_bc, c2_a_bc, c2_a_bc - c2_ab - c2_ac)

@@ -213,6 +213,30 @@ def test_hot_thermal_channel_is_complete():
     assert thermal_kraus(params, 2).completeness_residual <= 1e-10
 
 
+@pytest.mark.parametrize("eta, n_th, field", [
+    (0.5, float("inf"), "n_th"), (0.5, float("nan"), "n_th"), (0.5, -1.0, "n_th"),
+    (float("inf"), 0.5, "eta"), (float("nan"), 0.5, "eta"), (1.5, 0.5, "eta")])
+def test_channel_params_must_be_finite_and_in_range(eta, n_th, field):
+    # an infinite n_th used to pass and fail later in env_cutoff with a bare NaN conversion
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        ThermalChannelParams(eta, n_th)
+
+
+def test_thermal_kraus_refuses_a_staging_array_past_its_bound(monkeypatch):
+    import hyqent.channels as channels
+
+    allocations = []
+    monkeypatch.setattr(channels.np, "zeros", lambda *a, **k: allocations.append(a) or 1 / 0)
+    # env_cutoff 2314: a 2316 x 2343 x 29 float array, 1.26 GB
+    with pytest.raises(ValueError, match=r"2316 x 2343 x 29 staging array \(1259 MB\)"):
+        thermal_kraus(ThermalChannelParams(0.5, 100.0), 27)
+    assert not allocations
+    monkeypatch.undo()
+    assert channels.KRAUS_STAGING_LIMIT < 1.26e9
+    # the benchmark's heavy case stays far below the bound
+    assert thermal_kraus(ThermalChannelParams(0.5, 1.0), 27).completeness_residual <= 1e-9
+
+
 @pytest.mark.parametrize("eta, n_th", [(0.3, 0.4), (0.55, 1.0), (0.8, 0.7), (0.0, 0.5),
                                          (1.0, 0.9)])
 def test_thermal_kraus_matches_beamsplitter_dilation(rng, eta, n_th):

@@ -193,18 +193,34 @@ def test_inline_hybrid_spec(tmp_path, capsys):
     assert float(out.splitlines()[0]) == pytest.approx(np.sqrt(1 - np.exp(-4)), abs=1e-9)
 
 
+# the six exact-grid family x measure pairs; each grid holds more than one template
+# (eta = 1 is a one-term pure state, alpha = 1e-7 a rank collapse, p = 0 one term,
+# alpha = 0 and theta = 0 one distinct ket), so three chunks split template groups
+WORKER_SWEEPS = [
+    ("two-mode-cat", ["alpha=0.25:1.5:4", "phi=0:3.14:4"], "concurrence,cat_concurrence_closed"),
+    ("damped-binary-coherent", ["alpha=1e-7,0.4,0.9,1.6", "eta=0.3,1.0,0.6"],
+     "concurrence,damped_concurrence_closed"),
+    ("mixed-23", ["p=0,0.3,0.7", "alpha=1e-7,0.5,1.4,2.2"], "log_negativity"),
+    ("qutrit-qumode", ["alpha=0,0.2,0.7,1e-7,1.3,2.0,0.9"], "entropy"),
+    ("qubus", ["alpha=0.5,1.2,1e-7", "theta=0,0.4,2.5,1.7"], "purity"),
+    ("tripartite-qmm", ["q_phi=0:1:4", "q_psi=0:1:5"], "tau_res,residual_tangle_closed"),
+]
+
+
 def test_sweep_deterministic_across_workers(tmp_path):
-    spec = write_spec(tmp_path, {"family": "two-mode-cat", "params": {"phi": 0.0}})
-    args = ["sweep", spec, "--axis", "alpha=0.25:1.5:4", "--axis", "phi=0:3.14:4",
-            "--output", "concurrence,cat_concurrence_closed"]
-    out1, out8 = str(tmp_path / "w1.csv"), str(tmp_path / "w8.csv")
-    assert main(args + ["--out", out1, "--workers", "1"]) == 0
-    assert main(args + ["--out", out8, "--workers", "8"]) == 0
-    b1 = open(out1, "rb").read()
-    assert b1 == open(out8, "rb").read()
-    # rerun is byte-identical too
-    assert main(args + ["--out", out1, "--workers", "1"]) == 0
-    assert b1 == open(out1, "rb").read()
+    for family, axes, outputs in WORKER_SWEEPS:
+        params = {"eta": 0.8} if family == "qubus" else {}
+        spec = write_spec(tmp_path, {"family": family, "params": params})
+        args = ["sweep", spec, *[a for axis in axes for a in ("--axis", axis)],
+                "--output", outputs]
+        out1, out3 = str(tmp_path / "w1.csv"), str(tmp_path / "w3.csv")
+        assert main(args + ["--out", out1, "--workers", "1"]) == 0
+        assert main(args + ["--out", out3, "--workers", "3"]) == 0
+        b1 = open(out1, "rb").read()
+        assert b1 == open(out3, "rb").read(), family
+        # rerun is byte-identical too
+        assert main(args + ["--out", out1, "--workers", "1"]) == 0
+        assert b1 == open(out1, "rb").read(), family
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -1,0 +1,209 @@
+"""Template stacks: a sweep evaluates each template's points as one stack.
+
+Every value must be bit-for-bit the value its point gives alone, and a sweep
+with a bad point must raise what a point-by-point loop raises first.
+"""
+
+from functools import reduce
+from math import prod
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_density, random_ket, shared_level_qubit
+from hyqent import (MODE, DensityMatrix, HybridState, SymbolicKet, ckw, cli, compression,
+                    concurrence, entropy_of_entanglement, gram_matrix, log_negativity, negativity,
+                    purity)
+from hyqent.catalog import (binary_coherent, damped_binary_coherent, mixed23, qubus_state,
+                            qutrit_qumode, two_mode_cat)
+
+
+def _axis(lo, hi, *specials):
+    """Axis values: a random subset, in random order, of floats in [lo, hi] and the specials."""
+    values = st.one_of(st.sampled_from(specials), st.floats(lo, hi)) if specials else \
+        st.floats(lo, hi)
+    return st.lists(values, min_size=1, max_size=4, unique=True)
+
+
+# the six exact-grid family x measure pairs; the specials are the template edges:
+# eta = 1 (a one-term pure state), eta = 0 and alpha = 1e-7 (rank collapse), p = 0 or 1
+# (one term), alpha = 0 and theta = 0 (one distinct ket)
+EXACT_GRID_PAIRS = {
+    "two-mode-cat/concurrence": ("two-mode-cat", {}, "concurrence",
+                                 {"alpha": _axis(0.05, 2.0), "phi": _axis(0.0, 2 * np.pi, np.pi)}),
+    "damped/concurrence": ("damped-binary-coherent", {}, "concurrence",
+                           {"alpha": _axis(0.1, 2.0, 1e-7), "eta": _axis(0.05, 1.0, 0.0, 1.0)}),
+    "mixed-23/log_negativity": ("mixed-23", {}, "log_negativity",
+                                {"p": _axis(0.0, 1.0, 0.0, 1.0), "alpha": _axis(0.1, 2.5, 1e-7)}),
+    "qutrit-qumode/entropy": ("qutrit-qumode", {}, "entropy",
+                              {"alpha": _axis(0.05, 2.5, 0.0, 1e-7)}),
+    "qubus/purity": ("qubus", {"eta": 0.7}, "purity",
+                     {"alpha": _axis(0.2, 2.5, 1e-7), "theta": _axis(0.1, 3.1, 0.0)}),
+    "tripartite-qmm/tau_res": ("tripartite-qmm", {}, "tau_res",
+                               {"q_phi": _axis(0.0, 1.0, 0.0, 1.0), "q_psi": _axis(0.0, 1.0, 1.0)}),
+}
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_sweep_values_are_each_point_alone_bit_for_bit(data):
+    pair = data.draw(st.sampled_from(sorted(EXACT_GRID_PAIRS)))
+    family, params, measure, axes = EXACT_GRID_PAIRS[pair]
+    axes = [(name, np.array(data.draw(values))) for name, values in axes.items()]
+    columns, rows = cli.run_sweep(family, params, axes, [measure])
+    for row in rows:
+        point = {**params, **dict(zip(columns, row[:-1]))}
+        assert _bits(row[-1]) == _bits(cli.evaluate_output(measure, family, point)), (pair, point)
+
+
+def _first_failure(family, params, axes, outputs):
+    """The exception a point-by-point, row-major loop over the sweep meets first."""
+    names = [name for name, _ in axes]
+    grids = np.meshgrid(*[np.asarray(v, dtype=float) for _, v in axes], indexing="ij")
+    for values in np.stack([g.ravel() for g in grids], axis=-1):
+        point = {**params, **dict(zip(names, values))}
+        for out in outputs:
+            try:
+                cli.evaluate_output(out, family, point)
+            except Exception as exc:  # noqa: BLE001 -- any exception is the reference
+                return exc
+    return None
+
+
+BAD_SWEEPS = {
+    # phi = pi with alpha -> 0 is the cat's zero-norm corner: the build fails
+    "cat zero norm": ("two-mode-cat", {}, [("alpha", [1e-8, 0.5, 1.0]), ("phi", [np.pi, 0.3])],
+                      ["concurrence", "cat_concurrence_closed"]),
+    "qutrit concurrence": ("qutrit-qumode", {}, [("alpha", [0.3, 0.9, 1.2])], ["concurrence"]),
+    "mixed-23 bad p": ("mixed-23", {}, [("p", [0.3, 1.5, -0.2, 0.0]), ("alpha", [0.4, 1e-7])],
+                       ["log_negativity"]),
+    # only p = 0 and p = 1 are pure
+    "mixed-23 entropy": ("mixed-23", {}, [("p", [0.0, 0.5, 1.0]), ("alpha", [0.7, 1.1])],
+                         ["entropy"]),
+    # alpha = 1e-7 collapses both sites to one dimension: negativity holds, concurrence does not
+    "cat collapse": ("two-mode-cat", {}, [("alpha", [0.6, 1e-7, 1.3]), ("phi", [0.0, 2.0])],
+                     ["negativity", "concurrence"]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_sweep_raises_what_the_point_loop_meets_first(data):
+    family, params, axes, outputs = BAD_SWEEPS[data.draw(st.sampled_from(sorted(BAD_SWEEPS)))]
+    axes = [(name, np.array(data.draw(st.permutations(values)))) for name, values in axes]
+    expected = _first_failure(family, params, axes, outputs)
+    assert expected is not None
+    with pytest.raises(type(expected)) as got:
+        cli.run_sweep(family, params, axes, outputs)
+    assert type(got.value) is type(expected) and str(got.value) == str(expected)
+
+
+def test_stacks_split_by_template_and_pivots():
+    states = [binary_coherent(0.5).payload, binary_coherent(1e-7).payload,
+              binary_coherent(0.9).payload, damped_binary_coherent(0.8, 1.0).payload,
+              damped_binary_coherent(0.8, 0.5).payload]
+    groups = compression.stacks(states)
+    assert sorted(tuple(index) for index, _ in groups) == [(0, 2, 3), (1,), (4,)]
+    dims = {tuple(index): compression.compress(stack).dims for index, stack in groups}
+    assert dims == {(0, 2, 3): (2, 2), (1,): (2, 1), (4,): (2, 2)}
+    for index, stack in groups:
+        rho = compression.compress(stack).matrix
+        for i, matrix in zip(index, rho):
+            assert np.array_equal(matrix, compression.compress(states[i]).matrix)
+
+
+def test_density_matrix_stack_raises_what_its_first_bad_point_raises():
+    good, heavy = np.eye(2) / 2, np.eye(2) * 0.6
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="trace 1.2 is not 1"):
+        DensityMatrix([good, heavy, skew], (2,))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix([good, skew, heavy], (2,))
+    negative = np.diag([1.1, -0.1])
+    with pytest.raises(ValueError, match="negative eigenvalue -0.1"):
+        DensityMatrix([good, good, negative], (2,))
+    with pytest.raises(ValueError, match="negative eigenvalue -0.1"):
+        DensityMatrix([good, negative, skew], (2,))
+    with pytest.raises(ValueError, match="negative eigenvalue -0.1"):
+        DensityMatrix([negative, heavy], (2,))
+    with pytest.raises(ValueError, match="trace 1.2 is not 1"):
+        DensityMatrix([heavy, negative], (2,))
+    assert DensityMatrix([good, good], (2,)).matrix.shape == (2, 2, 2)
+
+
+def test_measures_of_a_stack_are_each_matrix_alone_bit_for_bit(rng):
+    rhos = [random_density(rng, 4, rank) for rank in (1, 2, 3, 4, 4, 2)]
+    stack = DensityMatrix(rhos, (2, 2))
+    for measure in (concurrence, negativity, log_negativity, purity):
+        values = measure(stack)
+        assert values.shape == (len(rhos),)
+        for value, rho in zip(values, rhos):
+            assert _bits(value) == _bits(measure(DensityMatrix(rho, (2, 2))))
+    kets = np.array([random_ket(rng, 8) for _ in range(5)])
+    report = ckw(kets)
+    for i, psi in enumerate(kets):
+        alone = ckw(psi)
+        assert all(_bits(getattr(report, f)[i]) == _bits(getattr(alone, f))
+                   for f in ("c2_ab", "c2_ac", "c2_bc", "c2_a_bc", "tau_res"))
+    kets = np.array([random_ket(rng, 6) for _ in range(5)])
+    for value, psi in zip(entropy_of_entanglement(kets, (2, 3)), kets):
+        assert _bits(value) == _bits(entropy_of_entanglement(psi, (2, 3)))
+
+
+def _loop_factor(gram):
+    """Column Cholesky one ket at a time, each new basis vector in the next free column."""
+    n = gram.shape[0]
+    rows, r = np.zeros((n, n), dtype=complex), 0
+    for i in range(n):
+        residual = gram[i, i].real - float(np.sum(np.abs(rows[i, :r]) ** 2))
+        if residual > compression.DEPENDENCE_TOL:
+            d = np.sqrt(residual)
+            rows[i, r] = d
+            rows[i + 1:, r] = (gram[i, i + 1:] - rows[i + 1:, :r] @ rows[i, :r].conj()) / d
+            r += 1
+    return rows[:, :r]
+
+
+def _loop_compress(state):
+    """rho of a HybridState with every branch placed one at a time, in branch order."""
+    dims, rows = list(state.sites), {}
+    for axis, kets, _ in compression.site_expansions(state):
+        matrix = _loop_factor(gram_matrix(kets))
+        dims[axis] = matrix.shape[1]
+        rows[axis] = dict(zip(kets, matrix))
+    vectors = np.zeros((state.term_count, prod(dims)), dtype=complex)
+    for v, (_, branches) in zip(vectors, state.terms):
+        view = v.reshape(dims)
+        for c, values in branches:
+            index = tuple(slice(None) if s == MODE else x for s, x in zip(state.sites, values))
+            view[index] += c * reduce(np.multiply.outer, [rows[a][values[a]] for a in rows])
+    if len(rows) == len(state.sites):
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    return (vectors.T * state.weights) @ vectors.conj(), tuple(dims)
+
+
+def _photon_added_mixture():
+    k = SymbolicKet
+    kets = [k.coherent(1.6), k.photon_added(2, -1.5 + 0.3j), k.coherent(0.2 + 1.7j),
+            k.photon_added(1, -0.1 - 1.6j)]
+    return HybridState(2, [(0.3, [(0.6, 0, kets[0]), (0.8, 1, kets[1])]),
+                           (0.7, [(0.8j, 0, kets[2]), (0.6, 1, kets[3])])])
+
+
+@pytest.mark.parametrize("state", [
+    two_mode_cat(0.7, 1.0).payload, qubus_state(1.0, 0.3, 0.7).payload, shared_level_qubit(),
+    mixed23(0.3, 0.9).payload, damped_binary_coherent(0.9, 0.5).payload,
+    qutrit_qumode(0.8).payload, _photon_added_mixture()],
+    ids=["two-mode-cat", "qubus", "shared-levels", "mixed-23", "damped", "qutrit", "photon-added"])
+def test_compression_is_the_branch_loop_bit_for_bit(state):
+    # full-rank families: the stacked factorization and the vectorized branch
+    # placement do the loop's arithmetic in the loop's order
+    matrix, dims = _loop_compress(state)
+    rho = compression.compress(state)
+    assert rho.dims == dims and np.array_equal(rho.matrix, matrix)
