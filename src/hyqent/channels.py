@@ -172,13 +172,16 @@ def thermal_dyad_moments(alpha, beta, params, powers):
 
     alpha, beta and the powers (k, l) broadcast against each other, so one
     call takes each dyad's overlap once for any number of moments; scalar
-    arguments give a 0-d value.  The sum is kets.ladder_sum at
+    arguments give a 0-d value.  params is a ThermalChannelParams or an
+    (eta, n_th) pair of arrays that broadcast like alpha and beta, one
+    channel per point of a stack.  The sum is kets.ladder_sum at
     c = (1-eta) n_th.  No truncation enters anywhere.
     """
     alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
-    s = np.sqrt(params.eta)
+    eta, n_th = (params.eta, params.n_th) if isinstance(params, ThermalChannelParams) else params
+    s = np.sqrt(eta)
     return overlap_coherent(alpha, beta) * ladder_sum(*powers, s * alpha, s * np.conj(beta),
-                                                      (1.0 - params.eta) * params.n_th)
+                                                      (1.0 - eta) * n_th)
 
 
 def thermal_kraus(params, n_cut, weight_tol=DEFAULT_WEIGHT_TOL):

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import __version__, catalog, composite, compression, fock, measures, witness
 from .catalog import FAMILIES, DiscreteKet, NamedState
+from .channels import ThermalHybridState
 from .composite import DensityMatrix
-from .errors import UnsupportedKet
+from .errors import NumericInconsistency, UnsupportedKet
 from .kets import HybridState, SymbolicKet
 
 SPEC_KEYS = {"family", "params"}
@@ -171,16 +172,6 @@ def _bipartite(rho):
     return rho
 
 
-def _generic_s_minor(payload, which):
-    try:
-        provider = witness.SymbolicMomentProvider(payload)
-    except (TypeError, UnsupportedKet) as exc:
-        raise Inapplicable(f"moment witnesses need a coherent-family (possibly thermal) "
-                           f"hybrid state: {exc}") from exc
-    mm = witness.sv_moment_matrix(provider, 2, qudit_dim=provider.qudit_dim)
-    return witness.s1_minor(mm) if which == 1 else witness.s2_minor(mm)
-
-
 def _stacks(payloads):
     """(indices, stacked payload) for each template among the payloads.
 
@@ -203,8 +194,38 @@ def _stacks(payloads):
     return out
 
 
+def _templates(payloads):
+    """(indices, payloads) for each state template among the payloads.
+
+    A ThermalHybridState counts with the template of its base state (see
+    compression.templates); any other payload stands alone.  No Gram matrix is
+    built.
+    """
+    bases = [p.base if isinstance(p, ThermalHybridState) else p for p in payloads]
+    hybrid = [i for i, base in enumerate(bases) if isinstance(base, HybridState)]
+    out = [([i], [payload]) for i, (payload, base) in enumerate(zip(payloads, bases))
+           if not isinstance(base, HybridState)]
+    for members in compression.templates([bases[i] for i in hybrid]).values():
+        index = [hybrid[j] for j, _, _ in members]
+        out.append((index, [payloads[i] for i in index]))
+    return out
+
+
+def _witness_minor(name, payloads):
+    """s1 or s2 at each of a template's states, from one moment provider."""
+    try:
+        provider = witness.SymbolicMomentProvider(payloads)
+    except (TypeError, UnsupportedKet) as exc:
+        raise Inapplicable(f"moment witnesses need a coherent-family (possibly thermal) "
+                           f"hybrid state: {exc}") from exc
+    return witness.moment_minor(provider, witness.S1_INDICES if name == "s1"
+                                else witness.S2_INDICES)
+
+
 def _stack_measure(name, payload):
     """A stackable measure at each state of a stacked payload."""
+    if name in WITNESSES:
+        return _witness_minor(name, payload)
     if name == "concurrence":
         rho = _bipartite(_to_density(payload))
         try:
@@ -228,13 +249,8 @@ def _stack_measure(name, payload):
     return measures.ckw(v).tau_res
 
 
-def _point_measure(name, named):
-    """A measure that takes its own route at each state."""
-    if name == "s1":
-        return _generic_s_minor(named.payload, 1)
-    if name == "s2":
-        return _generic_s_minor(named.payload, 2)
-    if named.id != "qubus":  # fidelity
+def _fidelity(named):
+    if named.id != "qubus":
         raise Inapplicable("fidelity is defined for the qubus family")
     return named.extra["fidelity"]
 
@@ -242,15 +258,18 @@ def _point_measure(name, named):
 def _measure_values(name, states):
     """One measure at each NamedState, as floats.
 
-    The stackable measures compress and measure each template's states as one
-    stack; the moment witnesses and the fidelity go state by state.
+    The moment witnesses take each state template's states as one stack (one
+    provider call and one batched determinant); the other stackable measures
+    compress and measure each template's states as one stack; the fidelity
+    goes state by state.
     """
     if name in POINT_MEASURES:
-        return [float(_point_measure(name, named)) for named in states]
+        return [float(_fidelity(named)) for named in states]
     if name not in MEASURES:
         raise SpecError(f"unknown measure {name!r}; valid: {', '.join(sorted(MEASURES))}")
     values = np.empty(len(states))
-    for index, payload in _stacks([named.payload for named in states]):
+    groups = _templates if name in WITNESSES else _stacks
+    for index, payload in groups([named.payload for named in states]):
         values[index] = _stack_measure(name, payload)
     return values.tolist()
 
@@ -261,7 +280,8 @@ def _measure_value(name, named):
 
 MEASURES = ("concurrence", "negativity", "log_negativity", "purity", "entropy",
             "tau_res", "s1", "s2", "fidelity")
-POINT_MEASURES = ("s1", "s2", "fidelity")
+POINT_MEASURES = ("fidelity",)
+WITNESSES = ("s1", "s2")
 
 # closed-form outputs available to sweeps, keyed by (name) -> fn(params) and a
 # formula string recorded in reproduction manifests
@@ -432,10 +452,11 @@ def _attempt(fn, *args):
 def _sweep_chunk(packed):
     """Each output at each point of a contiguous run of sweep points: its value or its exception.
 
-    Closed forms and the moment witnesses go point by point.  Each point's
-    state is built once, and each stackable measure is evaluated as one stack
-    per template; a stack that raises is evaluated again point by point up to
-    its first failing point, whose exception is the one the point raises alone.
+    Closed forms and the fidelity go point by point.  Each point's state is
+    built once, and every other measure, the moment witnesses included, is
+    evaluated as one stack per template; a stack that raises is evaluated again
+    point by point up to its first failing point, whose exception is the one
+    the point raises alone.
     Once a point has failed, later points need no more cells: the sweep raises
     at or before that point.
     """
@@ -709,7 +730,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, _IOFailure) as exc:
+    except (ValueError, TypeError, NumericInconsistency, _IOFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, Inapplicable) else 4 if isinstance(exc, _IOFailure) else 2
 

@@ -164,22 +164,32 @@ class Stack(NamedTuple):
         return self.states[0].is_pure
 
 
+def templates(states):
+    """Group HybridStates by template: {template: [(index, state, site kets), ...]}.
+
+    A template is the sites, the term count and branch layout, and the ladder
+    order and squeezing of each ket slot (see _layout); states of one template
+    differ only in amplitudes, coefficients and weights.  Templates keep the
+    order of their first state, and each one's members are in increasing index.
+    """
+    groups = {}
+    for i, state in enumerate(states):
+        template, site_kets = _layout(state)
+        groups.setdefault(template, []).append((i, state, site_kets))
+    return groups
+
+
 def stacks(states):
     """Split HybridStates into the stacks that compress together.
 
-    Two states share a stack when they share a template (the sites, the term
-    count and branch layout, and the ladder order and squeezing of each ket
-    slot) and the pivots of each mode site's Gram factorization, so that only
-    amplitudes, coefficients and weights differ.  Each template's Gram
-    matrices are built and factorized as one stack.  Returns (indices, Stack)
-    pairs, with the indices (a list) into states in increasing order.
+    Two states share a stack when they share a template and the pivots of
+    each mode site's Gram factorization, so that only amplitudes,
+    coefficients and weights differ.  Each template's Gram matrices are built
+    and factorized as one stack.  Returns (indices, Stack) pairs, with the
+    indices (a list) into states in increasing order.
     """
-    states, templates = list(states), {}
-    for i, state in enumerate(states):
-        template, site_kets = _layout(state)
-        templates.setdefault(template, []).append((i, state, site_kets))
-    out = []
-    for template, members in templates.items():
+    states, out = list(states), []
+    for template, members in templates(states).items():
         index = [i for i, _, _ in members]
         factors = [(axis, *_factor(gram_matrix([m[2][axis] for m in members])))
                    for axis in members[0][2]]

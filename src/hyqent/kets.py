@@ -134,6 +134,8 @@ def ladder_sum(k, l, x, y, c=1.0, normalized=False):
     the photon-added overlap (Agarwal & Tara, PRA 43, 492 (1991)); at
     c = (1-eta) n_th with x = sqrt(eta) alpha, y = sqrt(eta) conj(beta) it is
     a thermal-channel dyad moment over the overlap (thermal_dyad_moments).
+    c may be an array that broadcasts to the shape of x * y, so one call can
+    hold one channel per point.
     For k >= l it is l! c^l y^(k-l) L_l^(k-l)(-xy/c) (k < l swaps (k, y) for
     (l, x)), evaluated as sqrt(k! l! / a!) w^a p with lo, a = min(k, l),
     |k - l|, w = y where k >= l, else x, and p the normalized
@@ -148,7 +150,11 @@ def ladder_sum(k, l, x, y, c=1.0, normalized=False):
     rows, at, ge, a, weight = plan(lo.shape, lo.dtype.str, lo.tobytes(), d.tobytes(), z.shape,
                                    normalized)
     z = (z if z.shape == at[-1].shape else np.broadcast_to(z, at[-1].shape)).ravel()
-    rise, fall, norm = rows if c == 1 else (rows[0] * c, rows[1] * (c * c), rows[2])
+    per_point = np.ndim(c) > 0
+    if per_point:  # one c per element of z
+        c = np.broadcast_to(c, at[-1].shape).ravel()
+    rise, fall, norm = (rows if not per_point and c == 1
+                        else (rows[0] * c, rows[1] * (c * c), rows[2]))
     # p[m] over the recursion's rows and z values, for m = 0 .. the largest lo
     p = np.ones((len(norm) + 1,) + np.broadcast(norm[:1], z).shape[1:], dtype=complex)
     for m in range(len(norm)):  # at m = 0, fall is 0 and p[-1] a finite placeholder

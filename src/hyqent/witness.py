@@ -76,7 +76,7 @@ class MomentMatrix:
         return self.index_map.index(tuple(multi_index))
 
 
-# rows generating the two workhorse determinants
+# rows generating the two workhorse determinants, in sv_multi_indices order
 S1_INDICES = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1))
 S2_INDICES = ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 
@@ -92,27 +92,82 @@ def sv_moment_matrix(provider, max_total_degree, qudit_dim=None):
     implements the partial transposition happens here.  The word arrays are
     read-only and shared by every call with the same degree and qudit_dim.
     A provider inconsistent with Hermiticity beyond MOMENT_HERM_TOL is rejected.
+    A provider given a template's states gives a (P, n, n) matrix.
     """
-    idx, a_words, b_words = _matrix_words(max_total_degree, qudit_dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.asarray(provider(a_words, b_words), dtype=complex)
-        adjoint = m.conj().T
-        if not np.abs(m - adjoint).max() <= MOMENT_HERM_TOL:
-            raise InconsistentMoments("moment provider is not Hermitian-consistent")
-        if not abs(m[0, 0] - 1.0) <= MOMENT_HERM_TOL:
-            raise InconsistentMoments(f"normalization moment is {m[0, 0]}, expected 1")
-    return MomentMatrix((m + adjoint) / 2.0, idx)
+    idx = _index_set(max_total_degree, qudit_dim)
+    return MomentMatrix(_moments(provider, idx), idx)
+
+
+def moment_minor(provider, indices):
+    """Principal minor of the moment matrix over the rows indices, from their moments alone.
+
+    provider is called once with the words of those rows and columns only, and
+    they pass the checks of sv_moment_matrix.  With indices in
+    sv_multi_indices order (S1_INDICES, S2_INDICES) the value equals the
+    principal_minor of sv_moment_matrix over the same rows.  A provider given
+    a template's states returns one minor per state, (P,).
+    """
+    return _minor(_moments(provider, tuple(indices)))
 
 
 @lru_cache(maxsize=16)
-def _matrix_words(max_total_degree, qudit_dim):
-    """Index tuple and read-only (n, n, 4) a- and b-words of sv_moment_matrix."""
-    idx = sv_multi_indices(max_total_degree, qudit_dim)
-    rows, cols = np.broadcast_arrays(np.array(idx)[:, None], np.array(idx)[None, :])
+def _index_set(max_total_degree, qudit_dim):
+    return tuple(sv_multi_indices(max_total_degree, qudit_dim))
+
+
+@lru_cache(maxsize=16)
+def _words(indices):
+    """Read-only (n, n, 4) a- and b-words of the moment matrix over the multi-indices."""
+    rows, cols = np.broadcast_arrays(np.array(indices)[:, None], np.array(indices)[None, :])
     a_words = np.concatenate([rows[..., [1, 0]], cols[..., [0, 1]]], axis=-1)
     b_words = np.concatenate([cols[..., [3, 2]], rows[..., [2, 3]]], axis=-1)
     a_words.flags.writeable = b_words.flags.writeable = False
-    return tuple(idx), a_words, b_words
+    return a_words, b_words
+
+
+def _first(bad):
+    """Flat index of the first True of a boolean array, or None."""
+    hits = np.flatnonzero(bad)
+    return hits[0] if hits.size else None
+
+
+def _moments(provider, indices):
+    """Hermitian (..., n, n) moments over the multi-indices, from one provider call.
+
+    Each point's entries must be Hermitian within MOMENT_HERM_TOL, and its
+    normalization moment, the entry of the first index (0, 0, 0, 0), must be 1;
+    the first point that fails raises what it raises alone.
+    """
+    a_words, b_words = _words(indices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.asarray(provider(a_words, b_words), dtype=complex)
+        adjoint = m.conj().swapaxes(-1, -2)
+        skew = ~(np.abs(m - adjoint).max(axis=(-2, -1)) <= MOMENT_HERM_TOL)
+        norm = m[..., 0, 0]
+        first = _first(skew | ~(abs(norm - 1.0) <= MOMENT_HERM_TOL))
+        if first is None:
+            return (m + adjoint) / 2.0  # entries near the double range may overflow to inf
+    if skew.flat[first]:
+        raise InconsistentMoments("moment provider is not Hermitian-consistent")
+    raise InconsistentMoments(f"normalization moment is {norm.flat[first]}, expected 1")
+
+
+def _minor(sub):
+    """Real determinants of principal submatrices (..., k, k), by one batched det.
+
+    A determinant that is not finite, or whose imaginary part exceeds
+    MINOR_IMAG_TOL relative to its real part, raises NumericInconsistency;
+    the first such point raises what it raises alone.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(sub)
+    finite = np.isfinite(det)
+    first = _first(~finite | (abs(det.imag) > MINOR_IMAG_TOL * np.maximum(1.0, abs(det.real))))
+    if first is not None:
+        if not finite.flat[first]:
+            raise NumericInconsistency(f"principal minor is not finite: {det.flat[first]}")
+        raise NumericInconsistency(f"principal minor has imaginary part {det.imag.flat[first]}")
+    return det.real[()]
 
 
 def principal_minor(mm, rows):
@@ -120,11 +175,7 @@ def principal_minor(mm, rows):
     rows = list(rows)
     if sorted(set(rows)) != rows:
         raise ValueError("rows must be strictly increasing")
-    sub = mm.matrix[np.ix_(rows, rows)]
-    det = np.linalg.det(sub)
-    if abs(det.imag) > MINOR_IMAG_TOL * max(1.0, abs(det.real)):
-        raise NumericInconsistency(f"principal minor has imaginary part {det.imag}")
-    return float(det.real)
+    return float(_minor(mm.matrix[np.ix_(rows, rows)]))
 
 
 def s1_minor(mm):
@@ -210,39 +261,54 @@ class MatrixMomentProvider:
 
 
 class SymbolicMomentProvider:
-    """Exact moments of a coherent-family hybrid state or its thermal-channel output.
+    """Exact moments of coherent-family hybrid states or their thermal-channel outputs.
 
-    A plain HybridState must hold coherent kets only, and is then read as the
-    output of the identity channel (eta = 1, n_th = 0).  Mode words reduce to
-    normal order and every normal-ordered pair of every coherent dyad goes
-    through the Gaussian closed form thermal_dyad_moments, one broadcast call
-    for all words and dyads; qudit words are evaluated with the d-level
-    adapted operators.  No truncation enters.
+    Takes one state, or a sequence of states of one template
+    (compression.templates; a ThermalHybridState counts with its base), which
+    may pass different channels.  A plain HybridState must hold coherent kets only, and is then
+    read as the output of the identity channel (eta = 1, n_th = 0).  Mode
+    words reduce to normal order and every normal-ordered pair of every
+    coherent dyad goes through the Gaussian closed form thermal_dyad_moments,
+    one broadcast call for all words, dyads and states; qudit words are
+    evaluated with the d-level adapted operators.  A sequence gives each
+    moment for every state on a leading point axis, (P, ...); one state is
+    the P = 1 case without that axis.  No truncation enters.
     """
 
-    def __init__(self, state):
-        if isinstance(state, ThermalHybridState):
-            state, self._params = state.base, state.params
-        elif isinstance(state, HybridState):
-            require_coherent(state, "the exact moment route")
-            self._params = IDENTITY_CHANNEL
-        else:
-            raise TypeError("SymbolicMomentProvider needs a HybridState or a ThermalHybridState")
-        self.qudit_dim = state.qudit_dim
-        # weight p c_i conj(c_j) of |m_i><m_j| x Y(|alpha_i><alpha_j|), per branch pair of each term
-        self._weights, self._m, self._mp, self._alpha, self._beta = map(np.array, zip(*(
-            (p * bi.c * np.conj(bj.c), bi.m, bj.m, bi.ket.alpha, bj.ket.alpha)
-            for p, branches in state.terms for bi in branches for bj in branches)))
+    def __init__(self, states):
+        self._single = isinstance(states, (HybridState, ThermalHybridState))
+        dyads, channels, dims = [], [], set()
+        for state in [states] if self._single else states:
+            if isinstance(state, ThermalHybridState):
+                state, params = state.base, state.params
+            elif isinstance(state, HybridState):
+                require_coherent(state, "the exact moment route")
+                params = IDENTITY_CHANNEL
+            else:
+                raise TypeError("SymbolicMomentProvider needs HybridStates or ThermalHybridStates")
+            dims.add(state.qudit_dim)
+            channels.append((params.eta, params.n_th))
+            # weight p c_i conj(c_j) of |m_i><m_j| x Y(|alpha_i><alpha_j|), per branch pair
+            dyads.append([(p * bi.c * np.conj(bj.c), bi.ket.alpha, bj.ket.alpha, bi.m, bj.m)
+                          for p, branches in state.terms for bi in branches for bj in branches])
+        if len(dims) != 1 or len({len(d) for d in dyads}) != 1:
+            raise ValueError("stacked states must share their qudit dimension and branch layout")
+        [self.qudit_dim] = dims
+        table = np.array(dyads)  # (P, D, 5)
+        self._weights, self._alpha, self._beta = table[..., 0], table[..., 1], table[..., 2]
+        self._m, self._mp = table[..., 3].real.astype(int), table[..., 4].real.astype(int)
+        self._channel = np.array(channels).T[..., None]  # eta and n_th, (2, P, 1)
 
     def __call__(self, a_words, b_words):
         wb, ib = _qudit_words(self.qudit_dim, b_words)
-        # weight * tr[|m><m'| wb] per word and dyad
+        # weight * tr[|m><m'| wb] per word, point and dyad
         qudit = wb[:, self._mp, self._m][ib] * self._weights
         weights, k, l, n = _normal_order(a_words)
         # every dyad's moment for every normal-ordered power pair up to the largest
-        mode = thermal_dyad_moments(self._alpha, self._beta, self._params,
-                                    (n[:, None, None], n[None, :, None]))
-        return np.einsum("...t,...td,...d->...", weights, mode[k, l], qudit)
+        mode = thermal_dyad_moments(self._alpha, self._beta, self._channel,
+                                    (n[:, None, None, None], n[None, :, None, None]))
+        out = np.einsum("...t,...tpd,...pd->p...", weights, mode[k, l], qudit)
+        return out[0] if self._single else out
 
 
 @_by_words

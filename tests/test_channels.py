@@ -152,6 +152,23 @@ def test_thermal_dyad_moment_examples():
         (-0.9) ** 2 * 0.9 * np.exp(-2 * 0.81), abs=1e-14)
 
 
+def test_thermal_dyad_moments_take_one_channel_per_point():
+    # (eta, n_th) arrays over a leading point axis give each point's own channel,
+    # bit for bit; eta = 1, n_th = 0 is the identity channel and eta = 0 the thermal state
+    channels = [(0.6, 1.3), (1.0, 0.0), (0.0, 0.4), (0.25, 0.0)]
+    alpha = np.array([[1.1 + 0.2j, -0.9], [0.3j, 0.0], [0.7, -0.7], [1e-7, 2.0]])
+    beta = alpha[:, ::-1].conj()
+    n = np.arange(4)
+    powers = (n[:, None, None, None], n[None, :, None, None])
+    eta, n_th = np.array(channels).T[..., None]
+    stacked = thermal_dyad_moments(alpha, beta, (eta, n_th), powers)
+    assert stacked.shape == (4, 4, 4, 2)
+    for i, params in enumerate(channels):
+        alone = thermal_dyad_moments(alpha[i], beta[i], ThermalChannelParams(*params),
+                                     (n[:, None, None], n[None, :, None]))
+        assert np.array_equal(stacked[:, :, i], alone)
+
+
 def test_thermal_dyad_moments_match_kraus_numerics():
     al, be = 1.1 + 0.2j, -0.9 + 0.4j
     params = ThermalChannelParams(0.6, 1.3)

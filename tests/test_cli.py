@@ -405,6 +405,23 @@ def test_moment_witness_with_overflowing_moments_exits_2(tmp_path, capsys, famil
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_moment_witness_with_an_overflowing_minor_exits_2(tmp_path, capsys):
+    # the s2 rows' moments are finite at alpha = 1e154, but their determinant is not
+    spec = write_spec(tmp_path, {"family": "binary-coherent", "params": {"alpha": 1e154}})
+    assert main(["measure", spec, "--measure", "s2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: principal minor is not finite")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("alpha", [1e78, 1e100, 1e150])
+def test_s2_at_large_amplitudes_is_half_alpha_squared(tmp_path, capsys, alpha):
+    # s2 = alpha^2 / 2 for the binary-coherent state; the rows of s2 reach second order only
+    spec = write_spec(tmp_path, {"family": "binary-coherent", "params": {"alpha": alpha}})
+    assert main(["measure", spec, "--measure", "s2"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(alpha**2 / 2)
+
+
 @pytest.mark.parametrize("doc, mode_sites", [
     ({"family": "qubus", "params": {"alpha": 1.0, "theta": 0.2, "eta": 0.9}}, 1),
     ({"family": "two-mode-cat", "params": {"alpha": 0.8, "phi": 0.3}}, 2)])

@@ -352,6 +352,17 @@ def test_ladder_sum_matches_explicit_double_loop(rng, c):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
+def test_ladder_sum_takes_c_broadcast_like_x_and_y(rng):
+    k, l = np.arange(5)[:, None], np.arange(5)[None, :]
+    x, y = rng.normal(size=(2, 3, 1, 1, 4)) + 1j * rng.normal(size=(2, 3, 1, 1, 4))
+    c = np.array([0.0, 0.3, 1.0])[:, None, None, None]
+    got = ladder_sum(k[..., None], l[..., None], x, y, c)
+    assert got.shape == (3, 5, 5, 4)
+    for i in range(3):  # one c per point equals that c alone, bit for bit
+        assert np.array_equal(got[i], ladder_sum(k[..., None], l[..., None], x[i], y[i],
+                                                 float(c[i, 0, 0, 0])))
+
+
 def test_pairs_without_closed_form_still_raise():
     squeezed = SymbolicKet.displaced_squeezed(0.5, 0.3)
     for bras, kets in [([squeezed], [SymbolicKet.coherent(0.5)]),

@@ -1,7 +1,8 @@
 """Template stacks: a sweep evaluates each template's points as one stack.
 
 Every value must be bit-for-bit the value its point gives alone, and a sweep
-with a bad point must raise what a point-by-point loop raises first.
+with a bad point must raise what a point-by-point loop raises first.  This
+holds for the compressed measures and for the moment witnesses alike.
 """
 
 from functools import reduce
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_ket, shared_level_qubit
-from hyqent import (MODE, DensityMatrix, HybridState, SymbolicKet, ckw, cli, compression,
-                    concurrence, entropy_of_entanglement, gram_matrix, log_negativity, negativity,
-                    purity)
+from hyqent import (MODE, DensityMatrix, HybridState, SymbolicKet, SymbolicMomentProvider, ckw,
+                    cli, compression, concurrence, entropy_of_entanglement, gram_matrix,
+                    log_negativity, negativity, purity, s1_minor, s2_minor, sv_moment_matrix)
 from hyqent.catalog import (binary_coherent, damped_binary_coherent, mixed23, qubus_state,
                             qutrit_qumode, two_mode_cat)
 
@@ -96,6 +97,69 @@ BAD_SWEEPS = {
 @given(st.data())
 def test_sweep_raises_what_the_point_loop_meets_first(data):
     family, params, axes, outputs = BAD_SWEEPS[data.draw(st.sampled_from(sorted(BAD_SWEEPS)))]
+    axes = [(name, np.array(data.draw(st.permutations(values)))) for name, values in axes]
+    expected = _first_failure(family, params, axes, outputs)
+    assert expected is not None
+    with pytest.raises(type(expected)) as got:
+        cli.run_sweep(family, params, axes, outputs)
+    assert type(got.value) is type(expected) and str(got.value) == str(expected)
+
+
+# the four moment-witness families; the specials put several templates in one sweep
+# (alpha = 0: one distinct ket) and reach the edges alpha = 1e-7 and 6, n_th = 0,
+# eta = 1 (the identity channel) and p = 0 or 1 (one term)
+WITNESS_SWEEPS = {
+    "thermal-output": ({"phi": 0.0}, {"alpha": _axis(0.01, 1.5, 0.0, 1e-7, 6.0),
+                                      "eta": _axis(0.05, 1.0, 1.0),
+                                      "n_th": _axis(0.0, 0.5, 0.0)}),
+    "binary-coherent": ({}, {"alpha": _axis(0.01, 1.5, 0.0, 1e-7, 6.0),
+                             "phi": _axis(0.0, 2 * np.pi, 0.0)}),
+    "mixed-24": ({}, {"p": _axis(0.0, 1.0, 0.0, 1.0), "alpha": _axis(0.01, 1.5, 0.0, 1e-7, 6.0)}),
+    "qutrit-qumode": ({}, {"alpha": _axis(0.01, 1.5, 0.0, 1e-7, 6.0)}),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_witness_values_are_each_point_alone_bit_for_bit(data):
+    family = data.draw(st.sampled_from(sorted(WITNESS_SWEEPS)))
+    params, axes = WITNESS_SWEEPS[family]
+    axes = [(name, np.array(data.draw(values))) for name, values in axes.items()]
+    outputs = data.draw(st.permutations(["s1", "s2"]))
+    columns, rows = cli.run_sweep(family, params, axes, outputs)
+    for row in rows:
+        point = {**params, **dict(zip(columns, row[:len(axes)]))}
+        state = cli.build_state(family, point).payload
+        full = sv_moment_matrix(SymbolicMomentProvider(state), 2,
+                                qudit_dim=3 if family == "qutrit-qumode" else 2)
+        for out, value in zip(outputs, row[len(axes):]):
+            assert _bits(value) == _bits(cli.evaluate_output(out, family, point)), (out, point)
+            minor = s1_minor(full) if out == "s1" else s2_minor(full)
+            assert _bits(value) == _bits(minor), (out, point)
+
+
+BAD_WITNESS_SWEEPS = {
+    # r = 0 is a coherent point with a value, r != 0 a squeezed one the witnesses reject
+    "squeezed point": ("squeezed-binary-coherent", {}, [("alpha", [0.4, 0.9]),
+                                                        ("r", [0.0, 0.3, 0.0])], ["s1"]),
+    "two-mode-cat layout": ("two-mode-cat", {}, [("alpha", [0.5, 0.9]), ("phi", [0.0, 1.0])],
+                            ["s2", "cat_s2_closed"]),
+    "geometric mixture": ("geometric-mixture", {}, [("x", [0.3, 0.6]), ("alpha", [0.5])],
+                          ["geom_s1_bound", "s1"]),
+    # alpha = 1e160 overflows the moments; at 1e154 the moments hold and the s2 minor overflows
+    "huge amplitudes": ("binary-coherent", {}, [("alpha", [0.5, 1e160, 1e154, 0.9])],
+                        ["s2", "s1"]),
+    "thermal huge and bad eta": ("thermal-output", {"n_th": 0.2},
+                                 [("alpha", [0.7, 1e160, 0.2]), ("eta", [0.5, 1.5])],
+                                 ["s1", "thermal_s1_closed"]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_witness_sweep_raises_what_the_point_loop_meets_first(data):
+    family, params, axes, outputs = BAD_WITNESS_SWEEPS[
+        data.draw(st.sampled_from(sorted(BAD_WITNESS_SWEEPS)))]
     axes = [(name, np.array(data.draw(st.permutations(values)))) for name, values in axes]
     expected = _first_failure(family, params, axes, outputs)
     assert expected is not None

@@ -8,17 +8,18 @@ import pytest
 import hyqent.channels
 import hyqent.witness
 from conftest import random_ket, shared_level_qubit
-from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider,
-                    SymbolicKet, SymbolicMomentProvider, ThermalChannelParams, ThermalHybridState,
-                    UnsupportedKet, apply_thermal, cat_witness_determinants, default_cutoff,
-                    geometric_mixture_s1, heaviside_half, mixed24_s1, optimal_alpha,
+from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider, MomentMatrix,
+                    NumericInconsistency, SymbolicKet, SymbolicMomentProvider,
+                    ThermalChannelParams, ThermalHybridState, UnsupportedKet, apply_thermal,
+                    cat_witness_determinants, default_cutoff, geometric_mixture_s1,
+                    heaviside_half, mixed24_s1, moment_minor, optimal_alpha,
                     principal_minor, qudit_mode_operators, s1_minor, s2_minor,
                     squeezed_s1, sv_moment_matrix, sv_multi_indices, swap_witness,
                     thermal_s1, thermal_threshold, witness_region)
 from hyqent.catalog import (binary_coherent, mixed24, qutrit_qumode,
                             squeezed_binary_coherent)
 from hyqent.composite import DensityMatrix
-from hyqent.witness import BOUNDARY_XTOL
+from hyqent.witness import BOUNDARY_XTOL, S1_INDICES, S2_INDICES
 
 
 def test_multi_index_ordering_head():
@@ -290,7 +291,10 @@ def test_symbolic_provider_takes_coherent_kets_built_as_fock_or_photon_added():
 
 
 def _dyad_arrays_from_triples(state):
-    """Dyad arrays by the two-step route: (weight, levels, amplitudes) triples, then unzipped."""
+    """Dyad arrays by the two-step route: (weight, levels, amplitudes) triples, then unzipped.
+
+    One state is a stack of one: each array is (1, dyads) and the channel (eta, n_th) is (2, 1, 1).
+    """
     if isinstance(state, HybridState):
         state = ThermalHybridState(state, ThermalChannelParams(1.0, 0.0))
     triples = [(p * bi.c * np.conj(bj.c), (bi.m, bj.m), (bi.ket.alpha, bj.ket.alpha))
@@ -298,7 +302,8 @@ def _dyad_arrays_from_triples(state):
     weights, levels, dyads = zip(*triples)
     m, mp = np.array(levels).T
     alpha, beta = np.array(dyads, dtype=complex).T
-    return np.array(weights), m, mp, alpha, beta, state.params
+    channel = np.array([[[state.params.eta]], [[state.params.n_th]]])
+    return np.array(weights)[None], m[None], mp[None], alpha[None], beta[None], channel
 
 
 @pytest.mark.parametrize("state, d", [
@@ -312,7 +317,7 @@ def test_symbolic_provider_dyads_match_the_triple_route_bit_for_bit(state, d):
     provider = SymbolicMomentProvider(state)
     reference = copy.copy(provider)
     (reference._weights, reference._m, reference._mp, reference._alpha, reference._beta,
-     reference._params) = _dyad_arrays_from_triples(state)
+     reference._channel) = _dyad_arrays_from_triples(state)
     for degree in (2, 3):
         assert np.array_equal(sv_moment_matrix(provider, degree, qudit_dim=d).matrix,
                               sv_moment_matrix(reference, degree, qudit_dim=d).matrix)
@@ -404,6 +409,100 @@ def test_lambda_provider_gets_shared_read_only_integer_words():
             bw[0, 0, 0] = 1
     # a repeated degree and qudit_dim hands over the same arrays
     assert received[2][0] is received[0][0] and received[2][1] is received[0][1]
+
+
+def _vacuum(aw, bw):
+    """Moments of the vacuum times the qudit ground state: 1 on the empty word, else 0."""
+    return np.where(aw.sum(-1) + bw.sum(-1) == 0, 1.0 + 0j, 0.0)
+
+
+@pytest.mark.parametrize("state, d", [
+    (binary_coherent(0.9).payload, 2),
+    (qutrit_qumode(0.6).payload, 3),
+    (mixed24(0.3, 1.1).payload, 2),
+    (apply_thermal(binary_coherent(0.9).payload, ThermalChannelParams(0.55, 0.4)), 2),
+    (apply_thermal(qutrit_qumode(0.6).payload, ThermalChannelParams(0.6, 0.2)), 3),
+])
+def test_rows_only_minors_are_the_full_matrix_minors(state, d):
+    provider = SymbolicMomentProvider(state)
+    full = sv_moment_matrix(provider, 2, qudit_dim=d)
+    assert moment_minor(provider, S1_INDICES) == s1_minor(full)
+    assert moment_minor(provider, S2_INDICES) == s2_minor(full)
+    # a stack of the state and a rescaled copy holds the same values in its first row
+    base = state.base if isinstance(state, ThermalHybridState) else state
+    stacked = SymbolicMomentProvider([state, base])
+    assert moment_minor(stacked, S1_INDICES)[0] == s1_minor(full)
+    assert moment_minor(stacked, S2_INDICES).shape == (2,)
+
+
+@pytest.mark.parametrize("state", [
+    binary_coherent(0.9).payload,
+    apply_thermal(binary_coherent(0.9).payload, ThermalChannelParams(0.55, 0.4))])
+def test_rows_only_minors_of_the_matrix_provider_are_its_full_matrix_minors(state):
+    rho = (state.truncated_density(40) if isinstance(state, ThermalHybridState)
+           else state.to_fock_density(40))
+    provider = MatrixMomentProvider(rho, mode_subsystem=1)
+    full = sv_moment_matrix(provider, 2, qudit_dim=2)
+    assert moment_minor(provider, S1_INDICES) == pytest.approx(s1_minor(full), rel=1e-12,
+                                                               abs=1e-15)
+    assert moment_minor(provider, S2_INDICES) == pytest.approx(s2_minor(full), rel=1e-12,
+                                                               abs=1e-15)
+
+
+def test_rows_only_minors_check_their_entries():
+    skew_at = lambda a, b: lambda aw, bw: _vacuum(aw, bw) + 1e-6j * (
+        (aw == a).all(-1) & (bw == b).all(-1))
+    # the (0,0,0,1) x (0,1,0,1) entry of S1 has a-word (0, 0, 0, 1) and b-word (1, 0, 0, 1)
+    with pytest.raises(InconsistentMoments, match="Hermitian"):
+        moment_minor(skew_at((0, 0, 0, 1), (1, 0, 0, 1)), S1_INDICES)
+    # the same entry lies outside the S2 rows, which never compute it
+    assert moment_minor(skew_at((0, 0, 0, 1), (1, 0, 0, 1)), S2_INDICES) == 0.0
+    with pytest.raises(InconsistentMoments, match="normalization moment is"):
+        moment_minor(lambda aw, bw: 2.0 * _vacuum(aw, bw), S2_INDICES)
+    with pytest.raises(InconsistentMoments, match="Hermitian"):
+        moment_minor(lambda aw, bw: np.full(aw.shape[:-1], np.nan), S1_INDICES)
+
+
+def test_stacked_minors_raise_what_their_first_bad_point_raises():
+    good = _vacuum
+    half = lambda aw, bw: 0.5 * _vacuum(aw, bw)
+    skew = lambda aw, bw: _vacuum(aw, bw) + 1e-6j * (aw.sum(-1) == 1)
+    stack = lambda *points: lambda aw, bw: np.array([p(aw, bw) for p in points])
+    with pytest.raises(InconsistentMoments, match=r"normalization moment is \(0.5"):
+        moment_minor(stack(good, half, skew), S1_INDICES)
+    with pytest.raises(InconsistentMoments, match="Hermitian"):
+        moment_minor(stack(good, skew, half), S1_INDICES)
+    assert moment_minor(stack(good, good), S1_INDICES).shape == (2,)
+
+
+def test_rows_only_minors_get_shared_read_only_integer_words():
+    received = []
+    vacuum = lambda aw, bw: received.append((aw, bw)) or _vacuum(aw, bw)
+    for rows in (S1_INDICES, S2_INDICES, S1_INDICES):
+        moment_minor(vacuum, rows)
+    for aw, bw in received:
+        assert aw.shape == bw.shape == (3, 3, 4) and aw.dtype.kind == bw.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            aw[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            bw[0, 0, 0] = 1
+    assert received[2][0] is received[0][0] and received[2][1] is received[0][1]
+    assert received[1][0] is not received[0][0]
+
+
+def test_non_finite_minor_raises():
+    # finite entries whose determinant overflows
+    mm = MomentMatrix(np.diag([1.0, 1e200, 1e200]).astype(complex), ((0,), (1,), (2,)))
+    with pytest.raises(NumericInconsistency, match="not finite"):
+        principal_minor(mm, [0, 1, 2])
+    assert principal_minor(mm, [0, 1]) == pytest.approx(1e200)
+    # <a^dag a> = <b^dag b> = 1e200 on the diagonal of the S2 rows, zero elsewhere
+    number = lambda w: (w == (1, 0, 0, 1)).all(-1)
+    empty = lambda w: (w == 0).all(-1)
+    huge = lambda aw, bw: _vacuum(aw, bw) + 1e200 * (number(aw) & empty(bw)
+                                                     | empty(aw) & number(bw))
+    with pytest.raises(NumericInconsistency, match="not finite"):
+        moment_minor(huge, S2_INDICES)
 
 
 def test_geometric_mixture_s1_series_and_bound():
