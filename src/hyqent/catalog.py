@@ -5,15 +5,25 @@ the command-line front end), its parameters, and a payload: a HybridState on
 its site layout (qudit-qumode, two qumodes, one qumode, or the qubus's qumode
 and two qubits), a plain DV ket with dims, or one of the truly-hybrid
 descriptors.
+
+The constructors of the exact sweep families (two_mode_cat, binary_coherent,
+damped_binary_coherent, thermal_output, qutrit_qumode, mixed23, mixed24,
+qubus_state, tripartite_qmm) broadcast over array parameters: P points give
+a NamedState whose params hold the arrays and whose payload is a tuple of
+(index, state) groups, one stack per template (see HybridState.stack), each
+point's values bit for bit those of its scalar call.  Scalar parameters are
+the one-point case, and its payload is the state itself.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ThermalChannelParams, apply_thermal
+from .channels import ThermalChannelParams, amplitude_damp, apply_thermal
 from .errors import DegenerateNormalization
 from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet, term_norm
+
+COHERENT = (0, 0.0, 0.0)  # the (k, r, theta) form of a coherent ket
 
 
 @dataclass(frozen=True)
@@ -32,21 +42,51 @@ class NamedState:
     extra: dict = field(default_factory=dict)
 
 
+def _points(*values):
+    """The values as 1-D arrays of one length P, and whether every value was a scalar."""
+    return (np.broadcast_arrays(*[np.atleast_1d(v) for v in values]),
+            all(np.ndim(v) == 0 for v in values))
+
+
+def _value(x, single):
+    """The one value of a one-point array as a Python scalar; the array itself otherwise."""
+    return x[0].item() if single else x
+
+
+def _abs2(z):
+    """|z|^2 as abs(z) ** 2 gives it for a Python complex z: a hypot, then a pow."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _named(id, params, groups, single, extra=None):
+    """NamedState of one point (payload its state) or of P points (the (index, state) groups)."""
+    return NamedState(id, params, groups[0][1] if single else tuple(groups), extra or {})
+
+
+def _pure(sites, columns, forms, c, amps, single):
+    """(index, HybridState) groups of one-term states: coefficients c (P, branches)."""
+    return HybridState.stack(sites, (c.shape[1],), columns, forms, np.ones((len(c), 1)), c,
+                             amps, single=single)
+
+
 def two_mode_cat(alpha, phi):
     """(|alpha, alpha> + e^{i phi} |-alpha, -alpha>) / sqrt(N_phi), two qumodes.
 
     N_phi = 2 + 2 e^{-4|alpha|^2} cos(phi); the phi = pi, alpha -> 0 corner is
     a degenerate zero-norm limit and rejected.
     """
-    alpha = complex(alpha)
-    norm = 2.0 + 2.0 * np.exp(-4.0 * abs(alpha) ** 2) * np.cos(phi)
-    if not norm >= 1e-14:
-        raise DegenerateNormalization(f"two-mode cat norm is {norm} (zero at phi=pi, alpha->0)")
-    ka, kb = SymbolicKet.coherent(alpha), SymbolicKet.coherent(-alpha)
-    pure = HybridState.pure((MODE, MODE),
-                            [(1.0 / np.sqrt(norm), (ka, ka)),
-                             (np.exp(1j * phi) / np.sqrt(norm), (kb, kb))])
-    return NamedState("two-mode-cat", {"alpha": alpha, "phi": phi}, pure)
+    (a, phi_), single = _points(alpha, phi)
+    a = a.astype(complex)
+    norm = 2.0 + 2.0 * np.exp(-4.0 * _abs2(a)) * np.cos(phi_)
+    bad = ~(norm >= 1e-14)
+    if bad.any():
+        raise DegenerateNormalization(f"two-mode cat norm is {norm[bad][0]} "
+                                      f"(zero at phi=pi, alpha->0)")
+    c = np.stack([1.0 / np.sqrt(norm), np.exp(1j * phi_) / np.sqrt(norm)], axis=1)
+    amps = np.stack([a, -a], axis=1)
+    groups = _pure((MODE, MODE), ((0, 1), (0, 1)), ((COHERENT,) * 2,) * 2, c, (amps, amps),
+                   single)
+    return _named("two-mode-cat", {"alpha": _value(a, single), "phi": phi}, groups, single)
 
 
 def qubit_qumode(c=0.5, phi=0.0, ket0=SymbolicKet.vacuum(), ket1=SymbolicKet.coherent(1.0)):
@@ -65,12 +105,19 @@ def qubit_qumode(c=0.5, phi=0.0, ket0=SymbolicKet.vacuum(), ket1=SymbolicKet.coh
     return NamedState("qubit-qumode", {"c": c, "phi": phi}, state)
 
 
+def _binary(a, phi, single=False):
+    """(index, HybridState) groups of the binary-coherent states at amplitudes a, phases phi."""
+    c = np.stack(np.broadcast_arrays(np.sqrt(0.5), np.exp(1j * phi) * np.sqrt(1.0 - 0.5)), axis=1)
+    return _pure((2, MODE), ((0, 1), (0, 1)), ((COHERENT,) * 2,), c, (np.stack([a, -a], axis=1),),
+                 single)
+
+
 def binary_coherent(alpha, phi=0.0):
     """The workhorse (|0>|alpha> + e^{i phi} |1>|-alpha>)/sqrt(2)."""
-    named = qubit_qumode(0.5, phi, SymbolicKet.coherent(alpha),
-                         SymbolicKet.coherent(-complex(alpha)))
-    return NamedState("binary-coherent", {"alpha": complex(alpha), "phi": phi},
-                      named.payload)
+    (a, phi_), single = _points(alpha, phi)
+    a = a.astype(complex)
+    return _named("binary-coherent", {"alpha": _value(a, single), "phi": phi},
+                  _binary(a, phi_, single), single)
 
 
 def squeezed_binary_coherent(alpha, r, theta=0.0, phi=0.0):
@@ -85,44 +132,53 @@ def squeezed_binary_coherent(alpha, r, theta=0.0, phi=0.0):
 
 def damped_binary_coherent(alpha, eta, phi=0.0):
     """Binary-coherent state after one-sided photon loss, the (1 +- tau)/2 mixture."""
-    from .channels import amplitude_damp
-
-    base = binary_coherent(alpha, phi).payload
-    return NamedState("damped-binary-coherent",
-                      {"alpha": complex(alpha), "eta": eta, "phi": phi},
-                      amplitude_damp(base, eta))
+    (a, eta_, phi_), single = _points(alpha, eta, phi)
+    a = a.astype(complex)
+    groups = []
+    for index, base in _binary(a, phi_, single):
+        damped = amplitude_damp(base, eta if single else eta_[index])
+        groups += [(index, damped)] if single else [(index[sub], s) for sub, s in damped]
+    return _named("damped-binary-coherent", {"alpha": _value(a, single), "eta": eta, "phi": phi},
+                  groups, single)
 
 
 def qutrit_qumode(alpha):
     """(|0>|vac> + |1>|alpha> + |2>|-alpha>)/sqrt(3)."""
-    alpha = complex(alpha)
-    s = HybridState.pure(3, [
-        (1.0 / np.sqrt(3.0), 0, SymbolicKet.vacuum()),
-        (1.0 / np.sqrt(3.0), 1, SymbolicKet.coherent(alpha)),
-        (1.0 / np.sqrt(3.0), 2, SymbolicKet.coherent(-alpha)),
-    ])
-    return NamedState("qutrit-qumode", {"alpha": alpha}, s)
+    (a,), single = _points(alpha)
+    a = a.astype(complex)
+    c = np.full((len(a), 3), 1.0 / np.sqrt(3.0), dtype=complex)
+    groups = _pure((3, MODE), ((0, 1, 2), (0, 1, 2)), ((COHERENT,) * 3,), c,
+                   (np.stack([np.zeros_like(a), a, -a], axis=1),), single)
+    return _named("qutrit-qumode", {"alpha": _value(a, single)}, groups, single)
+
+
+def _two_terms(p, amps, slots, single):
+    """Groups of the mixture p |psi_1><psi_1| + (1 - p) |psi_2><psi_2| on (2, MODE).
+
+    Each term is (|0>|k_0> + |1>|k_1>)/sqrt(2) with its kets at the slots of
+    amps; a term of weight 0 is left out.
+    """
+    w = np.stack([p, 1.0 - p], axis=1)
+    c = np.full((len(p), 4), 1 / np.sqrt(2), dtype=complex)
+    return HybridState.stack((2, MODE), (2, 2), ((0, 1, 0, 1), slots),
+                             ((COHERENT,) * amps.shape[1],), w, c, (amps,),
+                             keep=np.repeat(w > 0, 2, axis=1), single=single)
 
 
 def mixed23(p, alpha):
     """Two-term mixture holding three kets vac, +-alpha; effectively 2 x 3."""
-    alpha = complex(alpha)
-    vac = SymbolicKet.vacuum()
-    plus = [(1 / np.sqrt(2), 0, vac), (1 / np.sqrt(2), 1, SymbolicKet.coherent(alpha))]
-    minus = [(1 / np.sqrt(2), 0, vac), (1 / np.sqrt(2), 1, SymbolicKet.coherent(-alpha))]
-    terms = [(w, b) for w, b in [(p, plus), (1.0 - p, minus)] if w > 0]
-    return NamedState("mixed-23", {"p": p, "alpha": alpha}, HybridState(2, terms))
+    (p_, a), single = _points(p, alpha)
+    a = a.astype(complex)
+    groups = _two_terms(p_, np.stack([np.zeros_like(a), a, -a], axis=1), (0, 1, 0, 2), single)
+    return _named("mixed-23", {"p": p, "alpha": _value(a, single)}, groups, single)
 
 
 def mixed24(p, alpha):
     """Two-term mixture holding the four kets +-alpha, +-i alpha; effectively 2 x 4."""
-    alpha = complex(alpha)
-    t1 = [(1 / np.sqrt(2), 0, SymbolicKet.coherent(alpha)),
-          (1 / np.sqrt(2), 1, SymbolicKet.coherent(-alpha))]
-    t2 = [(1 / np.sqrt(2), 0, SymbolicKet.coherent(1j * alpha)),
-          (1 / np.sqrt(2), 1, SymbolicKet.coherent(-1j * alpha))]
-    terms = [(w, b) for w, b in [(p, t1), (1.0 - p, t2)] if w > 0]
-    return NamedState("mixed-24", {"p": p, "alpha": alpha}, HybridState(2, terms))
+    (p_, a), single = _points(p, alpha)
+    a = a.astype(complex)
+    groups = _two_terms(p_, np.stack([a, -a, 1j * a, -1j * a], axis=1), (0, 1, 2, 3), single)
+    return _named("mixed-24", {"p": p, "alpha": _value(a, single)}, groups, single)
 
 
 def geometric_mixture(x, alpha, phi=0.0):
@@ -150,10 +206,14 @@ def geometric_mixture(x, alpha, phi=0.0):
 
 def thermal_output(alpha, eta, n_th, phi=0.0):
     """Thermal-channel output of the binary-coherent state; truly hybrid."""
-    base = binary_coherent(alpha, phi).payload
-    out = apply_thermal(base, ThermalChannelParams(eta, n_th))
-    return NamedState("thermal-output",
-                      {"alpha": complex(alpha), "eta": eta, "n_th": n_th, "phi": phi}, out)
+    (a, eta_, n_th_, phi_), single = _points(alpha, eta, n_th, phi)
+    a = a.astype(complex)
+    groups = [(index, apply_thermal(base, ThermalChannelParams(eta, n_th) if single
+                                    else ThermalChannelParams(eta_[index], n_th_[index])))
+              for index, base in _binary(a, phi_, single)]
+    return _named("thermal-output",
+                  {"alpha": _value(a, single), "eta": eta, "n_th": n_th, "phi": phi},
+                  groups, single)
 
 
 def ghz():
@@ -184,25 +244,40 @@ def tripartite_qqm(q):
     return NamedState("tripartite-qqm", {"q": q}, DiscreteKet(v, (2, 2, 2)))
 
 
+def _python_product(x, y):
+    """x * y / sqrt(2) with Python's complex arithmetic, elementwise.
+
+    Python multiplies without a fused multiply-add and divides a complex by
+    a float part by part, where numpy may fuse and divides by one reciprocal;
+    this keeps the scalar constructor's last bits.
+    """
+    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    v = np.empty(re.shape, dtype=complex)
+    v.real, v.imag = (re + im * 0.0) / np.sqrt(2.0), (im - re * 0.0) / np.sqrt(2.0)
+    return v
+
+
 def tripartite_qmm(q_phi, q_psi):
     """Qubit-qumode-qumode state in its compressed three-qubit form.
 
     Both qumodes are expanded in their own two-element bases; the five
     coefficients follow from the two overlaps alone.  (0, 0) is the GHZ state.
     """
-    qf, qp = complex(q_phi), complex(q_psi)
-    if not (abs(qf) <= 1 + 1e-12 and abs(qp) <= 1 + 1e-12):
+    (qf, qp), single = _points(q_phi, q_psi)
+    qf, qp = qf.astype(complex), qp.astype(complex)
+    if not ((np.hypot(qf.real, qf.imag) <= 1 + 1e-12)
+            & (np.hypot(qp.real, qp.imag) <= 1 + 1e-12)).all():
         raise ValueError("overlap magnitudes must be <= 1")
-    sf = np.sqrt(max(0.0, 1.0 - abs(qf) ** 2))
-    sp = np.sqrt(max(0.0, 1.0 - abs(qp) ** 2))
-    v = np.zeros(8, dtype=complex)
-    v[0b000] = 1.0 / np.sqrt(2.0)
-    v[0b100] = qf * qp / np.sqrt(2.0)
-    v[0b110] = qp * sf / np.sqrt(2.0)
-    v[0b101] = qf * sp / np.sqrt(2.0)
-    v[0b111] = sf * sp / np.sqrt(2.0)
-    return NamedState("tripartite-qmm", {"q_phi": qf, "q_psi": qp},
-                      DiscreteKet(v, (2, 2, 2)))
+    sf = np.sqrt(np.maximum(0.0, 1.0 - _abs2(qf)))
+    sp = np.sqrt(np.maximum(0.0, 1.0 - _abs2(qp)))
+    v = np.zeros((len(qf), 8), dtype=complex)
+    v[:, 0b000] = 1.0 / np.sqrt(2.0)
+    v[:, 0b100] = _python_product(qf, qp)
+    v[:, 0b110] = _python_product(qp, sf + 0j)
+    v[:, 0b101] = _python_product(qf, sp + 0j)
+    v[:, 0b111] = sf * sp / np.sqrt(2.0)
+    return _named("tripartite-qmm", {"q_phi": _value(qf, single), "q_psi": _value(qp, single)},
+                  [(np.arange(len(v)), DiscreteKet(v[0] if single else v, (2, 2, 2)))], single)
 
 
 def jcm_generate(alpha, varphi):
@@ -268,8 +343,10 @@ def g_interaction_matrix(n, alpha, n_cut):
 
 
 def qubus_fidelity(alpha, theta, eta):
-    """F = (1 + e^{-(1-eta) alpha^2 (1 - cos theta)}) / 2 of the qubus mixture."""
-    return float(0.5 * (1.0 + np.exp(-(1.0 - eta) * abs(alpha) ** 2 * (1.0 - np.cos(theta)))))
+    """F = (1 + e^{-(1-eta) alpha^2 (1 - cos theta)}) / 2 of the qubus mixture; arrays broadcast."""
+    f = 0.5 * (1.0 + np.exp(-(1.0 - np.asarray(eta)) * _abs2(np.asarray(alpha, dtype=complex))
+                            * (1.0 - np.cos(theta))))
+    return float(f) if np.ndim(f) == 0 else f
 
 
 def qubus_state(alpha, theta, eta):
@@ -279,23 +356,30 @@ def qubus_state(alpha, theta, eta):
               + e^{i phi}|sqrt(eta) a e^{-i th}>|01>/2,  phi = eta a^2 sin(theta).
     Sites ordered (qumode bus, qubit, qubit).
     """
-    alpha = complex(alpha)
-    f = qubus_fidelity(alpha, theta, eta)
-    varphi = eta * abs(alpha) ** 2 * np.sin(theta)
-    k0 = SymbolicKet.coherent(np.sqrt(eta) * alpha)
-    kp = SymbolicKet.coherent(np.sqrt(eta) * alpha * np.exp(1j * theta))
-    km = SymbolicKet.coherent(np.sqrt(eta) * alpha * np.exp(-1j * theta))
+    (a, theta_, eta_), single = _points(alpha, theta, eta)
+    a = a.astype(complex)
+    f = qubus_fidelity(a, theta_, eta_)
+    varphi = eta_ * _abs2(a) * np.sin(theta_)
+    k0 = np.sqrt(eta_) * a
+    amps = np.stack([k0, k0 * np.exp(1j * theta_), k0 * np.exp(-1j * theta_)], axis=1)
 
     def psi(s):
-        return [(0.5, (k0, 0, 0)), (s * 0.5, (k0, 1, 1)),
-                (s * 0.5 * np.exp(-1j * varphi), (kp, 1, 0)),
-                (0.5 * np.exp(1j * varphi), (km, 0, 1))]
+        return [np.full_like(a, 0.5), np.full_like(a, s * 0.5), s * 0.5 * np.exp(-1j * varphi),
+                0.5 * np.exp(1j * varphi)]
 
-    terms = [(w, psi(s)) for w, s in [(f, +1.0), (1.0 - f, -1.0)] if w > 0]
-    mix = HybridState((MODE, 2, 2), terms)
-    return NamedState("qubus", {"alpha": alpha, "theta": theta, "eta": eta}, mix,
-                      extra={"fidelity": f})
+    w = np.stack([f, 1.0 - f], axis=1)
+    groups = HybridState.stack((MODE, 2, 2), (4, 4), ((0, 0, 1, 2) * 2, (0, 1, 1, 0) * 2,
+                                                      (0, 1, 0, 1) * 2),
+                               ((COHERENT,) * 3,), w, np.stack(psi(+1.0) + psi(-1.0), axis=1),
+                               (amps,), keep=np.repeat(w > 0, 4, axis=1), single=single)
+    return _named("qubus", {"alpha": _value(a, single), "theta": theta, "eta": eta}, groups,
+                  single, extra={"fidelity": f[0].item() if single else f})
 
+
+# the families whose constructors broadcast over array parameters
+BROADCASTING = frozenset({"two-mode-cat", "binary-coherent", "damped-binary-coherent",
+                          "thermal-output", "qutrit-qumode", "mixed-23", "mixed-24", "qubus",
+                          "tripartite-qmm"})
 
 FAMILIES = {
     "two-mode-cat": (two_mode_cat, ("alpha", "phi")),

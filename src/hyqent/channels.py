@@ -13,7 +13,7 @@ import numpy as np
 from .composite import DensityMatrix
 from .errors import UnsupportedKet
 from .fock import overlap_coherent
-from .kets import HybridState, SymbolicKet, gram_matrix, ladder_sum, term_norm
+from .kets import Family, HybridState, _term_norms, gram_matrix, ladder_sum
 
 DEFAULT_WEIGHT_TOL = 1e-10
 # thermal_kraus stages its amplitudes in one dense float array; a channel whose
@@ -90,7 +90,7 @@ def qubit_loss_kraus(eta):
 def require_coherent(state, what):
     """TypeError off the (d, "mode") layout; UnsupportedKet naming what on a non-coherent ket."""
     state.qudit_dim
-    if any(b.ket.k or b.ket.r for _, branches in state.terms for b in branches):
+    if any(k or r for k, r, _ in state.forms[0]):
         raise UnsupportedKet(f"{what} is implemented for coherent kets")
 
 
@@ -103,34 +103,69 @@ def amplitude_damp(state, eta):
     |m_i, sqrt(eta) alpha_i><m_j, sqrt(eta) alpha_j| with E_ij = <e_j|e_i>.
     The eigendecomposition E = sum_k lambda_k v_k v_k^dag splits this exactly
     into one pure term per eigenpair: |phi_k> = sum_i c_i v_ik |m_i, sqrt(eta)
-    alpha_i>, normalized, with weight lambda_k <phi_k|phi_k> from term_norm,
-    so branches may share a qudit level.  For two opposite amplitudes on two
-    levels, E = [[1, tau], [tau, 1]] with tau = exp(-2(1-eta)|alpha|^2) has
-    eigenvectors (1, +-1)/sqrt(2): the output is the two-projector mixture
-    with weights (1 +- tau)/2, whatever the coefficients.
+    alpha_i>, normalized, with weight lambda_k <phi_k|phi_k> from the term
+    norm, so branches may share a qudit level.  A branch with c_i v_ik = 0
+    and a term of weight at most 1e-15 are left out.  For two opposite
+    amplitudes on two levels, E = [[1, tau], [tau, 1]] with
+    tau = exp(-2(1-eta)|alpha|^2) has eigenvectors (1, +-1)/sqrt(2): the
+    output is the two-projector mixture with weights (1 +- tau)/2, whatever
+    the coefficients.
+
+    A stack of P states takes one eta or P of them and gives the (index,
+    HybridState) groups of its outputs (see HybridState.stack), one
+    (P, n, n) environment Gram matrix and one batched eigh per term; points
+    at eta = 1 keep their state.  One state gives its output state.
     """
     state.qudit_dim  # rejects layouts other than (d, "mode")
-    if not 0.0 <= eta <= 1.0:
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), (state.points,))
+    if not ((0.0 <= eta) & (eta <= 1.0)).all():
         raise ValueError("transmissivity must lie in [0, 1]")
-    if eta == 1.0:
-        return state
+    lossless = eta == 1.0
+    if lossless.all():
+        return state if state.single else [(np.arange(state.points), state)]
     require_coherent(state, "the amplitude damping channel")
-    out_terms = []
-    for p, branches in state.terms:
-        alphas = [b.ket.alpha for b in branches]
-        env = gram_matrix([SymbolicKet.coherent(np.sqrt(1.0 - eta) * a) for a in alphas]).T
-        kets = [SymbolicKet.coherent(np.sqrt(eta) * a) for a in alphas]
-        lam, vecs = np.linalg.eigh(env)
-        for weight, column in zip(p * lam, (np.array([b.c for b in branches])[:, None] * vecs).T):
-            phi = [(a, (b.m, ket)) for a, b, ket in zip(column, branches, kets) if a != 0]
-            norm = term_norm(state.sites, phi)
-            if weight * norm > 1e-15:
-                out_terms.append((weight * norm, [(a / np.sqrt(norm), v) for a, v in phi]))
-    return HybridState(state.sites, out_terms)
+    lossy = np.flatnonzero(~lossless)
+    s = state if lossy.size == state.points else state.take(lossy)
+    e = eta[lossy, None]
+    [amps], slots = s.amps, np.array(s.columns[1])
+    env, damped = np.sqrt(1.0 - e) * amps, np.sqrt(e) * amps
+    weights, coefficients, keep, columns = [], [], [], ([], [])
+    start = 0
+    for t, count in enumerate(s.counts):
+        sel = slice(start, start + count)
+        gram = gram_matrix(Family(np.zeros(count, dtype=int), env[:, slots[sel]]))
+        lam, vecs = np.linalg.eigh(gram.swapaxes(-1, -2))
+        terms = s.c[:, sel, None] * vecs  # column k: the branch coefficients of term k
+        for k in range(count):
+            a = terms[:, :, k]
+            norm = _term_norms(s.sites, s.columns, s.forms, a, (damped,),
+                               range(sel.start, sel.stop))
+            weight = s.p[:, t] * lam[:, k] * norm
+            with np.errstate(divide="ignore", invalid="ignore"):  # a dropped term's norm may be 0
+                coefficients.append(a / np.sqrt(norm)[:, None])
+            weights.append(weight)
+            keep.append((a != 0) & (weight > 1e-15)[:, None])
+            for column, source in zip(columns, s.columns):
+                column.extend(source[sel])
+        start += count
+    groups = HybridState.stack(
+        s.sites, tuple(count for count in s.counts for _ in range(count)),
+        tuple(map(tuple, columns)), s.forms, np.stack(weights, axis=1),
+        np.concatenate(coefficients, axis=1), (damped,), keep=np.concatenate(keep, axis=1),
+        single=state.single)
+    if state.single:
+        return groups[0][1]
+    return ([(np.flatnonzero(lossless), state.take(lossless))] if lossless.any() else []) + [
+        (lossy[index], out) for index, out in groups]
 
 
 # ---------------------------------------------------------------------------
 # thermal photon noise channel
+
+
+def _first(value, bad):
+    """value itself if a scalar, else its first entry where bad, as a Python scalar."""
+    return value if np.ndim(value) == 0 else np.asarray(value)[bad].flat[0].item()
 
 
 @dataclass(frozen=True)
@@ -141,10 +176,13 @@ class ThermalChannelParams:
     n_th: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not 0.0 <= self.n_th < np.inf:
-            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th!r}")
+        # eta and n_th may be arrays, one channel per point of a stack
+        bad = ~((0.0 <= np.asarray(self.eta)) & (np.asarray(self.eta) <= 1.0))
+        if bad.any():
+            raise ValueError(f"eta must lie in [0, 1], got {_first(self.eta, bad)!r}")
+        bad = ~((0.0 <= np.asarray(self.n_th)) & (np.asarray(self.n_th) < np.inf))
+        if bad.any():
+            raise ValueError(f"n_th must be finite and >= 0, got {_first(self.n_th, bad)!r}")
 
     def thermal_weight(self, n):
         """Thermal photon distribution n_th^n / (1 + n_th)^(n+1), as q^n / (1 + n_th) for q < 1."""
@@ -335,7 +373,8 @@ class ThermalHybridState:
     hybrid and it is never materialized; moments come from the exact dyad
     formula, and truncated_density offers the Kraus cross-check route.
     Construction checks the base state once: a qudit-qumode layout with
-    coherent kets only.
+    coherent kets only.  A stacked base takes params of one channel or of
+    one channel per point (arrays).
     """
 
     base: HybridState

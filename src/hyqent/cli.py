@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__, catalog, composite, compression, fock, measures, witness
 from .catalog import FAMILIES, DiscreteKet, NamedState
-from .channels import ThermalHybridState
 from .composite import DensityMatrix
 from .errors import NumericInconsistency, UnsupportedKet
 from .kets import HybridState, SymbolicKet
@@ -129,7 +128,7 @@ def validate_spec(doc):
 
 
 def build_state(family, params):
-    """NamedState for a family id plus parameter dict."""
+    """NamedState for a family id plus parameter dict: one point."""
     if family == "hybrid":
         return NamedState("hybrid", dict(params), _parse_inline_hybrid(params))
     ctor, names = FAMILIES[family]
@@ -144,6 +143,29 @@ def build_state(family, params):
         raise SpecError(f"bad parameters for {family}: {exc}") from exc
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
+
+
+def _build_stack(family, params, names, points):
+    """[(indices, NamedState)] of a family at the points (rows of values of the axes names).
+
+    One constructor call takes every axis as an array, so its NamedState
+    holds one stack per template.  Families outside catalog.BROADCASTING
+    raise ValueError, as does any point whose own build would raise; a
+    caller then builds the points one by one to learn which fails first.
+    """
+    if family not in catalog.BROADCASTING:
+        raise ValueError(f"family {family} has no stacked constructor")
+    ctor, keys = FAMILIES[family]
+    columns = np.array(points, dtype=float).reshape(len(points), len(names)).T
+    kwargs = {}
+    for key, value in [*params.items(), *zip(names, columns)]:
+        if key not in keys:
+            raise SpecError(f"family {family} does not take parameter {key!r}")
+        parse = FAMILY_PARSERS.get(key, _as_real)
+        if key in names and (parse not in (_as_real, _as_complex) or not np.isfinite(value).all()):
+            raise SpecError(f"axis {key}: expected finite numbers")
+        kwargs[key] = value if key in names else parse(value, key)
+    return [(np.arange(len(points)), ctor(**kwargs))]
 
 
 # ---------------------------------------------------------------------------
@@ -172,49 +194,10 @@ def _bipartite(rho):
     return rho
 
 
-def _stacks(payloads):
-    """(indices, stacked payload) for each template among the payloads.
-
-    HybridStates stack by compression.stacks; DiscreteKets of equal dims stack
-    as one DiscreteKet of (P, D) vectors; any other payload stands alone.
-    """
-    hybrid, discrete, out = [], {}, []
-    for i, payload in enumerate(payloads):
-        if isinstance(payload, HybridState):
-            hybrid.append(i)
-        elif isinstance(payload, DiscreteKet):
-            discrete.setdefault(payload.dims, []).append(i)
-        else:
-            out.append(([i], payload))
-    if hybrid:
-        out += [(np.take(hybrid, index), stack)
-                for index, stack in compression.stacks([payloads[i] for i in hybrid])]
-    out += [(index, DiscreteKet(np.array([payloads[i].vector for i in index]), dims))
-            for dims, index in discrete.items()]
-    return out
-
-
-def _templates(payloads):
-    """(indices, payloads) for each state template among the payloads.
-
-    A ThermalHybridState counts with the template of its base state (see
-    compression.templates); any other payload stands alone.  No Gram matrix is
-    built.
-    """
-    bases = [p.base if isinstance(p, ThermalHybridState) else p for p in payloads]
-    hybrid = [i for i, base in enumerate(bases) if isinstance(base, HybridState)]
-    out = [([i], [payload]) for i, (payload, base) in enumerate(zip(payloads, bases))
-           if not isinstance(base, HybridState)]
-    for members in compression.templates([bases[i] for i in hybrid]).values():
-        index = [hybrid[j] for j, _, _ in members]
-        out.append((index, [payloads[i] for i in index]))
-    return out
-
-
-def _witness_minor(name, payloads):
-    """s1 or s2 at each of a template's states, from one moment provider."""
+def _witness_minor(name, payload):
+    """s1 or s2 at each state of a stack (or at one state), from one moment provider."""
     try:
-        provider = witness.SymbolicMomentProvider(payloads)
+        provider = witness.SymbolicMomentProvider(payload)
     except (TypeError, UnsupportedKet) as exc:
         raise Inapplicable(f"moment witnesses need a coherent-family (possibly thermal) "
                            f"hybrid state: {exc}") from exc
@@ -223,9 +206,19 @@ def _witness_minor(name, payloads):
 
 
 def _stack_measure(name, payload):
-    """A stackable measure at each state of a stacked payload."""
+    """A measure at each state of a payload: a stack of one template, or one state."""
     if name in WITNESSES:
         return _witness_minor(name, payload)
+    if isinstance(payload, HybridState):
+        values = np.empty(payload.points)
+        for index, stack in compression.stacks(payload):
+            values[index] = _dv_measure(name, stack)
+        return values
+    return _dv_measure(name, payload)
+
+
+def _dv_measure(name, payload):
+    """A measure at each state of a compression Stack or a DiscreteKet (stack)."""
     if name == "concurrence":
         rho = _bipartite(_to_density(payload))
         try:
@@ -255,32 +248,34 @@ def _fidelity(named):
     return named.extra["fidelity"]
 
 
-def _measure_values(name, states):
-    """One measure at each NamedState, as floats.
+def _measure_values(name, states, count):
+    """One measure at each point of [(indices, NamedState)], as an array of count floats.
 
-    The moment witnesses take each state template's states as one stack (one
-    provider call and one batched determinant); the other stackable measures
-    compress and measure each template's states as one stack; the fidelity
-    goes state by state.
+    A NamedState of P points is measured one template stack at a time: the
+    moment witnesses by one provider call and one batched determinant, the
+    other measures by compressing and measuring each stack's pivot groups at
+    once; the fidelity is read from the states.
     """
-    if name in POINT_MEASURES:
-        return [float(_fidelity(named)) for named in states]
     if name not in MEASURES:
         raise SpecError(f"unknown measure {name!r}; valid: {', '.join(sorted(MEASURES))}")
-    values = np.empty(len(states))
-    groups = _templates if name in WITNESSES else _stacks
-    for index, payload in groups([named.payload for named in states]):
-        values[index] = _stack_measure(name, payload)
-    return values.tolist()
+    values = np.empty(count)
+    for index, named in states:
+        if name == "fidelity":
+            values[index] = _fidelity(named)
+        elif isinstance(named.payload, tuple):
+            for sub, payload in named.payload:
+                values[index[sub]] = _stack_measure(name, payload)
+        else:
+            values[index] = _stack_measure(name, named.payload)
+    return values
 
 
 def _measure_value(name, named):
-    return _measure_values(name, [named])[0]
+    return _measure_values(name, [([0], named)], 1).tolist()[0]
 
 
 MEASURES = ("concurrence", "negativity", "log_negativity", "purity", "entropy",
             "tau_res", "s1", "s2", "fidelity")
-POINT_MEASURES = ("fidelity",)
 WITNESSES = ("s1", "s2")
 
 # closed-form outputs available to sweeps, keyed by (name) -> fn(params) and a
@@ -449,37 +444,65 @@ def _attempt(fn, *args):
         return exc
 
 
+def _joined(built):
+    """[(indices, NamedState)] of one-point NamedStates; HybridStates of one template joined.
+
+    Points whose payloads share a stored template are measured as one stack;
+    any other payload stands alone.
+    """
+    out, stacks = [], {}
+    for i, named in enumerate(built):
+        if isinstance(named.payload, HybridState):
+            stacks.setdefault(named.payload.template, []).append(i)
+        else:
+            out.append(([i], named))
+    for index in stacks.values():
+        state = HybridState.join([built[i].payload for i in index])
+        out.append((np.array(index), NamedState(built[index[0]].id, {},
+                                                 ((np.arange(len(index)), state),))))
+    return out
+
+
 def _sweep_chunk(packed):
     """Each output at each point of a contiguous run of sweep points: its value or its exception.
 
-    Closed forms and the fidelity go point by point.  Each point's state is
-    built once, and every other measure, the moment witnesses included, is
-    evaluated as one stack per template; a stack that raises is evaluated again
-    point by point up to its first failing point, whose exception is the one
-    the point raises alone.
-    Once a point has failed, later points need no more cells: the sweep raises
-    at or before that point.
+    Closed forms go point by point.  The states are built once, by one
+    stacked constructor call (_build_stack), and every measure is evaluated
+    one template stack at a time.  A family with no stacked constructor, and
+    a stacked build that raises, are built point by point up to the first
+    failing point, and the states are joined by template (_joined).  A
+    measure that raises is evaluated again point by point up to its first
+    failing point.  Either way a failing point's exception is the one it
+    raises alone.  Once a point has failed, later points need no more cells:
+    the sweep raises at or before that point.
     """
     family, base_params, names, points, outputs = packed
     params = [{**base_params, **dict(zip(names, p))} for p in points]
     cells = [[None] * len(outputs) for _ in points]
     needed = len(points)  # the points before the first failing one
-    built = None
+    states = None
     for j, out in enumerate(outputs):
-        if out in MEASURES and out not in POINT_MEASURES:
-            if built is None:
-                built = [_attempt(build_state, family, p) for p in params]
-            failed = [isinstance(named, Exception) for named in built[:needed]]
-            if any(failed):
-                needed = failed.index(True)
-                cells[needed][j] = built[needed]
-            values = _attempt(_measure_values, out, built[:needed])
+        if out in MEASURES:
+            if states is None:
+                states = _attempt(_build_stack, family, base_params, names, points)
+                if isinstance(states, Exception):
+                    built = []
+                    for i, p in enumerate(params[:needed]):
+                        named = _attempt(build_state, family, p)
+                        if isinstance(named, Exception):
+                            needed, cells[i][j] = i, named
+                            break
+                        built.append(named)
+                    states = _joined(built)
+            values = _attempt(_measure_values, out, states, len(points))
             if isinstance(values, Exception):
                 values = []
-                for named in built[:needed]:
-                    values.append(_attempt(_measure_value, out, named))
+                for p in params[:needed]:
+                    values.append(_attempt(evaluate_output, out, family, p))
                     if isinstance(values[-1], Exception):
                         break
+            else:
+                values = values[:needed].tolist()
         else:
             values = [_attempt(evaluate_output, out, family, p) for p in params[:needed]]
         for i, value in enumerate(values):
@@ -493,10 +516,13 @@ def _sweep_chunk(packed):
 def run_sweep(family, params, axes, outputs, workers=1):
     """Row-major sweep over the axes; deterministic regardless of worker count.
 
-    With workers > 1 each worker evaluates one contiguous chunk of the points.
+    With workers > 1 each worker evaluates one contiguous chunk of the points;
+    workers must be at least 1.
     The first output, in row-major order, that raises makes the sweep raise
     that exception, as a point-by-point loop would.
     """
+    if workers < 1:
+        raise SpecError(f"--workers must be at least 1, got {workers}")
     names = [n for n, _ in axes]
     grids = np.meshgrid(*[v for _, v in axes], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
@@ -649,6 +675,8 @@ def _reproduce_wigner(out_dir, full):
 
 
 def cmd_reproduce(args):
+    if args.workers < 1:
+        raise SpecError(f"--workers must be at least 1, got {args.workers}")
     if args.figure not in FIGURES:
         raise SpecError(f"unknown figure id {args.figure!r}; valid: "
                         f"{', '.join(sorted(FIGURES))}")

@@ -7,9 +7,10 @@ states supported on finitely many qumode kets thereby become ordinary
 finite-dimensional density matrices, where the full DV toolbox applies.
 
 States that differ only in their amplitudes, coefficients and weights
-compress together: stacks() groups them, and compress and compress_vector
-take such a Stack and return one result per state on a leading point axis.
-One state is the one-point case of the same computation.
+compress together: a HybridState stack holds them on one template, stacks()
+splits it by Gram pivots, and compress and compress_vector take such a Stack
+and return one result per state on a leading point axis.  One state is the
+one-point case of the same computation.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from .channels import ThermalHybridState
 from .composite import DensityMatrix
-from .kets import MODE, HybridState, InfiniteHybridFamily, gram_matrix
+from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet, _family, gram_matrix
 
 DEPENDENCE_TOL = 1e-12
 
@@ -117,101 +118,83 @@ def ket_expansion(kets):
     return inverse_gram_schmidt(gram_matrix(kets))
 
 
-def _layout(state):
-    """(template, site kets) of a HybridState.
-
-    The template is the state without its amplitudes, coefficients and
-    weights: its sites, the branch count of each term, one column per site
-    over all branches in order (the qudit level, or on a mode site the slot of
-    the branch's ket among that site's distinct kets, in order of first
-    appearance) and the ladder order and squeezing of every slot.  Site kets
-    maps each mode axis to its distinct kets, as a dict from ket to slot.
-    """
-    columns = list(zip(*[values for term in state.terms for _, values in term.branches]))
-    slots = {}
-    for a, site in enumerate(state.sites):
-        if site == MODE:
-            slot = slots[a] = {}
-            columns[a] = tuple([slot.setdefault(ket, len(slot)) for ket in columns[a]])
-    counts = tuple([len(term.branches) for term in state.terms])
-    forms = tuple([(ket.k, ket.r, ket.theta) for slot in slots.values() for ket in slot])
-    return (state.sites, counts, tuple(columns), forms), slots
-
-
 def site_expansions(state):
-    """(axis, kets, GramCoefficients) for each mode site of a HybridState.
+    """(axis, kets, GramCoefficients) for each mode site of one HybridState.
 
     A site's kets are its distinct kets in order of first appearance over all
-    terms; each site gets one ket_expansion.
+    terms (its slots); each site gets one ket_expansion.
     """
-    return [(axis, list(kets), ket_expansion(list(kets)))
-            for axis, kets in _layout(state)[1].items()]
+    modes = [a for a, site in enumerate(state.sites) if site == MODE]
+    out = []
+    for axis, forms, amps in zip(modes, state.forms, state.amps):
+        kets = [SymbolicKet(k, complex(alpha), r, theta)
+                for (k, r, theta), alpha in zip(forms, amps[0])]
+        out.append((axis, kets, ket_expansion(kets)))
+    return out
 
 
 class Stack(NamedTuple):
-    """HybridStates that compress together, with their template and each mode site's expansion.
+    """A HybridState stack that compresses as one, with each mode site's expansion.
 
-    The states share a template and the pivots of every mode site, so each
+    Its states share a template and the pivots of every mode site, so each
     (axis, GramCoefficients) of expansions has a leading point axis.
     """
 
-    states: tuple
-    template: tuple
+    state: HybridState
     expansions: tuple
 
     @property
     def is_pure(self):
-        return self.states[0].is_pure
-
-
-def templates(states):
-    """Group HybridStates by template: {template: [(index, state, site kets), ...]}.
-
-    A template is the sites, the term count and branch layout, and the ladder
-    order and squeezing of each ket slot (see _layout); states of one template
-    differ only in amplitudes, coefficients and weights.  Templates keep the
-    order of their first state, and each one's members are in increasing index.
-    """
-    groups = {}
-    for i, state in enumerate(states):
-        template, site_kets = _layout(state)
-        groups.setdefault(template, []).append((i, state, site_kets))
-    return groups
+        return self.state.is_pure
 
 
 def stacks(states):
     """Split HybridStates into the stacks that compress together.
 
-    Two states share a stack when they share a template and the pivots of
-    each mode site's Gram factorization, so that only amplitudes,
-    coefficients and weights differ.  Each template's Gram matrices are built
-    and factorized as one stack.  Returns (indices, Stack) pairs, with the
-    indices (a list) into states in increasing order.
+    states is one HybridState (a stack of one template, or one state) or a
+    sequence of HybridStates, which are joined by template first.  Two points
+    share a stack when they share a template and the pivots of each mode
+    site's Gram factorization, so that only amplitudes, coefficients and
+    weights differ.  Each template's Gram matrices are built from its stored
+    amplitudes and factorized as one stack.  Returns (indices, Stack) pairs,
+    with the indices (an array) into the points, a sequence's points in order,
+    increasing.
     """
-    states, out = list(states), []
-    for template, members in templates(states).items():
-        index = [i for i, _, _ in members]
-        factors = [(axis, *_factor(gram_matrix([m[2][axis] for m in members])))
-                   for axis in members[0][2]]
-        groups = [slice(None)]
-        if len(members) > 1:
+    if isinstance(states, HybridState):
+        groups = [(np.arange(states.points), states)]
+    else:
+        members, start = {}, 0
+        for state in states:
+            members.setdefault(state.template, []).append((start, state))
+            start += state.points
+        groups = [(np.concatenate([np.arange(i, i + s.points) for i, s in group]),
+                   group[0][1] if len(group) == 1 else HybridState.join([s for _, s in group]))
+                  for group in members.values()]
+    out = []
+    for index, state in groups:
+        modes = [a for a, site in enumerate(state.sites) if site == MODE]
+        factors = [(axis, *_factor(gram_matrix(_family(forms, amps))))
+                   for axis, forms, amps in zip(modes, state.forms, state.amps)]
+        parts = [slice(None)]
+        if state.points > 1 and factors:
             pivots = np.concatenate([pivot for _, _, pivot in factors], axis=1)
             if (pivots != pivots[:1]).any():
                 _, pattern = np.unique(pivots, axis=0, return_inverse=True)
-                groups = [np.flatnonzero(pattern.ravel() == g) for g in range(pattern.max() + 1)]
-        for sel in groups:
-            picked = index[sel] if isinstance(sel, slice) else [index[j] for j in sel]
+                parts = [np.flatnonzero(pattern.ravel() == g) for g in range(pattern.max() + 1)]
+        for sel in parts:
             expansions = tuple((axis, _coefficients(rows[sel], pivot[sel][0]))
                                for axis, rows, pivot in factors)
-            out.append((picked, Stack(tuple(states[i] for i in picked), template, expansions)))
+            part = state if isinstance(sel, slice) else state.take(sel)
+            out.append((index[sel], Stack(part, expansions)))
     return out
 
 
 def _as_stack(state):
+    """The Stack of a state, and whether it is one state (whose results have no point axis)."""
     if isinstance(state, Stack):
-        return state
-    [(_, stack)] = stacks([state])
-    return stack
+        return state, False
+    [(_, stack)] = stacks(state)
+    return stack, state.single
 
 
 def _outer(factors):
@@ -230,11 +213,11 @@ def _term_vectors(stack):
     layout of mode sites only are normalized through the ket overlaps and
     renormalized here.
     """
-    sites, counts, columns, _ = stack.template
+    sites, counts, columns, _ = stack.state.template
     modes = [a for a, site in enumerate(sites) if site == MODE]
     qudits = [a for a, site in enumerate(sites) if site != MODE]
     rows = [coeffs.matrix for _, coeffs in stack.expansions]
-    c = np.array([[b.c for term in state.terms for b in term.branches] for state in stack.states])
+    c = stack.state.c
     blocks = _outer([m[:, columns[a]] for a, m in zip(modes, rows)])
     blocks = c.reshape(c.shape + (1,) * len(modes)) * blocks
     # work holds the qudit axes before the mode axes; a branch's rank among the
@@ -264,24 +247,26 @@ def compress_vector(state):
     The qumode kets of each mode site are replaced by their orthonormal
     expansion; all overlaps, and hence all entanglement properties, are
     preserved exactly.  It is a unit vector whose outer product is compress(state).matrix.
-    A Stack of pure states gives one ket per state, (P, D).
+    A Stack of pure states (or a HybridState stack with one set of pivots) gives
+    one ket per state, (P, D).
     """
     if not state.is_pure:
         raise ValueError("compress_vector needs a pure (single-term) state")
-    vectors, dims = _term_vectors(_as_stack(state))
-    return (vectors[:, 0] if isinstance(state, Stack) else vectors[0, 0]), dims
+    stack, one = _as_stack(state)
+    vectors, dims = _term_vectors(stack)
+    return (vectors[0, 0] if one else vectors[:, 0]), dims
 
 
 def compress(state):
     """Effective DV density matrix sum_n p_n |v_n><v_n| of a HybridState, one factor per site.
 
-    A Stack gives a DensityMatrix stack, one matrix per state on a leading axis.
+    A Stack (or a HybridState stack with one set of pivots) gives a
+    DensityMatrix stack, one matrix per state on a leading axis.
     """
-    stack = _as_stack(state)
+    stack, one = _as_stack(state)
     vectors, dims = _term_vectors(stack)
-    weights = np.array([s.weights for s in stack.states])
-    matrix = (vectors.swapaxes(1, 2) * weights[:, None, :]) @ vectors.conj()
-    return DensityMatrix(matrix if stack is state else matrix[0], dims)
+    matrix = (vectors.swapaxes(1, 2) * stack.state.p[:, None, :]) @ vectors.conj()
+    return DensityMatrix(matrix[0] if one else matrix, dims)
 
 
 @dataclass(frozen=True)

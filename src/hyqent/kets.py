@@ -162,28 +162,34 @@ def ladder_sum(k, l, x, y, c=1.0, normalized=False):
     return np.where(ge, y, x) ** a * weight * p[at]
 
 
-def _ladder_forms(kets):
-    """Ladder orders k and amplitudes alpha of the kets S(xi) a^dag^k |alpha> of one family.
+class Family(NamedTuple):
+    """One closed-form family as arrays: ladder orders (n,) and amplitudes (..., n)."""
+
+    orders: np.ndarray
+    amps: np.ndarray
+
+
+def _family(forms, amps):
+    """Family of the kets with (k, r, theta) forms and amplitudes amps (..., n).
 
     The squeezers cancel in every overlap of kets at equal squeezing, so such
     a family enters by its ladder kets alone.  Unequal squeezing, and ladder
-    orders above MAX_ORDER, raise UnsupportedKet.  A sequence of P families
-    (each an iterable of kets) with the same ladder orders and squeezing slot
-    by slot gives the orders once and a (P, n) amplitude array.
+    orders above MAX_ORDER, raise UnsupportedKet.
     """
-    stacked = bool(kets) and not isinstance(kets[0], SymbolicKet)
-    families = kets if stacked else [kets]
-    forms = [(ket.k, ket.r, ket.theta) for ket in families[0]]
     if len({form[1:] for form in forms}) > 1:
         raise UnsupportedKet("squeezed kets have closed-form overlaps only at equal squeezing")
-    if any([(ket.k, ket.r, ket.theta) for ket in family] != forms for family in families[1:]):
-        raise ValueError("stacked ket families must share their ladder orders and squeezing")
     orders = np.array([form[0] for form in forms], dtype=int)
     if orders.max(initial=0) > MAX_ORDER:
         raise UnsupportedKet(f"ladder orders above {MAX_ORDER} have no closed form here")
-    if stacked:
-        return orders, np.array([[ket.alpha for ket in family] for family in kets], dtype=complex)
-    return orders, np.array([ket.alpha for ket in kets], dtype=complex)
+    return Family(orders, amps)
+
+
+def _ladder_forms(kets):
+    """Family of the kets S(xi) a^dag^k |alpha> (see _family); a Family passes as it is."""
+    if isinstance(kets, Family):
+        return kets
+    return _family([(ket.k, ket.r, ket.theta) for ket in kets],
+                   np.array([ket.alpha for ket in kets], dtype=complex))
 
 
 def _family_overlaps(kets):
@@ -193,8 +199,8 @@ def _family_overlaps(kets):
     for bra order k and ket order l, so the overlap of normalized kets is
     <alpha|beta> times the normalized sum over the square roots of both kets'
     own, whose product is never formed.  A value beyond the double range
-    raises UnsupportedKet.  A sequence of families (see _ladder_forms) gives a
-    (P, n, n) stack, each matrix as its family alone would.
+    raises UnsupportedKet.  A Family with (P, n) amplitudes gives a (P, n, n)
+    stack, each matrix as its family alone would.
     """
     orders, amps = _ladder_forms(kets)
     bra, ket = amps[..., :, None], amps[..., None, :]
@@ -228,8 +234,7 @@ def overlap(bra, ket):
 def gram_matrix(kets):
     """Gram matrix <kets[i]|kets[j]>, exactly Hermitian with a unit diagonal.
 
-    A sequence of families with the same ladder orders and squeezing slot by
-    slot gives a (P, n, n) stack.
+    A Family with (P, n) amplitudes gives a (P, n, n) stack.
     """
     upper = np.triu(_family_overlaps(kets), 1)
     gram = upper + upper.conj().swapaxes(-1, -2)
@@ -273,39 +278,114 @@ def _site_values(sites, values):
     return tuple(v if s == MODE else int(v) for s, v in zip(sites, values))
 
 
-def term_norm(sites, branches):
-    """<psi|psi> of the pure term |psi> = sum_b c_b |values_b> on sites.
+def _template(sites, terms):
+    """Template and one-point arrays of terms [(p, [(c, values), ...]), ...] on sites.
 
-    sum_b |c_b|^2, plus c_b* c_b' times the pair's per-site Gram entries for
-    each pair b != b' that agrees on every qudit level; on a layout of mode
-    sites only every pair counts.  A term whose branches all differ in a qudit
-    level touches no overlap.
+    Returns counts, columns, forms (see HybridState) and the (1, ...) arrays p,
+    c and amps; a mode site's slots are its distinct kets in order of first
+    appearance.
     """
-    c = np.array([c for c, _ in branches])
-    norm = sum((abs(c) ** 2).tolist())  # in branch order, where ndarray.sum would pair terms up
-    levels = [tuple(v for s, v in zip(sites, values) if s != MODE) for _, values in branches]
+    values = [v for _, branches in terms for _, v in branches]
+    columns, forms, amps = [], [], []
+    for a, site in enumerate(sites):
+        column = [v[a] for v in values]
+        if site == MODE:
+            slot = {}
+            column = [slot.setdefault(ket, len(slot)) for ket in column]
+            forms.append(tuple((ket.k, ket.r, ket.theta) for ket in slot))
+            amps.append(np.array([[ket.alpha for ket in slot]], dtype=complex))
+        columns.append(tuple(column))
+    return (tuple(len(branches) for _, branches in terms), tuple(columns), tuple(forms),
+            np.array([[p for p, _ in terms]], dtype=float),
+            np.array([[c for _, branches in terms for c, _ in branches]], dtype=complex).reshape(
+                1, len(values)), tuple(amps))
+
+
+def _term_norms(sites, columns, forms, c, amps, sel):
+    """<psi|psi> of one pure term at each point, (P,).
+
+    sel lists the term's branches (their columns), and c (P, len(sel)) holds
+    their coefficients: sum_b |c_b|^2 in branch order, plus c_b* c_b' times
+    the pair's per-site Gram entries for each pair b != b' that agrees on
+    every qudit level; on a layout of mode sites only every pair counts.
+    """
+    norm = sum(np.abs(c.T) ** 2, np.zeros(len(c)))  # in branch order, as a loop would add
+    qudits = [a for a, s in enumerate(sites) if s != MODE]
+    levels = [tuple(columns[a][b] for a in qudits) for b in sel]
     if len(set(levels)) == len(levels):
         return norm
     group = [levels.index(level) for level in levels]
     same = np.equal.outer(group, group) & ~np.eye(len(group), dtype=bool)
     keep = same.any(axis=0)
     braket = same[np.ix_(keep, keep)].astype(complex)
-    for a in [a for a, s in enumerate(sites) if s == MODE]:
-        kets = [values[a] for (_, values), k in zip(branches, keep) if k]
-        slot = {ket: i for i, ket in enumerate(dict.fromkeys(kets))}
-        index = np.array([slot[ket] for ket in kets])
-        braket *= gram_matrix(list(slot))[index[:, None], index]
-    return float(norm + (np.conj(c[keep]) @ braket @ c[keep]).real)
+    kept = [b for b, k in zip(sel, keep) if k]
+    modes = [a for a, s in enumerate(sites) if s == MODE]
+    for site_forms, site_amps, a in zip(forms, amps, modes):
+        ids = [columns[a][b] for b in kept]
+        distinct = list(dict.fromkeys(ids))
+        index = np.array([distinct.index(i) for i in ids])
+        gram = gram_matrix(_family([site_forms[i] for i in distinct], site_amps[:, distinct]))
+        braket = braket * gram[:, index[:, None], index]
+    ck = c[:, keep]
+    return norm + (np.conj(ck)[:, None, :] @ braket @ ck[:, :, None])[:, 0, 0].real
+
+
+def term_norm(sites, branches):
+    """<psi|psi> of the pure term |psi> = sum_b c_b |values_b> on sites.
+
+    sum_b |c_b|^2, plus c_b* c_b' times the pair's per-site Gram entries for
+    each pair b != b' that agrees on every qudit level; on a layout of mode
+    sites only every pair counts.  A term whose branches all differ in a qudit
+    level touches no overlap.  It is the one-point case of the norms that
+    HybridState checks on its arrays.
+    """
+    _, columns, forms, _, c, amps = _template(sites, [(1.0, branches)])
+    return float(_term_norms(sites, columns, forms, c, amps, range(c.shape[1]))[0])
+
+
+def _check(sites, counts, columns, forms, p, c, amps):
+    """Raise ValueError unless every point is a normalized mixture, term by term.
+
+    Each term's probability must be positive and, on a layout with a qudit
+    site, its norm^2 from the ket overlaps 1 within 1e-12; the probabilities
+    must sum to 1 within 1e-12.  A failing term raises before any later one
+    is read, naming the first failing point's value.
+    """
+    total, start = np.zeros(len(p)), 0
+    for t, count in enumerate(counts):
+        if not (p[:, t] > 0).all():
+            raise ValueError("term probabilities must be positive")
+        sel = range(start, start + count)
+        if set(sites) != {MODE}:
+            norm = _term_norms(sites, columns, forms, c[:, sel.start:sel.stop], amps, sel)
+            bad = ~(abs(norm - 1.0) <= 1e-12)
+            if bad.any():
+                raise ValueError(f"term has norm^2 {norm[bad][0]} from its ket overlaps, "
+                                 f"expected 1")
+        total, start = total + p[:, t], start + count
+    bad = ~(abs(total - 1.0) <= 1e-12)
+    if bad.any():
+        raise ValueError(f"term probabilities sum to {total[bad][0]}, expected 1")
 
 
 class HybridState:
-    """Convex mixture of pure terms on an ordered tuple of sites.
+    """Convex mixture of pure terms on an ordered tuple of sites; one state or a stack.
 
     rho = sum_n p_n |psi_n><psi_n| with |psi_n> = sum_b c_nb |values_nb>.  Each
     site is a qudit dimension (int) or MODE; each branch holds one level per
     qudit site and one SymbolicKet per mode site.  HybridState(d, terms) with
     (c, m, ket) branches is shorthand for the qudit-qumode layout (d, MODE);
     HybridState(sites, terms) takes (c, values) branches.
+
+    A state holds its template once: the sites, the branch count of each term
+    (counts), one column per site over all branches in order (the qudit
+    level, or on a mode site the slot of the branch's ket among that site's
+    distinct kets, in order of first appearance) and the (k, r, theta) form of
+    every slot (forms, one tuple per mode site).  Its values are arrays with
+    a leading point axis: term probabilities p (P, terms), branch
+    coefficients c (P, branches) and, per mode site, slot amplitudes in amps
+    (P, slots).  HybridState(sites, terms) is one state (single, P = 1);
+    HybridState.stack builds P states from parameter arrays.
 
     On a layout with a qudit site, each term must have <psi_n|psi_n> = 1
     within 1e-12, as term_norm reads it from the ket overlaps, so branches of
@@ -320,26 +400,123 @@ class HybridState:
         if any(s != MODE and s != int(s) for s in sites):
             raise ValueError(f"qudit dimensions must be integers, got sites {sites}")
         sites = tuple(s if s == MODE else int(s) for s in sites)
-        norm_terms = []
-        total_p = 0.0
-        for p, branches in terms:
-            p = float(p)
-            if not p > 0:
-                raise ValueError("term probabilities must be positive")
-            bs = tuple(Branch(complex(c), _site_values(sites, values)) for c, values in branches)
-            norm = term_norm(sites, bs) if set(sites) != {MODE} else 1.0
-            if not abs(norm - 1.0) <= 1e-12:
-                raise ValueError(f"term has norm^2 {norm} from its ket overlaps, expected 1")
-            norm_terms.append(Term(p, bs))
-            total_p += p
-        if not abs(total_p - 1.0) <= 1e-12:
-            raise ValueError(f"term probabilities sum to {total_p}, expected 1")
-        self.sites = sites
-        self.terms = tuple(norm_terms)
+        terms = tuple(Term(float(p), tuple(Branch(complex(c), _site_values(sites, values))
+                                           for c, values in branches))
+                      for p, branches in terms)
+        template = _template(sites, terms)
+        _check(sites, *template)
+        self._set(sites, *template, single=True)
+        self._terms = terms
+
+    def _set(self, sites, counts, columns, forms, p, c, amps, single):
+        self.sites, self.counts, self.columns, self.forms = sites, counts, columns, forms
+        self.p, self.c, self.amps = p, c, amps
+        self.single = single
+        self._terms = None
+
+    @classmethod
+    def _of(cls, sites, counts, columns, forms, p, c, amps, single=False):
+        state = cls.__new__(cls)
+        state._set(sites, counts, columns, forms, p, c, amps, single)
+        return state
+
+    @classmethod
+    def stack(cls, sites, counts, columns, forms, p, c, amps, keep=None, single=False):
+        """(index, HybridState) for each template among P states given on one template.
+
+        counts, columns and forms are a template (see HybridState) and p, c
+        and amps its (P, ...) arrays.  Each point keeps the template it has
+        alone: keep, a (P, branches) mask, drops branches (a term with no
+        branch left goes), and on each mode site the kets that coincide with
+        an earlier kept ket share its slot.  Points of one resulting template
+        form one stack, checked as HybridState checks one state; single marks
+        the stack of a one-point call as one state.
+        """
+        keep = np.ones(c.shape, dtype=bool) if keep is None else keep
+        modes = [a for a, s in enumerate(sites) if s == MODE]
+        signature, values = [keep], []
+        for a, site_forms, site_amps in zip(modes, forms, amps):
+            column = columns[a]
+            v = site_amps[:, list(column)]
+            same_form = np.array([[site_forms[i] == site_forms[j] for j in column] for i in column])
+            # each kept branch's first kept branch with an equal ket (the same slot, or an
+            # equal amplitude and form); -1 if dropped
+            equal = ((np.equal.outer(column, column) | (v[:, :, None] == v[:, None, :]) & same_form)
+                     & keep[:, None, :])
+            signature.append(np.where(keep, equal.argmax(axis=2), -1))
+            values.append(v)
+        signature = np.concatenate(signature, axis=1).astype(int)
+        if (signature == signature[:1]).all():
+            groups = [(np.arange(len(signature)), signature[0])]
+        else:
+            rows, which = np.unique(signature, axis=0, return_inverse=True)
+            groups = [(np.flatnonzero(which.ravel() == g), row) for g, row in enumerate(rows)]
+        out, n = [], c.shape[1]
+        term_of = np.repeat(np.arange(len(counts)), counts)
+        for index, row in groups:
+            kept = np.flatnonzero(row[:n])
+            terms = sorted(set(term_of[kept].tolist()))
+            new_counts = tuple(int((term_of[kept] == t).sum()) for t in terms)
+            new_columns, new_forms, new_amps = [], [], []
+            for a in range(len(sites)):
+                if a not in modes:
+                    new_columns.append(tuple(columns[a][b] for b in kept))
+                    continue
+                i = modes.index(a)
+                first = row[n * (i + 1):n * (i + 2)][kept].tolist()
+                distinct = list(dict.fromkeys(first))
+                new_columns.append(tuple(distinct.index(f) for f in first))
+                new_forms.append(tuple(forms[i][columns[a][b]] for b in distinct))
+                new_amps.append(values[i][index][:, distinct])
+            args = (sites, new_counts, tuple(new_columns), tuple(new_forms),
+                    p[index][:, terms], c[index][:, kept], tuple(new_amps))
+            _check(*args)
+            out.append((index, cls._of(*args, single=single)))
+        return out
+
+    def take(self, sel):
+        """The stack of the points sel (an index array or a boolean mask)."""
+        return self._of(self.sites, self.counts, self.columns, self.forms, self.p[sel],
+                        self.c[sel], tuple(a[sel] for a in self.amps))
+
+    @classmethod
+    def join(cls, states):
+        """One stack of the points of states that share a template, in order."""
+        first = states[0]
+        return cls._of(first.sites, first.counts, first.columns, first.forms,
+                       np.concatenate([s.p for s in states]), np.concatenate([s.c for s in states]),
+                       tuple(np.concatenate(a) for a in zip(*[s.amps for s in states])))
 
     @classmethod
     def pure(cls, sites, branches):
         return cls(sites, [(1.0, branches)])
+
+    @property
+    def template(self):
+        """The sites, counts, columns and forms: all the state holds but its arrays."""
+        return self.sites, self.counts, self.columns, self.forms
+
+    @property
+    def points(self):
+        return len(self.p)
+
+    @property
+    def terms(self):
+        """The terms of one state as (p, branches) Terms of (c, values) Branches."""
+        if self._terms is None:
+            if self.points != 1:
+                raise TypeError(f"a stack of {self.points} states has no single terms")
+            modes = [a for a, s in enumerate(self.sites) if s == MODE]
+            kets = {a: [SymbolicKet(k, complex(alpha), r, theta)
+                        for (k, r, theta), alpha in zip(site_forms, site_amps[0])]
+                    for a, site_forms, site_amps in zip(modes, self.forms, self.amps)}
+            branches = [Branch(complex(c), tuple(kets[a][x] if a in kets else x
+                                                 for a, x in enumerate(values)))
+                        for c, values in zip(self.c[0], zip(*self.columns))]
+            ends = np.cumsum(self.counts).tolist()
+            self._terms = tuple(Term(float(p), tuple(branches[end - count:end]))
+                                for p, count, end in zip(self.p[0], self.counts, ends))
+        return self._terms
 
     @property
     def qudit_dim(self):
@@ -354,11 +531,11 @@ class HybridState:
 
     @property
     def term_count(self):
-        return len(self.terms)
+        return len(self.counts)
 
     @property
     def is_pure(self):
-        return len(self.terms) == 1
+        return len(self.counts) == 1
 
     @property
     def weights(self):
@@ -391,7 +568,8 @@ class HybridState:
         return DensityMatrix(rho, (d, n_cut + 1), trace_tol=1e-6)
 
     def __repr__(self):
-        return f"HybridState(sites={self.sites}, terms={self.term_count})"
+        points = "" if self.single else f", points={self.points}"
+        return f"HybridState(sites={self.sites}, terms={self.term_count}{points})"
 
 
 @dataclass(frozen=True)

@@ -263,22 +263,26 @@ class MatrixMomentProvider:
 class SymbolicMomentProvider:
     """Exact moments of coherent-family hybrid states or their thermal-channel outputs.
 
-    Takes one state, or a sequence of states of one template
-    (compression.templates; a ThermalHybridState counts with its base), which
-    may pass different channels.  A plain HybridState must hold coherent kets only, and is then
-    read as the output of the identity channel (eta = 1, n_th = 0).  Mode
-    words reduce to normal order and every normal-ordered pair of every
-    coherent dyad goes through the Gaussian closed form thermal_dyad_moments,
-    one broadcast call for all words, dyads and states; qudit words are
-    evaluated with the d-level adapted operators.  A sequence gives each
-    moment for every state on a leading point axis, (P, ...); one state is
-    the P = 1 case without that axis.  No truncation enters.
+    Takes one state (a stack of one template, or one point), or a sequence of
+    states that share their sites and branch layout (a ThermalHybridState
+    counts with its base), which may pass different channels.  A plain
+    HybridState must hold coherent kets only, and is then read as the output
+    of the identity channel (eta = 1, n_th = 0).  The dyad arrays (weight
+    p c_i conj(c_j), levels and amplitudes of every branch pair of every
+    term) come from the states' arrays by index, with no loop over points or
+    branches.  Mode words reduce to normal order and every normal-ordered
+    pair of every coherent dyad goes through the Gaussian closed form
+    thermal_dyad_moments, one broadcast call for all words, dyads and
+    states; qudit words are evaluated with the d-level adapted operators.
+    A sequence or a stack gives each moment for every state on a leading
+    point axis, (P, ...); one state is the P = 1 case without that axis.  No
+    truncation enters.
     """
 
     def __init__(self, states):
-        self._single = isinstance(states, (HybridState, ThermalHybridState))
-        dyads, channels, dims = [], [], set()
-        for state in [states] if self._single else states:
+        one = isinstance(states, (HybridState, ThermalHybridState))
+        bases, channels = [], []
+        for state in [states] if one else states:
             if isinstance(state, ThermalHybridState):
                 state, params = state.base, state.params
             elif isinstance(state, HybridState):
@@ -286,18 +290,26 @@ class SymbolicMomentProvider:
                 params = IDENTITY_CHANNEL
             else:
                 raise TypeError("SymbolicMomentProvider needs HybridStates or ThermalHybridStates")
-            dims.add(state.qudit_dim)
-            channels.append((params.eta, params.n_th))
-            # weight p c_i conj(c_j) of |m_i><m_j| x Y(|alpha_i><alpha_j|), per branch pair
-            dyads.append([(p * bi.c * np.conj(bj.c), bi.ket.alpha, bj.ket.alpha, bi.m, bj.m)
-                          for p, branches in state.terms for bi in branches for bj in branches])
-        if len(dims) != 1 or len({len(d) for d in dyads}) != 1:
+            bases.append(state)
+            channels.append(np.stack([np.broadcast_to(x, (state.points,))
+                                      for x in (params.eta, params.n_th)], axis=1))
+        layout = {(base.sites, base.counts, base.columns[0]) for base in bases}
+        if len(layout) != 1:
             raise ValueError("stacked states must share their qudit dimension and branch layout")
-        [self.qudit_dim] = dims
-        table = np.array(dyads)  # (P, D, 5)
-        self._weights, self._alpha, self._beta = table[..., 0], table[..., 1], table[..., 2]
-        self._m, self._mp = table[..., 3].real.astype(int), table[..., 4].real.astype(int)
-        self._channel = np.array(channels).T[..., None]  # eta and n_th, (2, P, 1)
+        self._single = one and bases[0].single
+        self.qudit_dim = bases[0].qudit_dim
+        levels = np.array(bases[0].columns[0])
+        # every branch pair (i, j) of every term t, for |m_i><m_j| x Y(|alpha_i><alpha_j|)
+        ends = np.cumsum(bases[0].counts)
+        t, i, j = np.array([(t, i, j) for t, (end, count) in enumerate(zip(ends, bases[0].counts))
+                            for i in range(end - count, end)
+                            for j in range(end - count, end)]).reshape(-1, 3).T
+        p, c = (np.concatenate([getattr(base, x) for base in bases]) for x in "pc")
+        amps = np.concatenate([base.amps[0][:, list(base.columns[1])] for base in bases])
+        self._weights = p[:, t] * c[:, i] * np.conj(c[:, j])
+        self._alpha, self._beta = amps[:, i], amps[:, j]
+        self._m, self._mp = levels[None, i], levels[None, j]  # (1, D), shared by every point
+        self._channel = np.concatenate(channels).T[..., None]  # eta and n_th, (2, P, 1)
 
     def __call__(self, a_words, b_words):
         wb, ib = _qudit_words(self.qudit_dim, b_words)

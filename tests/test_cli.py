@@ -432,3 +432,25 @@ def test_classify_expands_each_mode_site_once(tmp_path, capsys, monkeypatch, doc
     assert main(["classify", write_spec(tmp_path, doc)]) == 0
     assert len(calls) == mode_sites
     assert "effective dimensions: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch, workers):
+    import hyqent.cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(hyqent.cli, "ProcessPoolExecutor", no_pool)
+    spec = write_spec(tmp_path, {"family": "binary-coherent", "params": {}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--axis", "alpha=0.1:1.0:5", "--output", "concurrence",
+                 "--out", str(out), "--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and workers in err[0]
+    assert not out.exists()
+    figures = tmp_path / "figures"
+    assert main(["reproduce", "cat-concurrence", "--out-dir", str(figures),
+                 "--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and workers in err[0]
+    assert not figures.exists()

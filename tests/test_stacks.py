@@ -17,8 +17,10 @@ from conftest import random_density, random_ket, shared_level_qubit
 from hyqent import (MODE, DensityMatrix, HybridState, SymbolicKet, SymbolicMomentProvider, ckw,
                     cli, compression, concurrence, entropy_of_entanglement, gram_matrix,
                     log_negativity, negativity, purity, s1_minor, s2_minor, sv_moment_matrix)
-from hyqent.catalog import (binary_coherent, damped_binary_coherent, mixed23, qubus_state,
+from hyqent.catalog import (BROADCASTING as BROADCASTING_FAMILIES, FAMILIES, DiscreteKet,
+                            binary_coherent, damped_binary_coherent, mixed23, qubus_state,
                             qutrit_qumode, two_mode_cat)
+from hyqent.channels import ThermalHybridState
 
 
 def _axis(lo, hi, *specials):
@@ -271,3 +273,107 @@ def test_compression_is_the_branch_loop_bit_for_bit(state):
     matrix, dims = _loop_compress(state)
     rho = compression.compress(state)
     assert rho.dims == dims and np.array_equal(rho.matrix, matrix)
+
+
+def _values(lo, hi, *specials):
+    """One parameter value: a float in [lo, hi] or one of the specials."""
+    return st.one_of(st.sampled_from(specials), st.floats(lo, hi)) if specials else \
+        st.floats(lo, hi)
+
+
+# each broadcasting constructor with a measure that holds on its whole range; the
+# specials split templates: alpha = 0 and theta = 0 (kets coincide), p = 0 or 1, eta = 1
+# and theta = 0 for the qubus (a term drops), eta = 0 or 1 and alpha = 1e-7 (rank collapse)
+BROADCASTING = {
+    "two-mode-cat": ("negativity", {"alpha": _values(0.05, 2.0, 0.0, 1e-7),
+                                    "phi": _values(0.0, 3.0, 0.0)}),
+    "binary-coherent": ("s1", {"alpha": _values(0.01, 1.5, 0.0, 1e-7, 6.0),
+                               "phi": _values(0.0, 2 * np.pi, 0.0)}),
+    "damped-binary-coherent": ("negativity", {"alpha": _values(0.1, 2.0, 0.0, 1e-7),
+                                              "eta": _values(0.05, 1.0, 0.0, 1.0),
+                                              "phi": _values(0.0, 2 * np.pi, 0.0)}),
+    "thermal-output": ("s1", {"alpha": _values(0.01, 1.5, 0.0, 1e-7),
+                              "eta": _values(0.05, 1.0, 0.0, 1.0),
+                              "n_th": _values(0.0, 0.5, 0.0), "phi": _values(0.0, 2 * np.pi)}),
+    "qutrit-qumode": ("entropy", {"alpha": _values(0.05, 2.5, 0.0, 1e-7)}),
+    "mixed-23": ("log_negativity", {"p": _values(0.0, 1.0, 0.0, 1.0),
+                                    "alpha": _values(0.1, 2.5, 0.0, 1e-7)}),
+    "mixed-24": ("s1", {"p": _values(0.0, 1.0, 0.0, 1.0), "alpha": _values(0.01, 1.5, 0.0, 1e-7)}),
+    "qubus": ("purity", {"alpha": _values(0.2, 2.5, 0.0, 1e-7), "theta": _values(0.1, 3.1, 0.0),
+                         "eta": _values(0.05, 1.0, 0.0, 1.0)}),
+    "tripartite-qmm": ("tau_res", {"q_phi": _values(0.0, 1.0, 0.0, 1.0),
+                                   "q_psi": _values(0.0, 1.0, 0.0, 1.0)}),
+}
+
+
+def _contents(payload, j):
+    """A payload's template and the bytes of its values at point j of its stack."""
+    if isinstance(payload, DiscreteKet):
+        return payload.dims, np.atleast_2d(payload.vector)[j].tobytes()
+    channel = ()
+    if isinstance(payload, ThermalHybridState):
+        points = payload.base.points
+        channel = tuple(np.broadcast_to(np.asarray(x, dtype=float), (points,))[j].tobytes()
+                        for x in (payload.params.eta, payload.params.n_th))
+        payload = payload.base
+    return (payload.template, channel, payload.p[j].tobytes(), payload.c[j].tobytes(),
+            tuple(a[j].tobytes() for a in payload.amps))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_broadcasting_constructors_are_their_scalar_calls_bit_for_bit(data):
+    assert set(BROADCASTING) == BROADCASTING_FAMILIES
+    family = data.draw(st.sampled_from(sorted(BROADCASTING)))
+    measure, values = BROADCASTING[family]
+    size = data.draw(st.integers(1, 6))
+    args = {name: np.array(data.draw(st.lists(v, min_size=size, max_size=size)))
+            for name, v in values.items()}
+    ctor = FAMILIES[family][0]
+    named = ctor(**args)
+    covered = []
+    for index, payload in named.payload:
+        stacked = cli._stack_measure(measure, payload)
+        for j, i in enumerate(index):
+            alone = ctor(**{name: float(v[i]) for name, v in args.items()})
+            point = (family, {name: v[i] for name, v in args.items()})
+            # the point keeps the template it has alone, and its weights, coefficients and
+            # slot amplitudes (or its vector) to the last bit
+            assert _contents(payload, j) == _contents(alone.payload, 0), point
+            # and that template is the one its terms give a state built from them
+            base = getattr(alone.payload, "base", alone.payload)
+            if isinstance(base, HybridState):
+                assert base.template == HybridState(base.sites, base.terms).template, point
+            assert _bits(stacked[j]) == _bits(cli._measure_value(measure, alone)), point
+            if "fidelity" in alone.extra:
+                assert _bits(named.extra["fidelity"][i]) == _bits(alone.extra["fidelity"])
+            covered.append(i)
+    assert sorted(covered) == list(range(size))
+
+
+BAD_BUILDS = {
+    "damped eta 1.5": ("damped-binary-coherent", {}, [("alpha", [0.4, 1.1]),
+                                                      ("eta", [0.5, 1.5, 0.9])],
+                       ["concurrence"]),
+    "thermal negative n_th": ("thermal-output", {"eta": 0.6},
+                              [("alpha", [0.3, 0.8]), ("n_th", [0.1, -0.1, 0.3])],
+                              ["s1", "thermal_s1_closed"]),
+    "tripartite |q_phi| > 1": ("tripartite-qmm", {}, [("q_phi", [0.2, 1.2, 0.7]),
+                                                      ("q_psi", [0.5, 0.9])],
+                               ["residual_tangle_closed", "tau_res"]),
+    # at theta = 0 the fidelity is 1 whatever eta, so eta = 1.3 builds there alone
+    "qubus eta 1.3": ("qubus", {}, [("alpha", [0.5, 1.0]), ("theta", [0.0, 0.4]),
+                                    ("eta", [0.7, 1.3])], ["purity", "fidelity"]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_build_failure_raises_what_the_point_loop_meets_first(data):
+    family, params, axes, outputs = BAD_BUILDS[data.draw(st.sampled_from(sorted(BAD_BUILDS)))]
+    axes = [(name, np.array(data.draw(st.permutations(values)))) for name, values in axes]
+    expected = _first_failure(family, params, axes, outputs)
+    assert expected is not None
+    with pytest.raises(type(expected)) as got:
+        cli.run_sweep(family, params, axes, outputs)
+    assert type(got.value) is type(expected) and str(got.value) == str(expected)
