@@ -33,6 +33,10 @@ class DiscreteKet:
     vector: np.ndarray
     dims: tuple
 
+    def take(self, sel):
+        """The kets of the points sel of a (P, n) stack."""
+        return DiscreteKet(self.vector[sel], self.dims)
+
 
 @dataclass(frozen=True)
 class NamedState:

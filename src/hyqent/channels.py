@@ -291,12 +291,13 @@ def _transfer_blocks(ks):
     width = np.searchsorted(owners, owners, side="right") - first
     left = np.repeat(np.arange(owners.size), width)
     right = np.repeat(first - np.cumsum(width) + width, width) + np.arange(left.size)
-    pairs, group = np.unique(np.stack([ks.shifts[left], ks.shifts[right]], axis=1),
-                             axis=0, return_inverse=True)
-    group = group.ravel()
-    for g, (s, s2) in enumerate(pairs):
-        sel = group == g
-        yield int(s), int(s2), ks.diagonals[left[sel]].T @ ks.diagonals[right[sel]].conj()
+    # one sort by (s, s') makes each pair's operators one contiguous run
+    order = np.lexsort((ks.shifts[right], ks.shifts[left]))
+    s, s2 = ks.shifts[left[order]], ks.shifts[right[order]]
+    lhs, rhs = ks.diagonals[left[order]].T, ks.diagonals[right[order]].conj()
+    ends = np.append(np.flatnonzero((s[1:] != s[:-1]) | (s2[1:] != s2[:-1])) + 1, s.size)
+    for start, end in zip(np.append(0, ends[:-1]), ends):
+        yield int(s[start]), int(s2[start]), lhs[:, start:end] @ rhs[start:end]
 
 
 def apply_kraus(rho, ks, subsystem=1):
@@ -382,6 +383,12 @@ class ThermalHybridState:
 
     def __post_init__(self):
         require_coherent(self.base, "the thermal channel")
+
+    def take(self, sel):
+        """The outputs of the base points sel (indices or a mask), each on its own channel."""
+        eta, n_th = (np.broadcast_to(x, (self.base.points,))[sel]
+                     for x in (self.params.eta, self.params.n_th))
+        return ThermalHybridState(self.base.take(sel), ThermalChannelParams(eta, n_th))
 
     def truncated_density(self, n_cut):
         """Kraus-route truncation at the default tolerances; a cross-check, not the state."""

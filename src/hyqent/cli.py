@@ -447,8 +447,9 @@ def _attempt(fn, *args):
 def _joined(built):
     """[(indices, NamedState)] of one-point NamedStates; HybridStates of one template joined.
 
-    Points whose payloads share a stored template are measured as one stack;
-    any other payload stands alone.
+    Points whose payloads share a stored template are measured as one stack,
+    with each extra value as an array over its points; any other payload
+    stands alone.
     """
     out, stacks = [], {}
     for i, named in enumerate(built):
@@ -458,8 +459,27 @@ def _joined(built):
             out.append(([i], named))
     for index in stacks.values():
         state = HybridState.join([built[i].payload for i in index])
+        extra = {key: np.array([built[i].extra[key] for i in index])
+                 for key in built[index[0]].extra}
         out.append((np.array(index), NamedState(built[index[0]].id, {},
-                                                 ((np.arange(len(index)), state),))))
+                                                 ((np.arange(len(index)), state),), extra)))
+    return out
+
+
+def _point_states(states, count):
+    """The one-point NamedState of each of count points of [(indices, NamedState)], in order.
+
+    A stacked point is its row of the stack (take) and of each array in extra.
+    """
+    out = [None] * count
+    for index, named in states:
+        groups = named.payload if isinstance(named.payload, tuple) else [(range(len(index)), None)]
+        for sub, payload in groups:
+            for k, j in enumerate(sub):
+                out[index[j]] = named if payload is None else NamedState(
+                    named.id, named.params, payload.take([k]),
+                    {key: value[j] if np.ndim(value) else value
+                     for key, value in named.extra.items()})
     return out
 
 
@@ -471,8 +491,9 @@ def _sweep_chunk(packed):
     one template stack at a time.  A family with no stacked constructor, and
     a stacked build that raises, are built point by point up to the first
     failing point, and the states are joined by template (_joined).  A
-    measure that raises is evaluated again point by point up to its first
-    failing point.  Either way a failing point's exception is the one it
+    measure that raises is evaluated again point by point, on each point's
+    state taken out of the stacks (_point_states), up to its first failing
+    point.  Either way a failing point's exception is the one it
     raises alone.  Once a point has failed, later points need no more cells:
     the sweep raises at or before that point.
     """
@@ -497,8 +518,8 @@ def _sweep_chunk(packed):
             values = _attempt(_measure_values, out, states, len(points))
             if isinstance(values, Exception):
                 values = []
-                for p in params[:needed]:
-                    values.append(_attempt(evaluate_output, out, family, p))
+                for named in _point_states(states, len(points))[:needed]:
+                    values.append(_attempt(_measure_value, out, named))
                     if isinstance(values[-1], Exception):
                         break
             else:

@@ -205,25 +205,35 @@ def _by_words(fn):
                                 np.asarray(args[-1], dtype=np.int64).tobytes())
 
 
+@_by_words
 def _ladder_words(dim, words):
-    """Stacked hi^p lo^q hi^r lo^s over the distinct rows (p, q, r, s) of words.
+    """(shifts, diagonals, index): hi^p lo^q hi^r lo^s over the distinct rows (p, q, r, s) of words.
 
-    lo, hi are the ladder operators on dim levels; words has shape (..., 4).
-    Returns the stack and, over the leading shape, each row's index into it.
-    _qudit_words caches both for qudit dimensions; at a Fock cutoff dim the
-    stack would hold megabytes per cutoff, so it is built on every call.
+    lo, hi are the ladder operators on dim levels and words has shape (..., 4).
+    Word k sends |n> to diagonals[k, n] |n + shifts[k]>: lo^s, hi^r, lo^q and
+    hi^p act on each level in turn as running products of sqrt factors, and a
+    step past the top level gives 0, as the truncated operators do.  index
+    gives each row's k over the leading shape.
     """
     distinct, index = np.unique(np.reshape(words, (-1, 4)), axis=0, return_inverse=True)
-    lo, hi = qudit_mode_operators(dim)
-    lo_pow, hi_pow = ([np.linalg.matrix_power(x, n) for n in range(distinct.max() + 1)]
-                      for x in (lo, hi))
-    stack = np.empty((len(distinct),) + lo.shape, dtype=lo.dtype)
-    for i, (p, q, r, s) in enumerate(distinct):
-        stack[i] = hi_pow[p] @ lo_pow[q] @ hi_pow[r] @ lo_pow[s]
-    return stack, index.reshape(np.shape(words)[:-1])
+    root = np.sqrt(np.arange(dim))
+    level, diagonals = np.arange(dim), np.ones((len(distinct), dim))
+    for column, step in ((3, -1), (2, 1), (1, -1), (0, 1)):
+        for j in range(distinct[:, column].max()):
+            act, new = (j < distinct[:, column])[:, None], level + step
+            # a step between n - 1 and n carries sqrt(n): 0 down from level 0
+            factor = np.where(new < dim, root[np.clip(np.maximum(level, new), 0, dim - 1)], 0.0)
+            diagonals = np.where(act, diagonals * factor, diagonals)
+            level = np.where(act, new, level)
+    return distinct @ [1, -1, 1, -1], diagonals, index.reshape(np.shape(words)[:-1])
 
 
-_qudit_words = _by_words(_ladder_words)
+@_by_words
+def _qudit_words(dim, words):
+    """Dense (K, dim, dim) view of the words' _ladder_words table, and each row's index into it."""
+    shifts, diagonals, index = _ladder_words(dim, words)
+    stack = np.array([np.eye(dim, k=-s) * d for s, d in zip(shifts, diagonals)], dtype=complex)
+    return stack, index
 
 
 class MatrixMomentProvider:
@@ -233,9 +243,10 @@ class MatrixMomentProvider:
     other factor uses the d-level ladder operators or, with
     qudit_mode='embedded', those of a Fock space EMBED_PAD levels larger,
     with the qudit padded by zeros into it.  rho is held as a (mode, qudit,
-    mode', qudit') tensor; a call contracts it once with each distinct
-    a-word and then traces every entry's qudit operator against its b-word.
-    Qudit word stacks are cached; mode ones, sized by the cutoff, are not.
+    mode', qudit') tensor; each distinct a-word is one shift and one
+    diagonal (_ladder_words), so a call contracts rho along each word's
+    shifted diagonal and then traces every entry's qudit operator against
+    its b-word.  The word tables of both sides are cached.
     """
 
     def __init__(self, rho, mode_subsystem=1, qudit_mode="adapted"):
@@ -253,10 +264,12 @@ class MatrixMomentProvider:
         self._rho = np.pad(t, [(0, 0), (0, pad), (0, 0), (0, pad)])
 
     def __call__(self, a_words, b_words):
-        wa, ia = _ladder_words(self._rho.shape[0], a_words)
+        shifts, diagonals, ia = _ladder_words(len(self._rho), a_words)
         wb, ib = _qudit_words(self._rho.shape[1], b_words)
-        # reduced[k, q, q'] = sum_{m, m'} rho[m, q, m', q'] wa_k[m', m]
-        reduced = np.tensordot(wa, self._rho, axes=([1, 2], [2, 0]))
+        # reduced[k, q, q'] = sum_m diagonals[k, m] rho[m, q, m + shifts[k], q'] (0 out of range)
+        m = np.arange(len(self._rho))
+        shifted = self._rho[m, :, np.clip(m + shifts[:, None], 0, len(m) - 1), :]
+        reduced = np.einsum("km,kmqp->kqp", diagonals, shifted)
         return np.einsum("...qp,...pq->...", reduced[ia], wb[ib])
 
 

@@ -459,3 +459,35 @@ def test_damped_concurrence_closed_form_rederived():
 def test_nan_thermal_photon_number_is_rejected():
     with pytest.raises(ValueError):
         ThermalChannelParams(0.5, float("nan"))
+
+
+def _multi_diagonal_set():
+    # random operators of three diagonals each, and one all-zero operator: owners repeat,
+    # and pairs of different shifts carry cross terms
+    rng = np.random.default_rng(23)
+    ops = np.zeros((5, 7, 5), dtype=complex)
+    for op in ops[:4]:
+        for shift in rng.choice(np.arange(-4, 7), size=3, replace=False):
+            k = np.arange(max(0, -shift), min(5, 7 - shift))
+            op[k + shift, k] = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+    scale = np.linalg.norm(ops.reshape(-1, 5), 2)
+    return make_kraus_set(ops / scale)
+
+
+@pytest.mark.parametrize("make", [lambda: thermal_kraus(ThermalChannelParams(0.5, 1.0), 27),
+                                  lambda: thermal_kraus(ThermalChannelParams(0.6, 0.2), 21),
+                                  _multi_diagonal_set], ids=["heavy", "light", "multi-diagonal"])
+def test_apply_kraus_matches_the_dense_sum_over_operators(rng, make):
+    ks = make()
+    ops = np.array(ks.operators)
+    n_in = ks.input_dim
+    rho = DensityMatrix(random_density(rng, 2 * n_in), (2, n_in))
+    # blocks[a, b] is rho's (n_in, n_in) block between qubit levels a and b
+    blocks = rho.matrix.reshape(2, n_in, 2, n_in).transpose(0, 2, 1, 3)
+    ref = sum((k[:, None, None] @ blocks @ k.conj().transpose(0, 2, 1)[:, None, None]).sum(axis=0)
+              for k in np.array_split(ops, -(-len(ops) // 64)))
+    out = apply_kraus(rho, ks, 1)
+    assert out.dims == (2, ks.output_dim)
+    assert np.abs(out.matrix - ref.transpose(0, 2, 1, 3).reshape(out.matrix.shape)).max() <= 1e-14
+    if make is _multi_diagonal_set:
+        assert len(np.unique(ks.owners)) < len(ks.owners) and len(ops) == 5

@@ -454,3 +454,34 @@ def test_workers_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and workers in err[0]
     assert not figures.exists()
+
+
+def test_sweep_fallback_measures_the_states_the_stacked_build_made(monkeypatch):
+    # alpha = 1e-7 collapses the cat to one dimension per site, so the stacked concurrence
+    # raises and the chunk is measured again point by point
+    import hyqent.cli
+
+    axes = [("alpha", np.array([0.6, 1.1, 1e-7, 0.9])), ("phi", np.array([0.0, 2.0]))]
+    names, outputs = [name for name, _ in axes], ("concurrence",)
+    grid = np.meshgrid(*[values for _, values in axes], indexing="ij")
+    points = [tuple(p) for p in np.stack([g.ravel() for g in grid], axis=-1)]
+    expected = []
+    for point in points:
+        try:
+            expected.append(hyqent.cli.evaluate_output("concurrence", "two-mode-cat",
+                                                       dict(zip(names, point))))
+        except Exception as exc:
+            expected.append(exc)
+            break
+    assert isinstance(expected[-1], Exception) and len(expected) == 5
+    calls = []
+    monkeypatch.setattr(hyqent.cli, "build_state",
+                        lambda *args: calls.append(args) or build_state(*args))
+    cells = hyqent.cli._sweep_chunk(("two-mode-cat", {}, names, points, outputs))
+    got = [row[0] for row in cells[:len(expected)]]
+    assert np.array(got[:-1]).tobytes() == np.array(expected[:-1]).tobytes()
+    assert type(got[-1]) is type(expected[-1]) and str(got[-1]) == str(expected[-1])
+    with pytest.raises(type(expected[-1])) as raised:
+        hyqent.cli.run_sweep("two-mode-cat", {}, axes, outputs)
+    assert str(raised.value) == str(expected[-1])
+    assert calls == []

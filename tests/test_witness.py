@@ -1,13 +1,17 @@
 import copy
 import gc
+import itertools
 import weakref
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyqent.channels
 import hyqent.witness
-from conftest import random_ket, shared_level_qubit
+from conftest import random_density, random_ket, shared_level_qubit
 from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider, MomentMatrix,
                     NumericInconsistency, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, ThermalHybridState, UnsupportedKet, apply_thermal,
@@ -621,3 +625,72 @@ def _subsets(n, k):
     from itertools import combinations
 
     return list(combinations(range(n), k))
+
+
+# ---------------------------------------------------------------------------
+# (shift, diagonal) word tables against dense matrix-power products
+
+
+DEGREE_4_WORDS = np.array([w for w in itertools.product(range(5), repeat=4) if sum(w) <= 4])
+
+
+@lru_cache(maxsize=None)
+def _dense_word(dim, word):
+    """hi^p lo^q hi^r lo^s on dim levels as a product of np.linalg.matrix_power factors."""
+    mp = np.linalg.matrix_power
+    lo, hi = qudit_mode_operators(dim)
+    p, q, r, s = word
+    return mp(hi, p) @ mp(lo, q) @ mp(hi, r) @ mp(lo, s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 41), st.permutations(range(len(DEGREE_4_WORDS))))
+@example(2, range(len(DEGREE_4_WORDS)))
+@example(3, range(len(DEGREE_4_WORDS)))
+@example(41, range(len(DEGREE_4_WORDS)))
+def test_ladder_word_tables_are_the_matrix_power_products(dim, order):
+    # every word of degree <= 4, raising past the top level included, in a drawn order
+    words = DEGREE_4_WORDS[list(order)].reshape(7, 10, 4)
+    shifts, diagonals, index = hyqent.witness._ladder_words(dim, words)
+    assert index.shape == (7, 10) and diagonals.shape == (len(shifts), dim)
+    rows = np.arange(dim) + shifts[:, None]
+    inside = (rows >= 0) & (rows < dim)
+    assert not diagonals[~inside].any()  # a level sent out of range carries 0
+    k, n = np.nonzero(inside)
+    dense = np.zeros((len(shifts), dim, dim), dtype=complex)
+    dense[k, rows[k, n], n] = diagonals[k, n]
+    got = dense[index]
+    stack, stack_index = hyqent.witness._qudit_words(dim, words)
+    assert np.array_equal(stack[stack_index], got)
+    ref = np.array([_dense_word(dim, tuple(w)) for w in words.reshape(-1, 4)]).reshape(got.shape)
+    if dim <= 3:
+        assert np.array_equal(got, ref)
+    else:
+        assert (np.abs(got - ref) <= 1e-15 * np.abs(ref)).all()
+
+
+@pytest.mark.parametrize("qudit_mode", ["adapted", "embedded"])
+@pytest.mark.parametrize("mode_subsystem", [0, 1])
+@pytest.mark.parametrize("degree, d", [(2, 2), (2, 3), (3, 2)])
+def test_matrix_provider_matches_the_dense_word_contraction(rng, qudit_mode, mode_subsystem,
+                                                             degree, d):
+    n = 9
+    dims = (n, d) if mode_subsystem == 0 else (d, n)
+    rho = DensityMatrix(random_density(rng, n * d), dims)
+    t = rho.matrix.reshape(dims + dims)
+    t = t if mode_subsystem == 0 else t.transpose(1, 0, 3, 2)  # (mode, qudit, mode', qudit')
+    # embedded: the qudit sits in the lowest d levels of a larger Fock space
+    levels = d + (hyqent.witness.EMBED_PAD if qudit_mode == "embedded" else 0)
+
+    def reference(a_words, b_words):
+        return np.array([
+            np.einsum("mqnp,nm,pq->", t, _dense_word(n, tuple(a)),
+                      _dense_word(levels, tuple(b))[:d, :d])
+            for a, b in zip(a_words.reshape(-1, 4), b_words.reshape(-1, 4))
+        ]).reshape(a_words.shape[:-1])
+
+    provider = MatrixMomentProvider(rho, mode_subsystem=mode_subsystem, qudit_mode=qudit_mode)
+    got = sv_moment_matrix(provider, degree, qudit_dim=d)
+    ref = sv_moment_matrix(reference, degree, qudit_dim=d)
+    assert got.index_map == ref.index_map
+    assert np.abs(got.matrix - ref.matrix).max() <= 1e-12
