@@ -235,14 +235,28 @@ def thermal_kraus(params, n_cut, weight_tol=DEFAULT_WEIGHT_TOL):
     / N, so each new photon enters through both ports.  At (0.5, 1, 27) this
     keeps them within 1.3e-15 of a 50-digit evaluation, while the
     alternating binomial sum for the same amplitudes, or the recursion
-    through one port alone, errs by up to 4.8e-9.  The environment cutoff
-    n_env_cut = params.env_cutoff(weight_tol) leaves thermal weight below
-    weight_tol, and the output space has dimension n_cut + n_env_cut + 1,
-    so the only completeness deficit is that neglected thermal tail.  The
-    amplitudes are staged in a dense (n_env_cut + 2) x (dim_out + 1) x
-    (n_cut + 2) float array; past KRAUS_STAGING_LIMIT bytes (2**28, 268 MB) the
-    call raises ValueError, giving the size, before anything is allocated.
+    through one port alone, errs by up to 4.8e-9.  Layer N needs only layer
+    N - 1, so the last two layers sit in two rolling (n_cut + 3) x
+    (dim_out + 1) buffers indexed by k: the A port reads rows k - 1 and the
+    B port rows k of one slice of the previous layer, and the factors
+    sqrt(max(N - m, 0)), sqrt(k) and sqrt(n) are windows of one sqrt table,
+    so a step gathers nothing.  Each amplitude is formed by the products
+    and sums of the two-port formula, in its order, whatever the layout.
+    The environment cutoff n_env_cut = params.env_cutoff(weight_tol) leaves
+    thermal weight below weight_tol, and the output space has dimension
+    n_cut + n_env_cut + 1, so the only completeness deficit is that
+    neglected thermal tail.  Each layer is stored with one scatter into a
+    dense (n_env_cut + 2) x (dim_out + 1) x (n_cut + 2) float staging
+    array; past KRAUS_STAGING_LIMIT bytes (2**28, 268 MB) the call raises
+    ValueError, giving the size, before anything is allocated.  So does an
+    n_cut that is not an integer >= 0, or params holding one channel per
+    point.
     """
+    if not isinstance(n_cut, (int, np.integer)) or n_cut < 0:
+        raise ValueError(f"n_cut must be an integer >= 0, got {n_cut!r}")
+    if np.ndim(params.eta) or np.ndim(params.n_th):
+        raise ValueError("params must hold one channel: thermal_kraus takes scalar eta and "
+                         f"n_th, got shapes {np.shape(params.eta)} and {np.shape(params.n_th)}")
     n_env_cut = params.env_cutoff(weight_tol)
     dim_in = n_cut + 1
     dim_out = n_cut + n_env_cut + 1
@@ -254,17 +268,36 @@ def thermal_kraus(params, n_cut, weight_tol=DEFAULT_WEIGHT_TOL):
                          f"bound; lower n_cut or n_th, or raise weight_tol")
     t, r = np.sqrt(params.eta), np.sqrt(1.0 - params.eta)
     root = np.sqrt(np.arange(dim_out + 1))
+    # out[m] = sqrt(max(N - m, 0)), m < dim_out, is window[dim_out - N:2 dim_out - N]
+    window = np.concatenate((np.zeros(dim_out - 1), root))[::-1]
+    # row 0 of a step's sums is the A port's t out psi[m] + r sqrt(m) psi[m - 1],
+    # row 1 the B port's t sqrt(m) psi[m - 1] - r out psi[m]; y - z is y + (-z)
+    # exactly, so the -r row rounds as the subtraction does
+    out_coef = np.stack((t * window, -r * window))[:, None]
+    in_coef = np.stack((r * root[:-1], t * root[:-1]))[:, None]
     # amp[n + 1, m + 1, k + 1] = psi_n[m, k]; the zero border stands for k - 1,
     # n - 1 or m - 1 below zero
     amp = np.zeros((n_env_cut + 2, dim_out + 1, dim_in + 1))
     amp[1, 1, 1] = 1.0
+    # layer[k + 1, m + 1] = psi_{N-k}[m, k], with amp's border; a row that layer N
+    # does not write is zero or holds layer N - 2 where layer N + 1 never reads it
+    prev, layer = np.zeros((2, dim_in + 2, dim_out + 1))
+    prev[1, 1] = 1.0
+    ks = np.arange(dim_in)
     for total in range(1, dim_out):
-        n = np.arange(max(0, total - n_cut), min(total, n_env_cut) + 1)
-        k = total - n
-        out = root[np.clip(total - np.arange(dim_out), 0, None)]
-        via_a = t * out * amp[n + 1, 1:, k] + r * root[:-1] * amp[n + 1, :-1, k]
-        via_b = t * root[:-1] * amp[n, :-1, k + 1] - r * out * amp[n, 1:, k + 1]
-        amp[n + 1, 1:, k + 1] = (root[k, None] * via_a + root[n, None] * via_b) / total
+        lo, hi = max(0, total - n_env_cut), min(total, n_cut) + 1  # k in [lo, hi)
+        ports = prev[lo:hi + 1]  # rows k - 1 feed the A port, rows k the B port
+        sums = out_coef[:, :, dim_out - total:2 * dim_out - total] * ports[:, 1:]
+        sums += in_coef * ports[:, :-1]
+        via_a, via_b = sums[0, :-1], sums[1, 1:]
+        via_a *= root[lo:hi, None]
+        via_b *= root[total - hi + 1:total - lo + 1][::-1, None]
+        rows = layer[lo + 1:hi + 1]
+        np.add(via_a, via_b, out=rows[:, 1:])
+        rows /= total
+        k = ks[lo:hi]
+        amp[total - k + 1, :, k + 1] = rows
+        prev, layer = layer, prev
     psi = amp[1:, 1:, 1:]
     weight = np.array([params.thermal_weight(n) for n in range(n_env_cut + 1)])
     keep = psi.any(axis=2) & (weight > 0.0)[:, None]

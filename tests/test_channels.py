@@ -3,6 +3,8 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_ket, shared_level_qubit
 from hyqent import (DensityMatrix, HybridState, SymbolicKet, ThermalChannelParams,
@@ -11,7 +13,7 @@ from hyqent import (DensityMatrix, HybridState, SymbolicKet, ThermalChannelParam
                     concurrence, concurrence_evolution_check, identity_kraus,
                     make_kraus_set, negativity, negativity_evolution_check,
                     qubit_loss_kraus, thermal_dyad_moments, thermal_kraus)
-from hyqent.catalog import binary_coherent, squeezed_binary_coherent
+from hyqent.catalog import binary_coherent, squeezed_binary_coherent, thermal_output
 
 
 def test_amplitude_damp_lossless_and_single_ket():
@@ -367,6 +369,86 @@ def test_thermal_kraus_amplitudes_match_exact_sums():
             got = ks.diagonals[row, k] / sqrt(params.thermal_weight(n))
             worst = max(worst, abs(got - exact))
     assert worst <= 1e-13
+
+
+def _thermal_kraus_per_step_gathers(params, n_cut, weight_tol=1e-10):
+    """Reference for thermal_kraus: the same recursion with, at each N, np.clip for
+    the out factors, fancy gathers of both ports from the staging array and one scatter."""
+    n_env_cut = params.env_cutoff(weight_tol)
+    dim_in, dim_out = n_cut + 1, n_cut + n_env_cut + 1
+    t, r = np.sqrt(params.eta), np.sqrt(1.0 - params.eta)
+    root = np.sqrt(np.arange(dim_out + 1))
+    amp = np.zeros((n_env_cut + 2, dim_out + 1, dim_in + 1))
+    amp[1, 1, 1] = 1.0
+    for total in range(1, dim_out):
+        n = np.arange(max(0, total - n_cut), min(total, n_env_cut) + 1)
+        k = total - n
+        out = root[np.clip(total - np.arange(dim_out), 0, None)]
+        via_a = t * out * amp[n + 1, 1:, k] + r * root[:-1] * amp[n + 1, :-1, k]
+        via_b = t * root[:-1] * amp[n, :-1, k + 1] - r * out * amp[n, 1:, k + 1]
+        amp[n + 1, 1:, k + 1] = (root[k, None] * via_a + root[n, None] * via_b) / total
+    psi = amp[1:, 1:, 1:]
+    weight = np.array([params.thermal_weight(n) for n in range(n_env_cut + 1)])
+    n, m = np.nonzero(psi.any(axis=2) & (weight > 0.0)[:, None])
+    diagonals = np.sqrt(weight)[n, None] * psi[n, m]
+    residual = float(np.abs((diagonals**2).sum(axis=0) - 1.0).max())
+    return n - m, diagonals, np.arange(len(n)), dim_out, residual
+
+
+def _assert_same_kraus_set(eta, n_th, n_cut):
+    params = ThermalChannelParams(eta, n_th)
+    ks = thermal_kraus(params, n_cut)
+    shifts, diagonals, owners, dim_out, residual = _thermal_kraus_per_step_gathers(params, n_cut)
+    assert np.array_equal(ks.shifts, shifts)
+    assert np.array_equal(ks.diagonals, diagonals)
+    assert np.array_equal(ks.owners, owners)
+    assert ks.output_dim == dim_out and ks.completeness_residual == residual
+
+
+@pytest.mark.parametrize("eta, n_th, n_cut", [
+    (0.5, 1.0, 27), (0.6, 0.2, 21), (0.3, 2.0, 12), (0.0, 0.5, 8), (1.0, 0.0, 5),
+    (0.9, 0.0, 60), (0.5, 1.0, 0), (0.5, 15.0, 2)])
+def test_thermal_kraus_layers_equal_the_per_step_gathers(eta, n_th, n_cut):
+    # the rolling layers form every product and sum of the gather loop in its order
+    _assert_same_kraus_set(eta, n_th, n_cut)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 3.0), st.integers(0, 30))
+def test_thermal_kraus_layers_equal_the_per_step_gathers_anywhere(eta, n_th, n_cut):
+    _assert_same_kraus_set(eta, n_th, n_cut)
+
+
+@pytest.mark.parametrize("n_cut", [-1, 2.5, np.float64(3.0), "4"])
+def test_thermal_kraus_rejects_an_n_cut_that_is_not_a_count(monkeypatch, n_cut):
+    # -1 used to fail in the loop with a bare IndexError, 2.5 with a TypeError
+    import hyqent.channels as channels
+
+    allocations = []
+    monkeypatch.setattr(channels.np, "zeros", lambda *a, **k: allocations.append(a) or 1 / 0)
+    with pytest.raises(ValueError, match="^n_cut must be an integer >= 0"):
+        thermal_kraus(ThermalChannelParams(0.5, 1.0), n_cut)
+    assert not allocations
+
+
+def test_thermal_kraus_rejects_one_channel_per_point(monkeypatch):
+    # per-point arrays, as a stacked ThermalHybridState carries, used to fail in
+    # env_cutoff with numpy's "truth value of an array ... is ambiguous"
+    import hyqent.channels as channels
+
+    allocations = []
+    monkeypatch.setattr(channels.np, "zeros", lambda *a, **k: allocations.append(a) or 1 / 0)
+    params = ThermalChannelParams(np.array([0.5, 0.7]), np.array([1.0, 0.2]))
+    with pytest.raises(ValueError, match=r"^params must hold one channel.*\(2,\) and \(2,\)"):
+        thermal_kraus(params, 10)
+    assert not allocations
+    monkeypatch.undo()
+    [(_, state)] = thermal_output(np.array([0.5, 0.8]), np.array([0.5, 0.7]), 0.3).payload
+    with pytest.raises(ValueError, match="^params must hold one channel"):
+        thermal_kraus(state.params, 10)
+    # a 0-d array is one channel
+    ks = thermal_kraus(ThermalChannelParams(np.array(0.5), np.array(1.0)), 5)
+    assert np.array_equal(ks.diagonals, thermal_kraus(ThermalChannelParams(0.5, 1.0), 5).diagonals)
 
 
 def test_thermal_eta_one_is_identity():
