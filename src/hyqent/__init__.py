@@ -33,7 +33,7 @@ from .measures import (SchmidtDecomposition, TangleReport, ckw, concurrence,
                        log_negativity, majorizes, negativity, schmidt)
 from .witness import (MatrixMomentProvider, MomentMatrix, SymbolicMomentProvider,
                       WitnessRegion, cat_witness_determinants, geometric_mixture_s1,
-                      heaviside_half, mixed24_s1, moment_minor, optimal_alpha, principal_minor,
-                      qudit_mode_operators, s1_minor, s2_minor, squeezed_s1,
-                      sv_moment_matrix, sv_multi_indices, swap_operator,
+                      geometric_s1_bound, heaviside_half, mixed24_s1, moment_minor,
+                      optimal_alpha, principal_minor, qudit_mode_operators, s1_minor,
+                      s2_minor, squeezed_s1, sv_moment_matrix, sv_multi_indices, swap_operator,
                       swap_witness, thermal_s1, thermal_threshold, witness_region)

@@ -162,8 +162,8 @@ def _build_stack(family, params, names, points):
         if key not in keys:
             raise SpecError(f"family {family} does not take parameter {key!r}")
         parse = FAMILY_PARSERS.get(key, _as_real)
-        if key in names and (parse not in (_as_real, _as_complex) or not np.isfinite(value).all()):
-            raise SpecError(f"axis {key}: expected finite numbers")
+        if key in names and parse not in (_as_real, _as_complex):
+            raise SpecError(f"axis {key}: expected numbers")
         kwargs[key] = value if key in names else parse(value, key)
     return [(np.arange(len(points)), ctor(**kwargs))]
 
@@ -278,61 +278,85 @@ MEASURES = ("concurrence", "negativity", "log_negativity", "purity", "entropy",
             "tau_res", "s1", "s2", "fidelity")
 WITNESSES = ("s1", "s2")
 
-# closed-form outputs available to sweeps, keyed by (name) -> fn(params) and a
-# formula string recorded in reproduction manifests
+
+def _abs2(x):
+    """abs(x) ** 2 as pow takes it at one point, for arrays too."""
+    return np.float_power(np.abs(x), 2.0)
+
+
+# closed-form outputs available to sweeps, keyed by (name) -> fn(p) and a
+# formula string recorded in reproduction manifests; p(key) gives a parameter,
+# a number or an array, and every fn broadcasts
 CLOSED_FORMS = {
     "cat_concurrence_closed": (
-        lambda p: (1 - np.exp(-4 * abs(p["alpha"]) ** 2))
-        / (1 + np.exp(-4 * abs(p["alpha"]) ** 2) * np.cos(p["phi"])),
+        lambda p: (1 - np.exp(-4 * _abs2(p("alpha"))))
+        / (1 + np.exp(-4 * _abs2(p("alpha"))) * np.cos(p("phi"))),
         "C = (1 - e^{-4 a^2}) / (1 + e^{-4 a^2} cos phi)"),
     "cat_s1_closed": (
-        lambda p: witness.cat_witness_determinants(p["alpha"], p["phi"])[0],
+        lambda p: witness.cat_witness_determinants(p("alpha"), p("phi"))[0],
         "s1 = -4 a^6 e^{4a^2} (1 - e^{4a^2} cos phi) / (e^{4a^2} + cos phi)^3"),
     "cat_s2_closed": (
-        lambda p: witness.cat_witness_determinants(p["alpha"], p["phi"])[1],
+        lambda p: witness.cat_witness_determinants(p("alpha"), p("phi"))[1],
         "s2 = -4 a^4 e^{4a^2} (1 + e^{4a^2} cos phi) / (e^{4a^2} + cos phi)^3"),
     "cat_selected_closed": (
-        lambda p: witness.cat_witness_determinants(p["alpha"], p["phi"])[2],
+        lambda p: witness.cat_witness_determinants(p("alpha"), p("phi"))[2],
         "Theta(cos(phi+pi)) s1 + Theta(cos phi) s2, Theta(0) = 1/2"),
     "squeezed_s1_closed": (
-        lambda p: witness.squeezed_s1(p["alpha"], p["r"]),
+        lambda p: witness.squeezed_s1(p("alpha"), p("r")),
         "s1 = sinh^2(r)/4 - e^{-4a^2} a^2 cosh^2(r)/2 - e^{-4a^2} sinh^2(r)/8"),
     "mixed24_s1_closed": (
-        lambda p: witness.mixed24_s1(p["p"], abs(p["alpha"])),
+        lambda p: witness.mixed24_s1(p("p"), np.abs(p("alpha"))),
         "s1 = a^2/2 [p(1-p) - e^{-4a^2}(1 - 3p(1-p)/2)]"),
     "thermal_s1_closed": (
-        lambda p: witness.thermal_s1(p["alpha"], p["eta"], p["n_th"]),
+        lambda p: witness.thermal_s1(p("alpha"), p("eta"), p("n_th")),
         "s1 = (1-eta)/4 n_th (1 - e^{-4a^2}/2) - eta a^2/2 e^{-4a^2}"),
     "thermal_threshold_closed": (
-        lambda p: witness.thermal_threshold(p["alpha"], p["eta"]),
+        lambda p: witness.thermal_threshold(p("alpha"), p("eta")),
         "n_th < 4 eta a^2 / ((1-eta)(2 e^{4a^2} - 1))"),
     "damped_concurrence_closed": (
-        lambda p: np.exp(-2 * (1 - p["eta"]) * abs(p["alpha"]) ** 2)
-        * np.sqrt(1 - np.exp(-4 * p["eta"] * abs(p["alpha"]) ** 2)),
+        lambda p: np.exp(-2 * (1 - p("eta")) * _abs2(p("alpha")))
+        * np.sqrt(1 - np.exp(-4 * p("eta") * _abs2(p("alpha")))),
         "C = e^{-2(1-eta) a^2} sqrt(1 - e^{-4 eta a^2}) (re-derived; see README)"),
     "geom_s1_partial": (
-        lambda p: witness.geometric_mixture_s1(p["x"], abs(p["alpha"]))[0],
+        lambda p: witness.geometric_mixture_s1(p("x"), np.abs(p("alpha")))[0],
         "series form of s1, sqrt(n)-sums to convergence"),
     "geom_s1_bound": (
-        lambda p: witness.geometric_mixture_s1(p["x"], abs(p["alpha"]))[1],
+        lambda p: witness.geometric_s1_bound(p("x"), np.abs(p("alpha"))),
         "s1' = a^2/8 [2x/(1-x) - ((1-x)/(1-x e^{-2a^2}))^2 e^{-4a^2} (3 + 1/(1-x))]"),
     "qubus_fidelity": (
-        lambda p: catalog.qubus_fidelity(p["alpha"], p["theta"], p["eta"]),
+        lambda p: catalog.qubus_fidelity(p("alpha"), p("theta"), p("eta")),
         "F = [1 + e^{-(1-eta) a^2 (1 - cos theta)}]/2"),
     "residual_tangle_closed": (
-        lambda p: (1 - abs(p["q_phi"]) ** 2) * (1 - abs(p["q_psi"]) ** 2),
+        lambda p: (1 - _abs2(p("q_phi"))) * (1 - _abs2(p("q_psi"))),
         "tau = (1 - |Q_phi|^2)(1 - |Q_psi|^2)"),
 }
 
 
+def _closed_form(name, params, axes=None):
+    """A closed form at params (numbers) and axes (finite arrays, by name); arrays broadcast.
+
+    An axis stands as it is; any other parameter must be a finite real number.
+    """
+    fn, _ = CLOSED_FORMS[name]
+
+    def param(key):
+        if axes and key in axes:
+            return axes[key]
+        if key not in params:
+            raise SpecError(f"output {name!r} needs parameter {key!r} "
+                            f"(set it in params or as an axis)")
+        return _as_real(params[key], key)
+    return fn(param)
+
+
 def evaluate_output(name, family, params):
+    """One output at one point.
+
+    A closed form is the one-point case of the array evaluation a sweep
+    chunk makes (_closed_form); a measure is measured on the point's state.
+    """
     if name in CLOSED_FORMS:
-        fn, _ = CLOSED_FORMS[name]
-        try:
-            return float(fn(params))
-        except KeyError as exc:
-            raise SpecError(f"output {name!r} needs parameter {exc.args[0]!r} "
-                            f"(set it in params or as an axis)") from exc
+        return float(_closed_form(name, params))
     if name in MEASURES:
         return _measure_value(name, build_state(family, params))
     raise SpecError(f"unknown output {name!r}")
@@ -431,17 +455,19 @@ def _parse_axis(text):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise SpecError(f"axis {text!r}: count must be >= 1")
-        values = np.linspace(start, stop, count)
+        values = np.linspace(*_finite_axis(name, [start, stop]), count)
     else:
         values = np.array([float(v) for v in body.split(",") if v != ""])
     return name, values
 
 
-def _attempt(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # kept in its cell; run_sweep raises the first in row-major order
-        return exc
+def _finite_axis(name, values):
+    """The values of axis name as a float array, if each is finite (else SpecError)."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise SpecError(f"axis {name}: expected finite numbers, got {float(bad[0])!r}")
+    return values
 
 
 def _joined(built):
@@ -483,84 +509,99 @@ def _point_states(states, count):
     return out
 
 
-def _sweep_chunk(packed):
-    """Each output at each point of a contiguous run of sweep points: its value or its exception.
+def _point_loop(fn, count, output):
+    """[fn(i) for i < count] up to the first i at which fn raises, and (i, output, exception).
 
-    Closed forms go point by point.  The states are built once, by one
-    stacked constructor call (_build_stack), and every measure is evaluated
-    one template stack at a time.  A family with no stacked constructor, and
-    a stacked build that raises, are built point by point up to the first
-    failing point, and the states are joined by template (_joined).  A
-    measure that raises is evaluated again point by point, on each point's
-    state taken out of the stacks (_point_states), up to its first failing
-    point.  Either way a failing point's exception is the one it
-    raises alone.  Once a point has failed, later points need no more cells:
-    the sweep raises at or before that point.
+    The second item is None when no point raises.
+    """
+    values = []
+    for i in range(count):
+        try:
+            values.append(fn(i))
+        except Exception as exc:  # kept; run_sweep raises the first in row-major order
+            return values, (i, output, exc)
+    return values, None
+
+
+def _sweep_chunk(packed):
+    """Each output on a contiguous run of sweep points, as one array evaluation per output.
+
+    A closed form is one call on the chunk's axis arrays (_closed_form).
+    The states are built once, by one stacked constructor call
+    (_build_stack), and every measure is evaluated one template stack at a
+    time.  A call that raises is made again point by point, up to its first
+    failing point: a closed form by evaluate_output, a measure on each
+    point's state taken out of the stacks (_point_states), and a stacked
+    build (or a family with no stacked constructor) by build_state, its
+    states joined by template (_joined).  Either way a failing point's
+    exception is the one it raises alone.  Once a point has failed, later
+    points need no more values: the sweep raises at or before that point.
+
+    Returns the (points, outputs) array of values; when a point fails, the
+    rows of values up to that point instead, the last one ending with the
+    first exception in row-major order.
     """
     family, base_params, names, points, outputs = packed
-    params = [{**base_params, **dict(zip(names, p))} for p in points]
-    cells = [[None] * len(outputs) for _ in points]
-    needed = len(points)  # the points before the first failing one
-    states = None
+    points = np.asarray(points, dtype=float).reshape(len(points), len(names))
+    point = lambda i: {**base_params, **dict(zip(names, points[i]))}
+    values = np.empty((len(points), len(outputs)))
+    failure = states = None  # failure: (point, output, exception) of the first failing cell
     for j, out in enumerate(outputs):
-        if out in MEASURES:
-            if states is None:
-                states = _attempt(_build_stack, family, base_params, names, points)
-                if isinstance(states, Exception):
-                    built = []
-                    for i, p in enumerate(params[:needed]):
-                        named = _attempt(build_state, family, p)
-                        if isinstance(named, Exception):
-                            needed, cells[i][j] = i, named
-                            break
-                        built.append(named)
-                    states = _joined(built)
-            values = _attempt(_measure_values, out, states, len(points))
-            if isinstance(values, Exception):
-                values = []
-                for named in _point_states(states, len(points))[:needed]:
-                    values.append(_attempt(_measure_value, out, named))
-                    if isinstance(values[-1], Exception):
-                        break
+        count = len(points) if failure is None else failure[0]  # the points before it
+        if not count:
+            break
+        if out in MEASURES and states is None:
+            try:
+                states = _build_stack(family, base_params, names, points)
+            except Exception:  # the point loop finds the point that raises first
+                built, bad = _point_loop(lambda i: build_state(family, point(i)), count, j)
+                states, failure, count = _joined(built), bad or failure, len(built)
+        try:
+            values[:, j] = (_measure_values(out, states, len(points)) if out in MEASURES
+                            else _closed_form(out, base_params, dict(zip(names, points.T))))
+        except Exception:  # the point loop finds the point that raises first
+            if out in MEASURES:
+                named = _point_states(states, len(points))
+                one = lambda i: _measure_value(out, named[i])
             else:
-                values = values[:needed].tolist()
-        else:
-            values = [_attempt(evaluate_output, out, family, p) for p in params[:needed]]
-        for i, value in enumerate(values):
-            cells[i][j] = value
-            if isinstance(value, Exception):
-                needed = i
-                break
-    return cells
+                one = lambda i: evaluate_output(out, family, point(i))
+            got, bad = _point_loop(one, count, j)
+            values[:len(got), j] = got
+            failure = bad or failure
+    if failure is None:
+        return values
+    i, j, exc = failure
+    return [*values[:i].tolist(), [*values[i, :j].tolist(), exc]]
 
 
 def run_sweep(family, params, axes, outputs, workers=1):
     """Row-major sweep over the axes; deterministic regardless of worker count.
 
-    With workers > 1 each worker evaluates one contiguous chunk of the points;
-    workers must be at least 1.
-    The first output, in row-major order, that raises makes the sweep raise
-    that exception, as a point-by-point loop would.
+    Every axis value must be finite, and workers at least 1; either is
+    checked before any work.  With workers > 1 each worker evaluates one
+    contiguous chunk of the points (_sweep_chunk), and the rows are the axis
+    columns and the chunks' values stacked once.  The first output, in
+    row-major order, that raises makes the sweep raise that exception, as a
+    point-by-point loop would.
     """
     if workers < 1:
         raise SpecError(f"--workers must be at least 1, got {workers}")
+    axes = [(name, _finite_axis(name, values)) for name, values in axes]
     names = [n for n, _ in axes]
     grids = np.meshgrid(*[v for _, v in axes], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
     chunks = min(workers, len(points))
-    jobs = [(family, params, names, [tuple(p) for p in chunk], tuple(outputs))
+    jobs = [(family, params, names, chunk, tuple(outputs))
             for chunk in (np.array_split(points, chunks) if chunks > 1 else [points])]
     if len(jobs) == 1:
-        cells = _sweep_chunk(jobs[0])
+        results = [_sweep_chunk(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            cells = [row for chunk in pool.map(_sweep_chunk, jobs) for row in chunk]
-    for row in cells:
-        for cell in row:
-            if isinstance(cell, Exception):
-                raise cell
-    rows = [list(p) + r for p, r in zip(points, cells)]
-    return names + list(outputs), rows
+            results = list(pool.map(_sweep_chunk, jobs))
+    for result in results:
+        if not isinstance(result, np.ndarray):
+            raise result[-1][-1]
+    return names + list(outputs), np.column_stack([points, np.concatenate(results)]).tolist()
 
 
 def _write_rows(path, header_lines, columns, rows, fmt):

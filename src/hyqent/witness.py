@@ -27,12 +27,13 @@ IDENTITY_CHANNEL = ThermalChannelParams(1.0, 0.0)  # the channel a plain HybridS
 
 
 def heaviside_half(x):
-    """Step function with the half-maximum convention Theta(0) = 1/2."""
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return 0.0
-    return 0.5
+    """Step function with the half-maximum convention Theta(0) = 1/2; arrays broadcast."""
+    return _real(np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5)))
+
+
+def _real(x):
+    """A broadcast result: a Python float at scalar inputs, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def qudit_mode_operators(d):
@@ -354,54 +355,62 @@ def _normal_order(a_words):
 
 
 def cat_witness_determinants(alpha, phi):
-    """(s1, s2, selected) for the two-mode cat at amplitude alpha, phase phi.
+    """(s1, s2, selected) for the two-mode cat at amplitude alpha, phase phi; arrays broadcast.
 
     selected = Theta(cos(phi + pi)) s1 + Theta(cos phi) s2 with the
     half-maximum step convention, and is negative for every phi at alpha != 0:
     s1 covers pi/2 <= phi <= 3 pi/2, s2 the rest, both at the crossover.
+    Integer powers are taken by np.float_power, as pow takes them at one
+    point, so every element is its scalar call bit for bit (as in all the
+    closed forms below).
     """
-    a2 = abs(alpha) ** 2
+    a2 = np.float_power(np.abs(alpha), 2.0)
     e4 = np.exp(4.0 * a2)
-    denom = (e4 + np.cos(phi)) ** 3
-    s1 = -(4.0 * a2**3 * e4 / denom) * (1.0 - e4 * np.cos(phi))
-    s2 = -(4.0 * a2**2 * e4 / denom) * (1.0 + e4 * np.cos(phi))
+    denom = np.float_power(e4 + np.cos(phi), 3.0)
+    s1 = -(4.0 * np.float_power(a2, 3.0) * e4 / denom) * (1.0 - e4 * np.cos(phi))
+    s2 = -(4.0 * np.float_power(a2, 2.0) * e4 / denom) * (1.0 + e4 * np.cos(phi))
     selected = heaviside_half(np.cos(phi + np.pi)) * s1 + heaviside_half(np.cos(phi)) * s2
-    return float(s1), float(s2), float(selected)
+    return _real(s1), _real(s2), _real(selected)
 
 
 def squeezed_s1(alpha, r):
     """s1 of the squeezed binary-coherent state; independent of the squeezing phase.
 
     Positive values mean the witness fails even though squeezing, a local
-    unitary, cannot have changed the entanglement.
+    unitary, cannot have changed the entanglement.  Arrays broadcast.
     """
-    a2 = abs(alpha) ** 2
+    a2 = np.float_power(np.abs(alpha), 2.0)
     e = np.exp(-4.0 * a2)
-    return float(np.sinh(r) ** 2 / 4.0 - e / 2.0 * a2 * np.cosh(r) ** 2
-                 - e / 8.0 * np.sinh(r) ** 2)
+    sinh2 = np.float_power(np.sinh(r), 2.0)
+    return _real(sinh2 / 4.0 - e / 2.0 * a2 * np.float_power(np.cosh(r), 2.0) - e / 8.0 * sinh2)
 
 
 def mixed24_s1(p, alpha):
-    """s1 of the two-term mixture holding four coherent kets (+-alpha, +-i alpha)."""
-    if not 0.0 <= p <= 1.0:
+    """s1 of the two-term mixture of four coherent kets (+-alpha, +-i alpha); arrays broadcast."""
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("mixing probability must lie in [0, 1]")
-    a2 = float(alpha) ** 2
-    return float(a2 / 2.0 * (p * (1.0 - p) - np.exp(-4.0 * a2) * (1.0 - 1.5 * p * (1.0 - p))))
+    a2 = np.float_power(alpha, 2.0)
+    return _real(a2 / 2.0 * (p * (1.0 - p) - np.exp(-4.0 * a2) * (1.0 - 1.5 * p * (1.0 - p))))
 
 
 def thermal_s1(alpha, eta, n_th):
-    """Closed-form s1 of the thermal-channel output of the binary-coherent state."""
-    a2 = abs(alpha) ** 2
-    return float((1.0 - eta) / 4.0 * n_th * (1.0 - np.exp(-4.0 * a2) / 2.0)
+    """Closed-form s1 of the binary-coherent state's thermal-channel output; arrays broadcast."""
+    a2 = np.float_power(np.abs(alpha), 2.0)
+    return _real((1.0 - eta) / 4.0 * n_th * (1.0 - np.exp(-4.0 * a2) / 2.0)
                  - eta * a2 / 2.0 * np.exp(-4.0 * a2))
 
 
 def thermal_threshold(alpha, eta):
-    """Largest n_th at which s1 still witnesses, 4 eta a^2 / ((1-eta)(2 e^{4a^2} - 1))."""
-    if eta >= 1.0:
-        return float("inf")
-    a2 = abs(alpha) ** 2
-    return float(4.0 * eta * a2 / ((1.0 - eta) * (2.0 * np.exp(4.0 * a2) - 1.0)))
+    """Largest n_th at which s1 still witnesses, 4 eta a^2 / ((1-eta)(2 e^{4a^2} - 1)).
+
+    Infinite at eta >= 1.  Arrays broadcast; those points enter the
+    arithmetic as alpha = eta = 0, so they raise no floating-point warning.
+    """
+    below = np.asarray(eta) < 1.0
+    a2 = np.float_power(np.where(below, np.abs(alpha), 0.0), 2.0)
+    eta = np.where(below, eta, 0.0)
+    return _real(np.where(below, 4.0 * eta * a2 / ((1.0 - eta) * (2.0 * np.exp(4.0 * a2) - 1.0)),
+                          np.inf))
 
 
 def optimal_alpha():
@@ -428,24 +437,41 @@ def _bisect(f, lo, hi, xtol):
 
 
 def _sqrtn_sum(y):
-    """sum_{n>=1} sqrt(n) y^n by monotone-bounded partial summation.
+    """sum_{n>=1} sqrt(n) y^n by monotone-bounded partial summation; arrays broadcast.
 
     The tail is bounded by the exactly summable sum_{m>n} m y^m, so the
-    reported value is within SERIES_TOL of the limit.
+    reported value is within SERIES_TOL of the limit.  Each element stops
+    at its own n, so it is its scalar sum bit for bit.
     """
-    if not 0.0 <= y < 1.0:
+    y = np.asarray(y, dtype=float)
+    if not np.all((0.0 <= y) & (y < 1.0)):
         raise ValueError("series needs 0 <= y < 1")
-    total, n, term = 0.0, 1, y
-    while True:
-        total += np.sqrt(n) * term
+    total, n, term, active = np.zeros(y.shape), 1, y, np.ones(y.shape, dtype=bool)
+    while active.any():
+        total = np.where(active, total + np.sqrt(n) * term, total)
         n += 1
-        term *= y
-        if term * (n * (1.0 - y) + y) / (1.0 - y) ** 2 < SERIES_TOL:
-            return total
+        term = term * y
+        active &= ~(term * (n * (1.0 - y) + y) / np.float_power(1.0 - y, 2.0) < SERIES_TOL)
+    return total
+
+
+def _geometric_damping(x, alpha):
+    """(a^2, y, damp) of the geometric mixture: y = x e^{-2a^2}, damp = e^{-2a^2}(1-x)/(1-y)."""
+    if not np.all((0.0 < x) & (x < 1.0)):
+        raise ValueError("mixing parameter x must lie in (0, 1)")
+    a2 = np.float_power(alpha, 2.0)
+    y = x * np.exp(-2.0 * a2)
+    return a2, y, np.exp(-2.0 * a2) * (1.0 - x) / (1.0 - y)
+
+
+def geometric_s1_bound(x, alpha):
+    """s1_bound of geometric_mixture_s1 alone, with no series; arrays broadcast."""
+    a2, _, damp = _geometric_damping(x, alpha)
+    return _real(a2 / 8.0 * (2.0 * x / (1.0 - x) - damp * damp * (3.0 + 1.0 / (1.0 - x))))
 
 
 def geometric_mixture_s1(x, alpha):
-    """(s1_partial, s1_bound) for the geometrically mixed hybrid family.
+    """(s1_partial, s1_bound) for the geometrically mixed hybrid family; arrays broadcast.
 
     s1_partial sums the exact series expression for s1, using the closed
     geometric sums for the exactly summable pieces and monotone-bounded
@@ -454,19 +480,13 @@ def geometric_mixture_s1(x, alpha):
     expression negatively, s1_bound >= s1, and s1_bound < 0 is therefore a
     sufficient criterion for entanglement of the full, untruncated family.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError("mixing parameter x must lie in (0, 1)")
-    a2 = float(alpha) ** 2
-    y = x * np.exp(-2.0 * a2)
-    damp = np.exp(-2.0 * a2) * (1.0 - x) / (1.0 - y)
+    a2, y, damp = _geometric_damping(x, alpha)
     pref = alpha * (1.0 - x) / x
     b = pref * _sqrtn_sum(y)
     c = pref * _sqrtn_sum(x)
     s1 = (2.0 * a2 / (1.0 - x) - 2.0 * damp * b * c - b * b - 2.0 * c * c
           - a2 / (1.0 - x) * damp * damp) / 8.0
-    bound = a2 / 8.0 * (2.0 * x / (1.0 - x)
-                        - damp * damp * (3.0 + 1.0 / (1.0 - x)))
-    return float(s1), float(bound)
+    return _real(s1), geometric_s1_bound(x, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,43 @@ def test_sweep_missing_closed_form_parameter_exits_2(tmp_path, capsys):
     assert "phi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, outputs, value", [
+    ("alpha=0.5,nan", "thermal_s1_closed", "nan"),
+    ("alpha=0.5,nan", "thermal_s1_closed,s1", "nan"),
+    ("alpha=0.5,nan", "s1,thermal_s1_closed", "nan"),
+    ("alpha=-inf,0.5", "thermal_threshold_closed", "-inf"),
+    ("alpha=0:inf:3", "thermal_s1_closed", "inf"),
+])
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_sweep_with_a_non_finite_axis_value_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, axis, outputs, value, workers):
+    import hyqent.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep did work")
+    monkeypatch.setattr(hyqent.cli, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(hyqent.cli, "_sweep_chunk", no_work)
+    spec = write_spec(tmp_path, {"family": "thermal-output", "params": {"eta": 0.7, "n_th": 0.1}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--axis", "n_th=0.1,0.2", "--axis", axis, "--output", outputs,
+                 "--out", str(out), "--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: axis alpha: expected finite numbers, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eta, shown", [
+    (float("nan"), "nan"), (True, "True"), ("0.7", "'0.7'"), ([0.7, 0.0], "[0.7, 0.0]")])
+def test_closed_form_spec_parameter_must_be_a_finite_real(tmp_path, capsys, eta, shown):
+    spec = write_spec(tmp_path, {"family": "thermal-output", "params": {"eta": eta, "n_th": 0.1}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--axis", "alpha=0.5,1.0", "--output", "thermal_s1_closed",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: eta: expected a finite number, got {shown}"]
+    assert not out.exists()
+
+
 def test_classify_qubit_qumode_with_parsed_kets(tmp_path, capsys):
     doc = {"family": "qubit-qumode", "params": {
         "c": 0.5, "phi": 0.0,

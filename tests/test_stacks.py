@@ -92,6 +92,13 @@ BAD_SWEEPS = {
     # alpha = 1e-7 collapses both sites to one dimension: negativity holds, concurrence does not
     "cat collapse": ("two-mode-cat", {}, [("alpha", [0.6, 1e-7, 1.3]), ("phi", [0.0, 2.0])],
                      ["negativity", "concurrence"]),
+    # a closed form that fails mid-grid, ahead of the state build that fails there too
+    "mixed-24 closed p = 1.4": ("mixed-24", {}, [("p", [0.2, 1.4, 0.7]), ("alpha", [0.5, 1.1])],
+                                ["mixed24_s1_closed", "s1"]),
+    # squeezed_s1_closed needs r: each point has two values before its failing cell
+    "missing closed-form parameter": ("two-mode-cat", {}, [("alpha", [0.4, 0.9]),
+                                                           ("phi", [0.0, 1.0])],
+                                      ["concurrence", "cat_s1_closed", "squeezed_s1_closed"]),
 }
 
 
@@ -104,6 +111,16 @@ def test_sweep_raises_what_the_point_loop_meets_first(data):
     assert expected is not None
     with pytest.raises(type(expected)) as got:
         cli.run_sweep(family, params, axes, outputs)
+    assert type(got.value) is type(expected) and str(got.value) == str(expected)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SWEEPS))
+def test_sweep_raises_what_the_point_loop_meets_first_with_three_workers(name):
+    family, params, axes, outputs = BAD_SWEEPS[name]
+    axes = [(axis, np.array(values)) for axis, values in axes]
+    expected = _first_failure(family, params, axes, outputs)
+    with pytest.raises(type(expected)) as got:
+        cli.run_sweep(family, params, axes, outputs, workers=3)
     assert type(got.value) is type(expected) and str(got.value) == str(expected)
 
 
@@ -377,3 +394,79 @@ def test_stacked_build_failure_raises_what_the_point_loop_meets_first(data):
     with pytest.raises(type(expected)) as got:
         cli.run_sweep(family, params, axes, outputs)
     assert type(got.value) is type(expected) and str(got.value) == str(expected)
+
+
+# the parameters each closed form reads, and the values of each parameter; the specials
+# are alpha = 0, phi = pi, eta = 0 or 1, p = 0 or 1 and |q| = 1
+CLOSED_FORM_PARAMS = {
+    "cat_concurrence_closed": ("alpha", "phi"), "cat_s1_closed": ("alpha", "phi"),
+    "cat_s2_closed": ("alpha", "phi"), "cat_selected_closed": ("alpha", "phi"),
+    "squeezed_s1_closed": ("alpha", "r"), "mixed24_s1_closed": ("p", "alpha"),
+    "thermal_s1_closed": ("alpha", "eta", "n_th"), "thermal_threshold_closed": ("alpha", "eta"),
+    "damped_concurrence_closed": ("alpha", "eta"), "geom_s1_partial": ("x", "alpha"),
+    "geom_s1_bound": ("x", "alpha"), "qubus_fidelity": ("alpha", "theta", "eta"),
+    "residual_tangle_closed": ("q_phi", "q_psi"),
+}
+CLOSED_FORM_RANGES = {
+    "alpha": (-2.0, 2.0), "phi": (0.0, 2 * np.pi), "r": (-1.2, 1.2), "p": (0.0, 1.0),
+    "eta": (0.0, 1.0), "n_th": (0.0, 2.0), "x": (0.01, 0.99), "theta": (0.0, np.pi),
+    "q_phi": (-1.0, 1.0), "q_psi": (-1.0, 1.0),
+}
+CLOSED_FORM_SPECIALS = {"alpha": (0.0,), "phi": (np.pi,), "p": (0.0, 1.0), "eta": (0.0, 1.0),
+                        "q_phi": (-1.0, 1.0), "q_psi": (-1.0, 1.0)}
+CLOSED_FORM_VALUES = {key: _values(*bounds, *CLOSED_FORM_SPECIALS.get(key, ()))
+                      for key, bounds in CLOSED_FORM_RANGES.items()}
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(st.data())
+def test_closed_form_columns_are_each_point_alone_bit_for_bit(data):
+    assert set(CLOSED_FORM_PARAMS) == set(cli.CLOSED_FORMS)
+    name = data.draw(st.sampled_from(sorted(CLOSED_FORM_PARAMS)))
+    keys = CLOSED_FORM_PARAMS[name]
+    # each parameter is an axis or, at least one axis kept, a spec parameter
+    fixed = data.draw(st.lists(st.sampled_from(keys[1:]), unique=True)) if len(keys) > 1 else []
+    params = {key: data.draw(CLOSED_FORM_VALUES[key]) for key in fixed}
+    axes = [(key, np.array(data.draw(st.lists(CLOSED_FORM_VALUES[key], min_size=1, max_size=4,
+                                              unique=True))))
+            for key in keys if key not in fixed]
+    expected = _first_failure("two-mode-cat", params, axes, [name])
+    if expected is not None:  # a RuntimeWarning, as at alpha = 0, phi = pi
+        with pytest.raises(type(expected)) as got:
+            cli.run_sweep("two-mode-cat", params, axes, [name])
+        assert str(got.value) == str(expected)
+        return
+    columns, rows = cli.run_sweep("two-mode-cat", params, axes, [name])
+    for row in rows:
+        point = {**params, **dict(zip(columns, row[:-1]))}
+        assert _bits(row[-1]) == _bits(cli.evaluate_output(name, "two-mode-cat", point)), point
+
+
+@pytest.mark.parametrize("family, params, axes, outputs", [
+    ("two-mode-cat", {}, [("alpha", [0.3, 1e-7, 1.2]), ("phi", [0.0, 2.0])],
+     ["negativity", "cat_concurrence_closed", "cat_selected_closed"]),
+    ("thermal-output", {"eta": 0.7}, [("alpha", [0.2, 0.9]), ("n_th", [0.0, 0.3])],
+     ["s1", "thermal_s1_closed", "thermal_threshold_closed"]),
+    ("geometric-mixture", {}, [("x", [0.1, 0.5]), ("alpha", [0.4, 1.2])],
+     ["geom_s1_bound", "geom_s1_partial"]),
+])
+def test_a_successful_sweep_evaluates_no_point_alone(monkeypatch, family, params, axes, outputs):
+    def alone(*args):
+        raise AssertionError("a point was evaluated alone")
+    monkeypatch.setattr(cli, "build_state", alone)
+    monkeypatch.setattr(cli, "evaluate_output", alone)
+    columns, rows = cli.run_sweep(family, params, [(n, np.array(v)) for n, v in axes], outputs)
+    assert len(rows) == np.prod([len(v) for _, v in axes])
+    assert all(np.isfinite(row).all() for row in rows)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_PARAMS))
+def test_closed_form_columns_at_random_doubles_are_each_point_alone_bit_for_bit(rng, name):
+    # hypothesis favours short floats, at which pow and array squaring agree; random
+    # doubles reach the last bits where the two differ
+    axes = [(key, rng.uniform(*CLOSED_FORM_RANGES[key], 48 if i == 0 else 3))
+            for i, key in enumerate(CLOSED_FORM_PARAMS[name])]
+    columns, rows = cli.run_sweep("two-mode-cat", {}, axes, [name])
+    for row in rows:
+        point = dict(zip(columns, row[:-1]))
+        assert _bits(row[-1]) == _bits(cli.evaluate_output(name, "two-mode-cat", point)), point

@@ -16,14 +16,14 @@ from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider, Mome
                     NumericInconsistency, SymbolicKet, SymbolicMomentProvider,
                     ThermalChannelParams, ThermalHybridState, UnsupportedKet, apply_thermal,
                     cat_witness_determinants, default_cutoff, geometric_mixture_s1,
-                    heaviside_half, mixed24_s1, moment_minor, optimal_alpha,
+                    geometric_s1_bound, heaviside_half, mixed24_s1, moment_minor, optimal_alpha,
                     principal_minor, qudit_mode_operators, s1_minor, s2_minor,
                     squeezed_s1, sv_moment_matrix, sv_multi_indices, swap_witness,
                     thermal_s1, thermal_threshold, witness_region)
 from hyqent.catalog import (binary_coherent, mixed24, qutrit_qumode,
                             squeezed_binary_coherent)
 from hyqent.composite import DensityMatrix
-from hyqent.witness import BOUNDARY_XTOL, S1_INDICES, S2_INDICES
+from hyqent.witness import BOUNDARY_XTOL, S1_INDICES, S2_INDICES, SERIES_TOL
 
 
 def test_multi_index_ordering_head():
@@ -535,6 +535,42 @@ def _s1_with_closed_sums(x, al, upper):
     c = al * (1 - x) / x * f(x)
     return (2 * a2 / (1 - x) - 2 * damp * b * c - b * b - 2 * c * c
             - a2 / (1 - x) * damp**2) / 8
+
+
+def _loop_sqrtn_sum(y):
+    """sum_{n>=1} sqrt(n) y^n one term at a time for one y: the reference of the broadcast sum."""
+    total, n, term = 0.0, 1, y
+    while True:
+        total += np.sqrt(n) * term
+        n += 1
+        term *= y
+        if term * (n * (1.0 - y) + y) / (1.0 - y) ** 2 < SERIES_TOL:
+            return total
+
+
+def test_geometric_sums_and_bound_broadcast_bit_for_bit(monkeypatch, rng):
+    ys = np.concatenate([[0.0, 1e-300, 0.02, 0.5, 0.98, 0.995], rng.uniform(0, 1, 20)])
+    assert hyqent.witness._sqrtn_sum(ys).tobytes() == \
+        np.array([_loop_sqrtn_sum(float(y)) for y in ys]).tobytes()
+    # the reproduce arti-s1 grid, plus the alpha = 0 edge
+    x, alpha = np.meshgrid(np.linspace(0.02, 0.98, 49), np.append(np.linspace(0.02, 1.5, 38), 0),
+                           indexing="ij")
+    partial, bound = geometric_mixture_s1(x[::4, ::3], alpha[::4, ::3])
+    alone = np.array([geometric_mixture_s1(float(a), float(b))
+                      for a, b in zip(x[::4, ::3].flat, alpha[::4, ::3].flat)])
+    assert partial.tobytes() == alone[:, 0].reshape(partial.shape).tobytes()
+    assert bound.tobytes() == alone[:, 1].reshape(bound.shape).tobytes()
+
+    def no_series(y):
+        raise AssertionError("the bound summed a series")
+    monkeypatch.setattr(hyqent.witness, "_sqrtn_sum", no_series)
+    bound = geometric_s1_bound(x, alpha)
+    assert bound[::4, ::3].tobytes() == alone[:, 1].reshape(partial.shape).tobytes()
+    alone = [geometric_s1_bound(float(a), float(b)) for a, b in zip(x.flat, alpha.flat)]
+    assert bound.tobytes() == np.array(alone).reshape(x.shape).tobytes()
+    assert type(geometric_s1_bound(0.3, 0.5)) is float
+    with pytest.raises(ValueError, match="must lie in"):
+        geometric_s1_bound(np.array([0.5, 1.0]), 0.3)
 
 
 def test_geometric_series_s1_matches_truncated_oracle():
