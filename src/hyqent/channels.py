@@ -417,12 +417,6 @@ class ThermalHybridState:
     def __post_init__(self):
         require_coherent(self.base, "the thermal channel")
 
-    def take(self, sel):
-        """The outputs of the base points sel (indices or a mask), each on its own channel."""
-        eta, n_th = (np.broadcast_to(x, (self.base.points,))[sel]
-                     for x in (self.params.eta, self.params.n_th))
-        return ThermalHybridState(self.base.take(sel), ThermalChannelParams(eta, n_th))
-
     def truncated_density(self, n_cut):
         """Kraus-route truncation at the default tolerances; a cross-check, not the state."""
         return apply_kraus(self.base.to_fock_density(n_cut), thermal_kraus(self.params, n_cut), 1)

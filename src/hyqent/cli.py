@@ -148,13 +148,25 @@ def build_state(family, params):
 def _build_stack(family, params, names, points):
     """[(indices, NamedState)] of a family at the points (rows of values of the axes names).
 
-    One constructor call takes every axis as an array, so its NamedState
-    holds one stack per template.  Families outside catalog.BROADCASTING
-    raise ValueError, as does any point whose own build would raise; a
-    caller then builds the points one by one to learn which fails first.
+    A family in catalog.BROADCASTING is one constructor call that takes
+    every axis as an array, so its NamedState holds one stack per template.
+    Any other family is built point by point (build_state), and the points
+    whose HybridStates share a template are joined into one stack; any
+    other payload stands alone.  A point whose own build raises makes the
+    call raise.
     """
     if family not in catalog.BROADCASTING:
-        raise ValueError(f"family {family} has no stacked constructor")
+        built = [build_state(family, {**params, **dict(zip(names, p))}) for p in points]
+        out, stacks = [], {}
+        for i, named in enumerate(built):
+            if isinstance(named.payload, HybridState):
+                stacks.setdefault(named.payload.template, []).append(i)
+            else:
+                out.append(([i], named))
+        for index in stacks.values():
+            state = HybridState.join([built[i].payload for i in index])
+            out.append((np.array(index), NamedState(built[index[0]].id, {}, state)))
+        return out
     ctor, keys = FAMILIES[family]
     columns = np.array(points, dtype=float).reshape(len(points), len(names)).T
     kwargs = {}
@@ -336,6 +348,8 @@ def _closed_form(name, params, axes=None):
     """A closed form at params (numbers) and axes (finite arrays, by name); arrays broadcast.
 
     An axis stands as it is; any other parameter must be a finite real number.
+    A nan value (an overflow, or an undefined point) raises SpecError; inf
+    stands, as thermal_threshold's at eta >= 1 is a value.
     """
     fn, _ = CLOSED_FORMS[name]
 
@@ -346,7 +360,10 @@ def _closed_form(name, params, axes=None):
             raise SpecError(f"output {name!r} needs parameter {key!r} "
                             f"(set it in params or as an axis)")
         return _as_real(params[key], key)
-    return fn(param)
+    value = fn(param)
+    if np.isnan(value).any():
+        raise SpecError(f"output {name!r} is nan: its arithmetic overflowed or is undefined")
+    return value
 
 
 def evaluate_output(name, family, params):
@@ -470,72 +487,15 @@ def _finite_axis(name, values):
     return values
 
 
-def _joined(built):
-    """[(indices, NamedState)] of one-point NamedStates; HybridStates of one template joined.
-
-    Points whose payloads share a stored template are measured as one stack,
-    with each extra value as an array over its points; any other payload
-    stands alone.
-    """
-    out, stacks = [], {}
-    for i, named in enumerate(built):
-        if isinstance(named.payload, HybridState):
-            stacks.setdefault(named.payload.template, []).append(i)
-        else:
-            out.append(([i], named))
-    for index in stacks.values():
-        state = HybridState.join([built[i].payload for i in index])
-        extra = {key: np.array([built[i].extra[key] for i in index])
-                 for key in built[index[0]].extra}
-        out.append((np.array(index), NamedState(built[index[0]].id, {},
-                                                 ((np.arange(len(index)), state),), extra)))
-    return out
-
-
-def _point_states(states, count):
-    """The one-point NamedState of each of count points of [(indices, NamedState)], in order.
-
-    A stacked point is its row of the stack (take) and of each array in extra.
-    """
-    out = [None] * count
-    for index, named in states:
-        groups = named.payload if isinstance(named.payload, tuple) else [(range(len(index)), None)]
-        for sub, payload in groups:
-            for k, j in enumerate(sub):
-                out[index[j]] = named if payload is None else NamedState(
-                    named.id, named.params, payload.take([k]),
-                    {key: value[j] if np.ndim(value) else value
-                     for key, value in named.extra.items()})
-    return out
-
-
-def _point_loop(fn, count, output):
-    """[fn(i) for i < count] up to the first i at which fn raises, and (i, output, exception).
-
-    The second item is None when no point raises.
-    """
-    values = []
-    for i in range(count):
-        try:
-            values.append(fn(i))
-        except Exception as exc:  # kept; run_sweep raises the first in row-major order
-            return values, (i, output, exc)
-    return values, None
-
-
 def _sweep_chunk(packed):
     """Each output on a contiguous run of sweep points, as one array evaluation per output.
 
     A closed form is one call on the chunk's axis arrays (_closed_form).
-    The states are built once, by one stacked constructor call
-    (_build_stack), and every measure is evaluated one template stack at a
-    time.  A call that raises is made again point by point, up to its first
-    failing point: a closed form by evaluate_output, a measure on each
-    point's state taken out of the stacks (_point_states), and a stacked
-    build (or a family with no stacked constructor) by build_state, its
-    states joined by template (_joined).  Either way a failing point's
-    exception is the one it raises alone.  Once a point has failed, later
-    points need no more values: the sweep raises at or before that point.
+    The states are built once (_build_stack), and every measure is
+    evaluated one template stack at a time.  If any of it raises, the chunk
+    is evaluated again as the reference loop: evaluate_output at each point
+    and output in row-major order, up to the first that raises, so a
+    failing sweep raises what that point raises alone.
 
     Returns the (points, outputs) array of values; when a point fails, the
     rows of values up to that point instead, the last one ending with the
@@ -543,35 +503,24 @@ def _sweep_chunk(packed):
     """
     family, base_params, names, points, outputs = packed
     points = np.asarray(points, dtype=float).reshape(len(points), len(names))
-    point = lambda i: {**base_params, **dict(zip(names, points[i]))}
     values = np.empty((len(points), len(outputs)))
-    failure = states = None  # failure: (point, output, exception) of the first failing cell
-    for j, out in enumerate(outputs):
-        count = len(points) if failure is None else failure[0]  # the points before it
-        if not count:
-            break
-        if out in MEASURES and states is None:
-            try:
-                states = _build_stack(family, base_params, names, points)
-            except Exception:  # the point loop finds the point that raises first
-                built, bad = _point_loop(lambda i: build_state(family, point(i)), count, j)
-                states, failure, count = _joined(built), bad or failure, len(built)
-        try:
+    try:
+        states = (_build_stack(family, base_params, names, points)
+                  if any(out in MEASURES for out in outputs) else None)
+        for j, out in enumerate(outputs):
             values[:, j] = (_measure_values(out, states, len(points)) if out in MEASURES
                             else _closed_form(out, base_params, dict(zip(names, points.T))))
-        except Exception:  # the point loop finds the point that raises first
-            if out in MEASURES:
-                named = _point_states(states, len(points))
-                one = lambda i: _measure_value(out, named[i])
-            else:
-                one = lambda i: evaluate_output(out, family, point(i))
-            got, bad = _point_loop(one, count, j)
-            values[:len(got), j] = got
-            failure = bad or failure
-    if failure is None:
         return values
-    i, j, exc = failure
-    return [*values[:i].tolist(), [*values[i, :j].tolist(), exc]]
+    except Exception:  # the reference loop finds the point that raises first
+        pass
+    for i, point in enumerate(points):
+        params = {**base_params, **dict(zip(names, point))}
+        for j, out in enumerate(outputs):
+            try:
+                values[i, j] = evaluate_output(out, family, params)
+            except Exception as exc:  # kept; run_sweep raises the first in row-major order
+                return [*values[:i].tolist(), [*values[i, :j].tolist(), exc]]
+    return values
 
 
 def run_sweep(family, params, axes, outputs, workers=1):

@@ -275,55 +275,45 @@ class MatrixMomentProvider:
 
 
 class SymbolicMomentProvider:
-    """Exact moments of coherent-family hybrid states or their thermal-channel outputs.
+    """Exact moments of a coherent-family hybrid state or of its thermal-channel output.
 
-    Takes one state (a stack of one template, or one point), or a sequence of
-    states that share their sites and branch layout (a ThermalHybridState
-    counts with its base), which may pass different channels.  A plain
-    HybridState must hold coherent kets only, and is then read as the output
-    of the identity channel (eta = 1, n_th = 0).  The dyad arrays (weight
-    p c_i conj(c_j), levels and amplitudes of every branch pair of every
-    term) come from the states' arrays by index, with no loop over points or
-    branches.  Mode words reduce to normal order and every normal-ordered
-    pair of every coherent dyad goes through the Gaussian closed form
-    thermal_dyad_moments, one broadcast call for all words, dyads and
-    states; qudit words are evaluated with the d-level adapted operators.
-    A sequence or a stack gives each moment for every state on a leading
-    point axis, (P, ...); one state is the P = 1 case without that axis.  No
-    truncation enters.
+    Takes one state: a HybridState or a ThermalHybridState, a stack of one
+    template or one point; a ThermalHybridState stack may pass one channel
+    per point.  A plain HybridState must hold coherent kets only, and is
+    then read as the output of the identity channel (eta = 1, n_th = 0).
+    The dyad arrays (weight p c_i conj(c_j), levels and amplitudes of every
+    branch pair of every term) come from the state's arrays by index, with
+    no loop over points or branches.  Mode words reduce to normal order and
+    every normal-ordered pair of every coherent dyad goes through the
+    Gaussian closed form thermal_dyad_moments, one broadcast call for all
+    words, dyads and points; qudit words are evaluated with the d-level
+    adapted operators.  A stack gives each moment for every point on a
+    leading point axis, (P, ...); one state is the P = 1 case without that
+    axis.  No truncation enters.
     """
 
-    def __init__(self, states):
-        one = isinstance(states, (HybridState, ThermalHybridState))
-        bases, channels = [], []
-        for state in [states] if one else states:
-            if isinstance(state, ThermalHybridState):
-                state, params = state.base, state.params
-            elif isinstance(state, HybridState):
-                require_coherent(state, "the exact moment route")
-                params = IDENTITY_CHANNEL
-            else:
-                raise TypeError("SymbolicMomentProvider needs HybridStates or ThermalHybridStates")
-            bases.append(state)
-            channels.append(np.stack([np.broadcast_to(x, (state.points,))
-                                      for x in (params.eta, params.n_th)], axis=1))
-        layout = {(base.sites, base.counts, base.columns[0]) for base in bases}
-        if len(layout) != 1:
-            raise ValueError("stacked states must share their qudit dimension and branch layout")
-        self._single = one and bases[0].single
-        self.qudit_dim = bases[0].qudit_dim
-        levels = np.array(bases[0].columns[0])
+    def __init__(self, state):
+        if isinstance(state, ThermalHybridState):
+            state, params = state.base, state.params
+        elif isinstance(state, HybridState):
+            require_coherent(state, "the exact moment route")
+            params = IDENTITY_CHANNEL
+        else:
+            raise TypeError("SymbolicMomentProvider needs HybridStates or ThermalHybridStates")
+        self._single = state.single
+        self.qudit_dim = state.qudit_dim
+        levels = np.array(state.columns[0])
         # every branch pair (i, j) of every term t, for |m_i><m_j| x Y(|alpha_i><alpha_j|)
-        ends = np.cumsum(bases[0].counts)
-        t, i, j = np.array([(t, i, j) for t, (end, count) in enumerate(zip(ends, bases[0].counts))
+        ends = np.cumsum(state.counts)
+        t, i, j = np.array([(t, i, j) for t, (end, count) in enumerate(zip(ends, state.counts))
                             for i in range(end - count, end)
                             for j in range(end - count, end)]).reshape(-1, 3).T
-        p, c = (np.concatenate([getattr(base, x) for base in bases]) for x in "pc")
-        amps = np.concatenate([base.amps[0][:, list(base.columns[1])] for base in bases])
-        self._weights = p[:, t] * c[:, i] * np.conj(c[:, j])
+        amps = state.amps[0][:, list(state.columns[1])]
+        self._weights = state.p[:, t] * state.c[:, i] * np.conj(state.c[:, j])
         self._alpha, self._beta = amps[:, i], amps[:, j]
         self._m, self._mp = levels[None, i], levels[None, j]  # (1, D), shared by every point
-        self._channel = np.concatenate(channels).T[..., None]  # eta and n_th, (2, P, 1)
+        self._channel = np.stack([np.broadcast_to(x, (state.points,))
+                                  for x in (params.eta, params.n_th)])[..., None]  # (2, P, 1)
 
     def __call__(self, a_words, b_words):
         wb, ib = _qudit_words(self.qudit_dim, b_words)
@@ -423,17 +413,22 @@ def optimal_alpha():
 
 
 def _bisect(f, lo, hi, xtol):
-    """Root of f between lo and hi, where f changes sign, by bisection.
+    """Roots of f between lo and hi (arrays broadcast), where f changes sign, by bisection.
 
-    Stops as brentq does: once hi - lo <= xtol + 4 eps |mid|, or once the
-    midpoint is an endpoint, so it ends on axes whose ulp exceeds xtol.
+    f is called on every element at once, once for lo and once per step.
+    Each element stops as brentq does: once hi - lo <= xtol + 4 eps |mid|,
+    or once the midpoint is an endpoint, so it ends on axes whose ulp
+    exceeds xtol; a stopped element keeps its bracket.
     """
     lo_negative = f(lo) < 0.0
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol + 4.0 * np.finfo(float).eps * abs(mid) or mid in (lo, hi):
+        done = ((hi - lo <= xtol + 4.0 * np.finfo(float).eps * np.abs(mid))
+                | (mid == lo) | (mid == hi))
+        if done.all():
             return mid
-        lo, hi = (mid, hi) if (f(mid) < 0.0) == lo_negative else (lo, mid)
+        left = done | ((f(mid) < 0.0) != lo_negative)  # the root is left of mid, or stopped
+        lo, hi = np.where(left, lo, mid), np.where(left & ~done, mid, hi)
 
 
 def _sqrtn_sum(y):
@@ -524,31 +519,28 @@ def witness_region(det_fn, grid, boundary_axis=None):
     """Evaluate a determinant over a parameter grid and mark the witnessed region.
 
     grid is an ordered mapping name -> 1-d values; det_fn takes the named
-    parameters as keywords.  With boundary_axis set, sign changes along that
-    axis are refined by bisection and returned as boundary samples.
+    parameters as keywords and must broadcast, as every determinant here
+    does: it is called once on the whole grid.  With boundary_axis set, the
+    sign changes along that axis are refined by bisecting every cell at
+    once (one call per step) and returned as boundary samples.
     """
     names = list(grid.keys())
     axes = [np.asarray(grid[k], dtype=float) for k in names]
-    shape = tuple(len(v) for v in axes)
-    values = np.empty(shape)
-    for pos in np.ndindex(*shape):
-        point = {k: axes[i][pos[i]] for i, k in enumerate(names)}
-        values[pos] = det_fn(**point)
+    values = np.empty(tuple(len(v) for v in axes))
+    values[...] = det_fn(**dict(zip(names, np.meshgrid(*axes, indexing="ij"))))
     verdict = values < -INCONCLUSIVE_BAND
     inconclusive = np.abs(values) <= INCONCLUSIVE_BAND
     boundary = []
     if boundary_axis is not None:
         ax = names.index(boundary_axis)
         moved = np.moveaxis(values, ax, -1)
-        for pos in np.ndindex(*moved.shape[:-1]):
-            line = moved[pos]
-            for k in range(len(line) - 1):
-                if np.sign(line[k]) * np.sign(line[k + 1]) < 0:
-                    lo, hi = axes[ax][k], axes[ax][k + 1]
-                    fixed = {names[i]: axes[i][pos[i if i < ax else i - 1]]
-                             for i in range(len(names)) if i != ax}
-                    f = lambda t: det_fn(**{**fixed, boundary_axis: t})
-                    root = _bisect(f, lo, hi, BOUNDARY_XTOL)
-                    boundary.append({**fixed, boundary_axis: root})
+        *pos, k = np.nonzero(np.sign(moved[..., :-1]) * np.sign(moved[..., 1:]) < 0)
+        others = [i for i in range(len(names)) if i != ax]
+        fixed = {names[i]: axes[i][p] for i, p in zip(others, pos)}
+        if len(k):
+            roots = _bisect(lambda t: det_fn(**{**fixed, boundary_axis: t}),
+                            axes[ax][k], axes[ax][k + 1], BOUNDARY_XTOL)
+            boundary = [dict(zip([*fixed, boundary_axis], cell))
+                        for cell in zip(*fixed.values(), roots)]
     return WitnessRegion(tuple((k, axes[i]) for i, k in enumerate(names)),
                          values, verdict, inconclusive, tuple(boundary))

@@ -493,7 +493,7 @@ def test_workers_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert not figures.exists()
 
 
-def test_sweep_fallback_measures_the_states_the_stacked_build_made(monkeypatch):
+def test_sweep_fallback_measures_the_states_the_stacked_build_made():
     # alpha = 1e-7 collapses the cat to one dimension per site, so the stacked concurrence
     # raises and the chunk is measured again point by point
     import hyqent.cli
@@ -511,9 +511,6 @@ def test_sweep_fallback_measures_the_states_the_stacked_build_made(monkeypatch):
             expected.append(exc)
             break
     assert isinstance(expected[-1], Exception) and len(expected) == 5
-    calls = []
-    monkeypatch.setattr(hyqent.cli, "build_state",
-                        lambda *args: calls.append(args) or build_state(*args))
     cells = hyqent.cli._sweep_chunk(("two-mode-cat", {}, names, points, outputs))
     got = [row[0] for row in cells[:len(expected)]]
     assert np.array(got[:-1]).tobytes() == np.array(expected[:-1]).tobytes()
@@ -521,4 +518,50 @@ def test_sweep_fallback_measures_the_states_the_stacked_build_made(monkeypatch):
     with pytest.raises(type(expected[-1])) as raised:
         hyqent.cli.run_sweep("two-mode-cat", {}, axes, outputs)
     assert str(raised.value) == str(expected[-1])
-    assert calls == []
+
+
+@pytest.mark.parametrize("family, axes, measure", [
+    ("squeezed-binary-coherent", [("alpha", [0.3, 0.8, 1.2]), ("r", [0.0, 0.2, 0.5])],
+     "concurrence"),
+    ("qubit-qumode", [("c", [0.3, 0.6, 0.9]), ("phi", [0.0, 1.0, 2.0])], "negativity"),
+])
+def test_a_sweep_of_a_family_with_no_stacked_constructor_is_measured_stacked(
+        monkeypatch, family, axes, measure):
+    import hyqent.cli
+
+    def alone(*args):
+        raise AssertionError("a point was evaluated alone")
+    builds, measured = [], []
+    monkeypatch.setattr(hyqent.cli, "evaluate_output", alone)
+    monkeypatch.setattr(hyqent.cli, "build_state",
+                        lambda *args: builds.append(args) or build_state(*args))
+    stack_measure = hyqent.cli._stack_measure
+    monkeypatch.setattr(hyqent.cli, "_stack_measure",
+                        lambda *args: measured.append(args) or stack_measure(*args))
+    axes = [(name, np.array(values)) for name, values in axes]
+    columns, rows = hyqent.cli.run_sweep(family, {}, axes, [measure])
+    monkeypatch.undo()
+    assert len(builds) == len(rows) == 9
+    assert len(measured) < len(rows)  # one call per template stack
+    for row in rows:
+        alone = hyqent.cli.evaluate_output(measure, family, dict(zip(columns, row[:-1])))
+        assert np.float64(row[-1]).tobytes() == np.float64(alone).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns, as outside tests
+@pytest.mark.parametrize("output, params, axis", [
+    ("mixed24_s1_closed", {"p": 0}, "alpha=0.5,1e200"),
+    ("cat_s1_closed", {"phi": 0.3}, "alpha=0.5,1e200"),
+    ("thermal_s1_closed", {"eta": 0.7, "n_th": 0.1}, "alpha=0.5,1e200"),
+    ("thermal_threshold_closed", {"eta": 0.7}, "alpha=0.5,1e200"),
+    ("squeezed_s1_closed", {"r": 0.3}, "alpha=0.5,1e200"),
+])
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_closed_form_that_yields_nan_exits_2(tmp_path, capsys, output, params, axis, workers):
+    spec = write_spec(tmp_path, {"family": "mixed-24", "params": params})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--axis", axis, "--output", output, "--out", str(out),
+                 "--workers", workers]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output {output!r} is nan: its arithmetic overflowed or is undefined"]
+    assert not out.exists()

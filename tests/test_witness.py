@@ -432,9 +432,15 @@ def test_rows_only_minors_are_the_full_matrix_minors(state, d):
     full = sv_moment_matrix(provider, 2, qudit_dim=d)
     assert moment_minor(provider, S1_INDICES) == s1_minor(full)
     assert moment_minor(provider, S2_INDICES) == s2_minor(full)
-    # a stack of the state and a rescaled copy holds the same values in its first row
+    # a stack of the state and its base (on the identity channel) holds the same values in
+    # its first row
     base = state.base if isinstance(state, ThermalHybridState) else state
-    stacked = SymbolicMomentProvider([state, base])
+    stacked = HybridState.join([base, base])
+    if isinstance(state, ThermalHybridState):
+        eta, n_th = state.params.eta, state.params.n_th
+        stacked = ThermalHybridState(stacked, ThermalChannelParams(np.array([eta, 1.0]),
+                                                                   np.array([n_th, 0.0])))
+    stacked = SymbolicMomentProvider(stacked)
     assert moment_minor(stacked, S1_INDICES)[0] == s1_minor(full)
     assert moment_minor(stacked, S2_INDICES).shape == (2,)
 
@@ -601,6 +607,67 @@ def test_swap_witness_values(rng):
     assert swap_witness(mixed) == pytest.approx(1 / 3, abs=1e-12)
     with pytest.raises(ValueError):
         swap_witness(DensityMatrix(np.eye(6, dtype=complex) / 6, (2, 3)))
+
+
+def _loop_bisect(f, lo, hi, xtol):
+    """The scalar bisection witness_region ran per cell: a root and its f(mid) call count."""
+    lo_negative, steps = f(lo) < 0.0, 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol + 4.0 * np.finfo(float).eps * abs(mid) or mid in (lo, hi):
+            return mid, steps
+        steps += 1
+        lo, hi = (mid, hi) if (f(mid) < 0.0) == lo_negative else (lo, mid)
+
+
+def _loop_region(det_fn, grid, boundary_axis):
+    """witness_region one grid point and one boundary cell at a time; with each cell's steps."""
+    names = list(grid.keys())
+    axes = [np.asarray(grid[k], dtype=float) for k in names]
+    values = np.empty(tuple(len(v) for v in axes))
+    for pos in np.ndindex(*values.shape):
+        values[pos] = det_fn(**{k: axes[i][pos[i]] for i, k in enumerate(names)})
+    ax, boundary, steps = names.index(boundary_axis), [], []
+    moved = np.moveaxis(values, ax, -1)
+    for pos in np.ndindex(*moved.shape[:-1]):
+        line = moved[pos]
+        for k in range(len(line) - 1):
+            if np.sign(line[k]) * np.sign(line[k + 1]) < 0:
+                fixed = {names[i]: axes[i][pos[i if i < ax else i - 1]]
+                         for i in range(len(names)) if i != ax}
+                root, n = _loop_bisect(lambda t: det_fn(**{**fixed, boundary_axis: t}),
+                                       axes[ax][k], axes[ax][k + 1], BOUNDARY_XTOL)
+                boundary.append({**fixed, boundary_axis: root})
+                steps.append(n)
+    return values, boundary, steps
+
+
+# cells of one width stop after one step count; uneven alpha axes make the counts differ,
+# so each cell must stop on its own
+@pytest.mark.parametrize("det_fn, grid, boundary_axis", [
+    (lambda alpha, n_th: thermal_s1(alpha, 2 / 3, n_th),
+     {"alpha": np.geomspace(0.05, 1.5, 30), "n_th": np.linspace(0.0, 0.3, 30)}, "alpha"),
+    (lambda alpha, n_th: thermal_s1(alpha, 2 / 3, n_th),
+     {"alpha": np.linspace(0.05, 1.5, 30), "n_th": np.linspace(0.0, 0.3, 30)}, "n_th"),
+    (mixed24_s1, {"p": np.linspace(0.0, 1.0, 11),
+                  "alpha": np.sort(np.random.default_rng(7).uniform(0.01, 1.5, 20))},
+     "alpha"),
+], ids=["thermal-alpha", "thermal-n_th", "mixed24-alpha"])
+def test_witness_region_evaluates_its_grid_once_and_each_bisection_step_once(
+        det_fn, grid, boundary_axis):
+    calls = []
+    region = witness_region(lambda **kw: calls.append(kw) or det_fn(**kw), grid,
+                            boundary_axis=boundary_axis)
+    values, boundary, steps = _loop_region(det_fn, grid, boundary_axis)
+    assert steps and len(calls) <= 2 + max(steps)
+    assert boundary_axis != "alpha" or min(steps) < max(steps)
+    assert region.values.tobytes() == values.tobytes()
+    assert np.array_equal(region.verdict, values < -1e-12)
+    assert np.array_equal(region.inconclusive, np.abs(values) <= 1e-12)
+    assert len(region.boundary) == len(boundary)
+    for got, want in zip(region.boundary, boundary):
+        assert list(got) == list(want)
+        assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
 
 
 def test_witness_region_verdicts():
