@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ThermalChannelParams, amplitude_damp, apply_thermal
+from .composite import point_values
 from .errors import DegenerateNormalization
 from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet, term_norm
 
@@ -289,8 +290,8 @@ def jcm_generate(alpha, varphi):
     alpha = complex(alpha)
     k0 = SymbolicKet.coherent(alpha * np.exp(1j * varphi))
     k1 = SymbolicKet.coherent(alpha * np.exp(-1j * varphi))
-    s = HybridState.pure(2, [(1 / np.sqrt(2), 0, k0), (1 / np.sqrt(2), 1, k1)])
-    return NamedState("jcm", {"alpha": alpha, "varphi": varphi}, s)
+    return NamedState("jcm", {"alpha": alpha, "varphi": varphi},
+                      qubit_qumode(0.5, 0.0, k0, k1).payload)
 
 
 def project_to_cat(state, sign=+1):
@@ -325,8 +326,7 @@ def g_interaction_state(n, alpha, phi=0.0):
         raise ValueError("n must be a positive integer")
     alpha = complex(alpha)
     a = np.sqrt(n) * alpha
-    s = HybridState.pure(2, [(1 / np.sqrt(2), 0, SymbolicKet.coherent(a)),
-                             (np.exp(1j * phi) / np.sqrt(2), 1, SymbolicKet.coherent(-a))])
+    s = qubit_qumode(0.5, phi, SymbolicKet.coherent(a), SymbolicKet.coherent(-a)).payload
     return NamedState("g-interaction", {"n": int(n), "alpha": alpha, "phi": phi}, s)
 
 
@@ -346,7 +346,7 @@ def qubus_fidelity(alpha, theta, eta):
     """F = (1 + e^{-(1-eta) alpha^2 (1 - cos theta)}) / 2 of the qubus mixture; arrays broadcast."""
     f = 0.5 * (1.0 + np.exp(-(1.0 - np.asarray(eta)) * _abs2(np.asarray(alpha, dtype=complex))
                             * (1.0 - np.cos(theta))))
-    return float(f) if np.ndim(f) == 0 else f
+    return point_values(f)
 
 
 def qubus_state(alpha, theta, eta):
@@ -373,7 +373,7 @@ def qubus_state(alpha, theta, eta):
                                ((COHERENT,) * 3,), w, np.stack(psi(+1.0) + psi(-1.0), axis=1),
                                (amps,), keep=np.repeat(w > 0, 4, axis=1), single=single)
     return _named("qubus", {"alpha": _value(a, single), "theta": theta, "eta": eta}, groups,
-                  single, extra={"fidelity": f[0].item() if single else f})
+                  single, extra={"fidelity": _value(f, single)})
 
 
 # the families whose constructors broadcast over array parameters

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, catalog, composite, compression, fock, measures, witness
-from .catalog import FAMILIES, DiscreteKet, NamedState
+from .catalog import FAMILIES, DiscreteKet, NamedState, _abs2
 from .composite import DensityMatrix
 from .errors import NumericInconsistency, UnsupportedKet
 from .kets import HybridState, SymbolicKet
@@ -128,15 +128,20 @@ def validate_spec(doc):
 
 
 def build_state(family, params):
-    """NamedState for a family id plus parameter dict: one point."""
+    """NamedState for a family id plus parameter dict: one point (_construct with no axes)."""
     if family == "hybrid":
         return NamedState("hybrid", dict(params), _parse_inline_hybrid(params))
+    return _construct(family, params, {})
+
+
+def _construct(family, params, axes):
+    """The family's constructor on params, each parsed, and on axes (arrays by name) as they are."""
     ctor, names = FAMILIES[family]
     kwargs = {}
-    for key, value in params.items():
+    for key, value in [*params.items(), *axes.items()]:
         if key not in names:
             raise SpecError(f"family {family} does not take parameter {key!r}")
-        kwargs[key] = FAMILY_PARSERS.get(key, _as_real)(value, key)
+        kwargs[key] = value if key in axes else FAMILY_PARSERS.get(key, _as_real)(value, key)
     try:
         return ctor(**kwargs)
     except TypeError as exc:
@@ -146,14 +151,14 @@ def build_state(family, params):
 
 
 def _build_stack(family, params, names, points):
-    """[(indices, NamedState)] of a family at the points (rows of values of the axes names).
+    """[(indices, NamedState)] of a family at the points, a (points, names) array of axis values.
 
-    A family in catalog.BROADCASTING is one constructor call that takes
-    every axis as an array, so its NamedState holds one stack per template.
-    Any other family is built point by point (build_state), and the points
-    whose HybridStates share a template are joined into one stack; any
-    other payload stands alone.  A point whose own build raises makes the
-    call raise.
+    A family in catalog.BROADCASTING is one _construct call that takes
+    every axis as an array (each takes numbers only), so its NamedState
+    holds one stack per template.  Any other family is built point by point
+    (build_state), and the points whose HybridStates share a template are
+    joined into one stack; any other payload stands alone.  A point whose
+    own build raises makes the call raise.
     """
     if family not in catalog.BROADCASTING:
         built = [build_state(family, {**params, **dict(zip(names, p))}) for p in points]
@@ -167,17 +172,7 @@ def _build_stack(family, params, names, points):
             state = HybridState.join([built[i].payload for i in index])
             out.append((np.array(index), NamedState(built[index[0]].id, {}, state)))
         return out
-    ctor, keys = FAMILIES[family]
-    columns = np.array(points, dtype=float).reshape(len(points), len(names)).T
-    kwargs = {}
-    for key, value in [*params.items(), *zip(names, columns)]:
-        if key not in keys:
-            raise SpecError(f"family {family} does not take parameter {key!r}")
-        parse = FAMILY_PARSERS.get(key, _as_real)
-        if key in names and parse not in (_as_real, _as_complex):
-            raise SpecError(f"axis {key}: expected numbers")
-        kwargs[key] = value if key in names else parse(value, key)
-    return [(np.arange(len(points)), ctor(**kwargs))]
+    return [(np.arange(len(points)), _construct(family, params, dict(zip(names, points.T))))]
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +286,6 @@ MEASURES = ("concurrence", "negativity", "log_negativity", "purity", "entropy",
 WITNESSES = ("s1", "s2")
 
 
-def _abs2(x):
-    """abs(x) ** 2 as pow takes it at one point, for arrays too."""
-    return np.float_power(np.abs(x), 2.0)
-
-
 # closed-form outputs available to sweeps, keyed by (name) -> fn(p) and a
 # formula string recorded in reproduction manifests; p(key) gives a parameter,
 # a number or an array, and every fn broadcasts
@@ -348,8 +338,9 @@ def _closed_form(name, params, axes=None):
     """A closed form at params (numbers) and axes (finite arrays, by name); arrays broadcast.
 
     An axis stands as it is; any other parameter must be a finite real number.
-    A nan value (an overflow, or an undefined point) raises SpecError; inf
-    stands, as thermal_threshold's at eta >= 1 is a value.
+    numpy's overflow and invalid warnings are held: a nan value (an overflow,
+    or an undefined point) raises SpecError, and inf stands, as
+    thermal_threshold's at eta >= 1 is a value.
     """
     fn, _ = CLOSED_FORMS[name]
 
@@ -360,7 +351,8 @@ def _closed_form(name, params, axes=None):
             raise SpecError(f"output {name!r} needs parameter {key!r} "
                             f"(set it in params or as an axis)")
         return _as_real(params[key], key)
-    value = fn(param)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = fn(param)
     if np.isnan(value).any():
         raise SpecError(f"output {name!r} is nan: its arithmetic overflowed or is undefined")
     return value
@@ -526,17 +518,19 @@ def _sweep_chunk(packed):
 def run_sweep(family, params, axes, outputs, workers=1):
     """Row-major sweep over the axes; deterministic regardless of worker count.
 
-    Every axis value must be finite, and workers at least 1; either is
-    checked before any work.  With workers > 1 each worker evaluates one
-    contiguous chunk of the points (_sweep_chunk), and the rows are the axis
-    columns and the chunks' values stacked once.  The first output, in
-    row-major order, that raises makes the sweep raise that exception, as a
-    point-by-point loop would.
+    Workers must be at least 1, no axis name may repeat, and every axis
+    value must be finite; each is checked before any work.  With workers > 1
+    each worker evaluates one contiguous chunk of the points (_sweep_chunk),
+    and the rows are the axis columns and the chunks' values stacked once.
+    The first output, in row-major order, that raises makes the sweep raise
+    that exception, as a point-by-point loop would.
     """
     if workers < 1:
         raise SpecError(f"--workers must be at least 1, got {workers}")
-    axes = [(name, _finite_axis(name, values)) for name, values in axes]
     names = [n for n, _ in axes]
+    if len(set(names)) < len(names):  # a repeated axis would overwrite the values of the first
+        raise SpecError(f"axis {max(names, key=names.count)} is given more than once")
+    axes = [(name, _finite_axis(name, values)) for name, values in axes]
     grids = np.meshgrid(*[v for _, v in axes], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
     chunks = min(workers, len(points))

@@ -76,10 +76,6 @@ class DensityMatrix:
         vector = vector / nrm[..., None]
         return cls(vector[..., :, None] * vector[..., None, :].conj(), dims)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[-1]
-
     def __repr__(self):
         stack = f", points={self.matrix.shape[0]}" if self.matrix.ndim == 3 else ""
         return f"DensityMatrix(dims={self.dims}{stack})"

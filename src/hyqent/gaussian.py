@@ -42,10 +42,6 @@ class GaussianState:
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "displacement", disp)
 
-    @property
-    def n_modes(self):
-        return self.covariance.shape[0] // 2
-
 
 def symplectic_eigenvalues(gamma):
     """Williamson invariants, the |eigenvalues| of i J^-1 gamma, descending.

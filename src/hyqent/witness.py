@@ -13,6 +13,7 @@ import numpy as np
 
 from .channels import (ThermalChannelParams, ThermalHybridState, require_coherent,
                        thermal_dyad_moments)
+from .composite import point_values
 from .errors import InconsistentMoments, NumericInconsistency
 from .fock import mode_operators
 from .kets import HybridState
@@ -28,12 +29,7 @@ IDENTITY_CHANNEL = ThermalChannelParams(1.0, 0.0)  # the channel a plain HybridS
 
 def heaviside_half(x):
     """Step function with the half-maximum convention Theta(0) = 1/2; arrays broadcast."""
-    return _real(np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5)))
-
-
-def _real(x):
-    """A broadcast result: a Python float at scalar inputs, the array otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
+    return point_values(np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5)))
 
 
 def qudit_mode_operators(d):
@@ -229,14 +225,6 @@ def _ladder_words(dim, words):
     return distinct @ [1, -1, 1, -1], diagonals, index.reshape(np.shape(words)[:-1])
 
 
-@_by_words
-def _qudit_words(dim, words):
-    """Dense (K, dim, dim) view of the words' _ladder_words table, and each row's index into it."""
-    shifts, diagonals, index = _ladder_words(dim, words)
-    stack = np.array([np.eye(dim, k=-s) * d for s, d in zip(shifts, diagonals)], dtype=complex)
-    return stack, index
-
-
 class MatrixMomentProvider:
     """Moments evaluated by matrix products on a two-subsystem density matrix.
 
@@ -244,10 +232,10 @@ class MatrixMomentProvider:
     other factor uses the d-level ladder operators or, with
     qudit_mode='embedded', those of a Fock space EMBED_PAD levels larger,
     with the qudit padded by zeros into it.  rho is held as a (mode, qudit,
-    mode', qudit') tensor; each distinct a-word is one shift and one
-    diagonal (_ladder_words), so a call contracts rho along each word's
-    shifted diagonal and then traces every entry's qudit operator against
-    its b-word.  The word tables of both sides are cached.
+    mode', qudit') tensor; each distinct word of either side is one shift
+    and one diagonal (_ladder_words), so a call contracts rho along each
+    a-word's shifted diagonal and traces the reduced qudit block along each
+    b-word's.  The word tables of both sides are cached.
     """
 
     def __init__(self, rho, mode_subsystem=1, qudit_mode="adapted"):
@@ -266,12 +254,15 @@ class MatrixMomentProvider:
 
     def __call__(self, a_words, b_words):
         shifts, diagonals, ia = _ladder_words(len(self._rho), a_words)
-        wb, ib = _qudit_words(self._rho.shape[1], b_words)
+        b_shifts, b_diagonals, ib = _ladder_words(self._rho.shape[1], b_words)
         # reduced[k, q, q'] = sum_m diagonals[k, m] rho[m, q, m + shifts[k], q'] (0 out of range)
         m = np.arange(len(self._rho))
         shifted = self._rho[m, :, np.clip(m + shifts[:, None], 0, len(m) - 1), :]
         reduced = np.einsum("km,kmqp->kqp", diagonals, shifted)
-        return np.einsum("...qp,...pq->...", reduced[ia], wb[ib])
+        # tr[reduced w] = sum_q reduced[q, q + b_shifts] b_diagonals[q] per entry
+        q = np.arange(self._rho.shape[1])
+        traced = reduced[ia[..., None], q, np.clip(q + b_shifts[ib][..., None], 0, len(q) - 1)]
+        return np.einsum("...q,...q->...", traced, b_diagonals[ib])
 
 
 class SymbolicMomentProvider:
@@ -286,10 +277,10 @@ class SymbolicMomentProvider:
     no loop over points or branches.  Mode words reduce to normal order and
     every normal-ordered pair of every coherent dyad goes through the
     Gaussian closed form thermal_dyad_moments, one broadcast call for all
-    words, dyads and points; qudit words are evaluated with the d-level
-    adapted operators.  A stack gives each moment for every point on a
-    leading point axis, (P, ...); one state is the P = 1 case without that
-    axis.  No truncation enters.
+    words, dyads and points.  A qudit word w of the d-level adapted operators
+    is <m'|w|m> = diagonals[w, m] at m' = m + shifts[w], else 0 (_ladder_words).
+    A stack gives each moment for every point on a leading point axis,
+    (P, ...); one state is the P = 1 case without that axis.  No truncation enters.
     """
 
     def __init__(self, state):
@@ -304,10 +295,9 @@ class SymbolicMomentProvider:
         self.qudit_dim = state.qudit_dim
         levels = np.array(state.columns[0])
         # every branch pair (i, j) of every term t, for |m_i><m_j| x Y(|alpha_i><alpha_j|)
-        ends = np.cumsum(state.counts)
-        t, i, j = np.array([(t, i, j) for t, (end, count) in enumerate(zip(ends, state.counts))
-                            for i in range(end - count, end)
-                            for j in range(end - count, end)]).reshape(-1, 3).T
+        term = np.repeat(np.arange(len(state.counts)), state.counts)
+        i, j = np.nonzero(term[:, None] == term)
+        t = term[i]
         amps = state.amps[0][:, list(state.columns[1])]
         self._weights = state.p[:, t] * state.c[:, i] * np.conj(state.c[:, j])
         self._alpha, self._beta = amps[:, i], amps[:, j]
@@ -316,9 +306,10 @@ class SymbolicMomentProvider:
                                   for x in (params.eta, params.n_th)])[..., None]  # (2, P, 1)
 
     def __call__(self, a_words, b_words):
-        wb, ib = _qudit_words(self.qudit_dim, b_words)
-        # weight * tr[|m><m'| wb] per word, point and dyad
-        qudit = wb[:, self._mp, self._m][ib] * self._weights
+        shifts, diagonals, ib = _ladder_words(self.qudit_dim, b_words)
+        # weight * <m'|w|m> per word, point and dyad: diagonals[w, m] where m' = m + shifts[w]
+        qudit = np.where(self._mp == self._m + shifts[:, None, None],
+                         diagonals[:, self._m], 0.0)[ib] * self._weights
         weights, k, l, n = _normal_order(a_words)
         # every dyad's moment for every normal-ordered power pair up to the largest
         mode = thermal_dyad_moments(self._alpha, self._beta, self._channel,
@@ -360,7 +351,7 @@ def cat_witness_determinants(alpha, phi):
     s1 = -(4.0 * np.float_power(a2, 3.0) * e4 / denom) * (1.0 - e4 * np.cos(phi))
     s2 = -(4.0 * np.float_power(a2, 2.0) * e4 / denom) * (1.0 + e4 * np.cos(phi))
     selected = heaviside_half(np.cos(phi + np.pi)) * s1 + heaviside_half(np.cos(phi)) * s2
-    return _real(s1), _real(s2), _real(selected)
+    return point_values(s1), point_values(s2), point_values(selected)
 
 
 def squeezed_s1(alpha, r):
@@ -372,7 +363,8 @@ def squeezed_s1(alpha, r):
     a2 = np.float_power(np.abs(alpha), 2.0)
     e = np.exp(-4.0 * a2)
     sinh2 = np.float_power(np.sinh(r), 2.0)
-    return _real(sinh2 / 4.0 - e / 2.0 * a2 * np.float_power(np.cosh(r), 2.0) - e / 8.0 * sinh2)
+    return point_values(sinh2 / 4.0 - e / 2.0 * a2 * np.float_power(np.cosh(r), 2.0)
+                        - e / 8.0 * sinh2)
 
 
 def mixed24_s1(p, alpha):
@@ -380,14 +372,15 @@ def mixed24_s1(p, alpha):
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("mixing probability must lie in [0, 1]")
     a2 = np.float_power(alpha, 2.0)
-    return _real(a2 / 2.0 * (p * (1.0 - p) - np.exp(-4.0 * a2) * (1.0 - 1.5 * p * (1.0 - p))))
+    return point_values(a2 / 2.0 * (p * (1.0 - p)
+                                    - np.exp(-4.0 * a2) * (1.0 - 1.5 * p * (1.0 - p))))
 
 
 def thermal_s1(alpha, eta, n_th):
     """Closed-form s1 of the binary-coherent state's thermal-channel output; arrays broadcast."""
     a2 = np.float_power(np.abs(alpha), 2.0)
-    return _real((1.0 - eta) / 4.0 * n_th * (1.0 - np.exp(-4.0 * a2) / 2.0)
-                 - eta * a2 / 2.0 * np.exp(-4.0 * a2))
+    return point_values((1.0 - eta) / 4.0 * n_th * (1.0 - np.exp(-4.0 * a2) / 2.0)
+                        - eta * a2 / 2.0 * np.exp(-4.0 * a2))
 
 
 def thermal_threshold(alpha, eta):
@@ -399,8 +392,8 @@ def thermal_threshold(alpha, eta):
     below = np.asarray(eta) < 1.0
     a2 = np.float_power(np.where(below, np.abs(alpha), 0.0), 2.0)
     eta = np.where(below, eta, 0.0)
-    return _real(np.where(below, 4.0 * eta * a2 / ((1.0 - eta) * (2.0 * np.exp(4.0 * a2) - 1.0)),
-                          np.inf))
+    return point_values(np.where(
+        below, 4.0 * eta * a2 / ((1.0 - eta) * (2.0 * np.exp(4.0 * a2) - 1.0)), np.inf))
 
 
 def optimal_alpha():
@@ -462,7 +455,7 @@ def _geometric_damping(x, alpha):
 def geometric_s1_bound(x, alpha):
     """s1_bound of geometric_mixture_s1 alone, with no series; arrays broadcast."""
     a2, _, damp = _geometric_damping(x, alpha)
-    return _real(a2 / 8.0 * (2.0 * x / (1.0 - x) - damp * damp * (3.0 + 1.0 / (1.0 - x))))
+    return point_values(a2 / 8.0 * (2.0 * x / (1.0 - x) - damp * damp * (3.0 + 1.0 / (1.0 - x))))
 
 
 def geometric_mixture_s1(x, alpha):
@@ -481,7 +474,7 @@ def geometric_mixture_s1(x, alpha):
     c = pref * _sqrtn_sum(x)
     s1 = (2.0 * a2 / (1.0 - x) - 2.0 * damp * b * c - b * b - 2.0 * c * c
           - a2 / (1.0 - x) * damp * damp) / 8.0
-    return _real(s1), geometric_s1_bound(x, alpha)
+    return point_values(s1), geometric_s1_bound(x, alpha)
 
 
 # ---------------------------------------------------------------------------

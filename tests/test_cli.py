@@ -48,6 +48,28 @@ def test_classify_thermal_is_truly_hybrid(tmp_path, capsys):
     assert "truly-hybrid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("family", ["ghz", "w"])
+def test_classify_a_discrete_variable_state(tmp_path, capsys, family):
+    assert main(["classify", write_spec(tmp_path, {"family": family})]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"family: {family}", "classification: discrete-variable state",
+        "effective dimensions: 2 x 2 x 2"]
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_parameter_the_family_does_not_take_exits_2(tmp_path, capsys, workers):
+    spec = write_spec(tmp_path, {"family": "binary-coherent",
+                                 "params": {"alpha": 1.0, "beta": 0.5}})
+    error = ["error: family binary-coherent does not take parameter 'beta'"]
+    assert main(["measure", spec, "--measure", "concurrence"]) == 2
+    assert capsys.readouterr().err.splitlines() == error
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--axis", "phi=0,1", "--output", "concurrence",
+                 "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err.splitlines() == error
+    assert not out.exists()
+
+
 def test_classify_malformed_spec_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -471,6 +493,23 @@ def test_classify_expands_each_mode_site_once(tmp_path, capsys, monkeypatch, doc
     assert "effective dimensions: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_repeated_sweep_axis_exits_2_before_any_work(tmp_path, capsys, monkeypatch, workers):
+    # a second alpha axis would overwrite the first at every point, under the first's column
+    import hyqent.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep did work")
+    monkeypatch.setattr(hyqent.cli, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(hyqent.cli, "_sweep_chunk", no_work)
+    spec = write_spec(tmp_path, {"family": "binary-coherent", "params": {}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--axis", "alpha=0.1,0.2", "--axis", "alpha=0.9",
+                 "--output", "concurrence", "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: axis alpha is given more than once"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch, workers):
     import hyqent.cli
@@ -548,7 +587,6 @@ def test_a_sweep_of_a_family_with_no_stacked_constructor_is_measured_stacked(
         assert np.float64(row[-1]).tobytes() == np.float64(alone).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns, as outside tests
 @pytest.mark.parametrize("output, params, axis", [
     ("mixed24_s1_closed", {"p": 0}, "alpha=0.5,1e200"),
     ("cat_s1_closed", {"phi": 0.3}, "alpha=0.5,1e200"),

@@ -763,8 +763,6 @@ def test_ladder_word_tables_are_the_matrix_power_products(dim, order):
     dense = np.zeros((len(shifts), dim, dim), dtype=complex)
     dense[k, rows[k, n], n] = diagonals[k, n]
     got = dense[index]
-    stack, stack_index = hyqent.witness._qudit_words(dim, words)
-    assert np.array_equal(stack[stack_index], got)
     ref = np.array([_dense_word(dim, tuple(w)) for w in words.reshape(-1, 4)]).reshape(got.shape)
     if dim <= 3:
         assert np.array_equal(got, ref)
