@@ -22,8 +22,6 @@ from .composite import DensityMatrix
 from .errors import NumericInconsistency, UnsupportedKet
 from .kets import HybridState, SymbolicKet
 
-SPEC_KEYS = {"family", "params"}
-
 
 class SpecError(ValueError):
     """Malformed state spec or command input (exit code 2)."""
@@ -67,6 +65,16 @@ KET_KINDS = {
 }
 
 
+def _spec_object(obj, keys, what):
+    """obj, if it is a JSON object whose keys are all in keys (else SpecError naming what)."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{what} must be a JSON object")
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise SpecError(f"unknown {what} keys {sorted(unknown)}")
+    return obj
+
+
 def _parse_ket(obj, where):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError(f"{where}: ket must be an object with a 'kind'")
@@ -74,9 +82,7 @@ def _parse_ket(obj, where):
     if not isinstance(kind, str) or kind not in KET_KINDS:
         raise SpecError(f"{where}: unknown ket kind {kind!r}; valid: {', '.join(KET_KINDS)}")
     ctor, keys = KET_KINDS[kind]
-    extra = set(obj) - {"kind", *keys}
-    if extra:
-        raise SpecError(f"{where}: {kind} kets take only {list(keys)}, not {sorted(extra)}")
+    _spec_object(obj, {"kind", *keys}, f"{where} {kind} ket")
     return ctor(*(parse(obj.get(key, default), f"{where}.{key}")
                   for key, (parse, default) in keys.items()))
 
@@ -88,13 +94,16 @@ FAMILY_PARSERS = {"alpha": _as_complex, "q": _as_complex, "q_phi": _as_complex,
 
 def _parse_inline_hybrid(params):
     try:
+        _spec_object(params, ("qudit_dim", "terms"), "params")
         d = _as_int(params["qudit_dim"], "qudit_dim")
         terms = []
         for i, term in enumerate(params["terms"]):
-            branches = [(_as_complex(b["c"], f"terms[{i}]"), _as_int(b["m"], f"terms[{i}]"),
-                         _parse_ket(b["ket"], f"terms[{i}]"))
-                        for b in term["branches"]]
-            terms.append((_as_real(term["p"], f"terms[{i}]"), branches))
+            where = f"terms[{i}]"
+            branches = [_spec_object(b, ("c", "m", "ket"), f"{where} branch")
+                        for b in _spec_object(term, ("p", "branches"), where)["branches"]]
+            terms.append((_as_real(term["p"], where), [
+                (_as_complex(b["c"], where), _as_int(b["m"], where), _parse_ket(b["ket"], where))
+                for b in branches]))
         return HybridState(d, terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"invalid inline hybrid state: {exc}") from exc
@@ -112,11 +121,7 @@ def load_spec(path):
 
 
 def validate_spec(doc):
-    if not isinstance(doc, dict):
-        raise SpecError("spec must be a JSON object")
-    unknown = set(doc) - SPEC_KEYS
-    if unknown:
-        raise SpecError(f"unknown spec keys {sorted(unknown)}")
+    _spec_object(doc, ("family", "params"), "spec")
     family = doc.get("family")
     if family != "hybrid" and family not in FAMILIES:
         raise SpecError(f"unknown family {family!r}; valid: "
@@ -489,9 +494,8 @@ def _sweep_chunk(packed):
     and output in row-major order, up to the first that raises, so a
     failing sweep raises what that point raises alone.
 
-    Returns the (points, outputs) array of values; when a point fails, the
-    rows of values up to that point instead, the last one ending with the
-    first exception in row-major order.
+    Returns the (points, outputs) array of values, or the first exception
+    in row-major order.
     """
     family, base_params, names, points, outputs = packed
     points = np.asarray(points, dtype=float).reshape(len(points), len(names))
@@ -505,13 +509,12 @@ def _sweep_chunk(packed):
         return values
     except Exception:  # the reference loop finds the point that raises first
         pass
-    for i, point in enumerate(points):
-        params = {**base_params, **dict(zip(names, point))}
-        for j, out in enumerate(outputs):
-            try:
-                values[i, j] = evaluate_output(out, family, params)
-            except Exception as exc:  # kept; run_sweep raises the first in row-major order
-                return [*values[:i].tolist(), [*values[i, :j].tolist(), exc]]
+    try:
+        for i, point in enumerate(points):
+            params = {**base_params, **dict(zip(names, point))}
+            values[i] = [evaluate_output(out, family, params) for out in outputs]
+    except Exception as exc:  # returned; run_sweep raises it
+        return exc
     return values
 
 
@@ -523,7 +526,8 @@ def run_sweep(family, params, axes, outputs, workers=1):
     each worker evaluates one contiguous chunk of the points (_sweep_chunk),
     and the rows are the axis columns and the chunks' values stacked once.
     The first output, in row-major order, that raises makes the sweep raise
-    that exception, as a point-by-point loop would.
+    that exception, as a point-by-point loop would: each chunk returns its
+    first, and the first chunk to return one decides.
     """
     if workers < 1:
         raise SpecError(f"--workers must be at least 1, got {workers}")
@@ -542,8 +546,8 @@ def run_sweep(family, params, axes, outputs, workers=1):
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_sweep_chunk, jobs))
     for result in results:
-        if not isinstance(result, np.ndarray):
-            raise result[-1][-1]
+        if isinstance(result, Exception):
+            raise result
     return names + list(outputs), np.column_stack([points, np.concatenate(results)]).tolist()
 
 

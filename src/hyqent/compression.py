@@ -148,53 +148,41 @@ class Stack(NamedTuple):
         return self.state.is_pure
 
 
-def stacks(states):
-    """Split HybridStates into the stacks that compress together.
+def stacks(state):
+    """Split one HybridState (a stack of one template, or one state) into Stacks by pivots.
 
-    states is one HybridState (a stack of one template, or one state) or a
-    sequence of HybridStates, which are joined by template first.  Two points
-    share a stack when they share a template and the pivots of each mode
-    site's Gram factorization, so that only amplitudes, coefficients and
-    weights differ.  Each template's Gram matrices are built from its stored
-    amplitudes and factorized as one stack.  Returns (indices, Stack) pairs,
-    with the indices (an array) into the points, a sequence's points in order,
-    increasing.
+    Two points share a Stack when they share the pivots of each mode site's
+    Gram factorization, which is built from the stored amplitudes and
+    factorized once.  Returns (indices, Stack) pairs, with the indices (an
+    array) into the points, increasing.
     """
-    if isinstance(states, HybridState):
-        groups = [(np.arange(states.points), states)]
-    else:
-        members, start = {}, 0
-        for state in states:
-            members.setdefault(state.template, []).append((start, state))
-            start += state.points
-        groups = [(np.concatenate([np.arange(i, i + s.points) for i, s in group]),
-                   group[0][1] if len(group) == 1 else HybridState.join([s for _, s in group]))
-                  for group in members.values()]
-    out = []
-    for index, state in groups:
-        modes = [a for a, site in enumerate(state.sites) if site == MODE]
-        factors = [(axis, *_factor(gram_matrix(_family(forms, amps))))
-                   for axis, forms, amps in zip(modes, state.forms, state.amps)]
-        parts = [slice(None)]
-        if state.points > 1 and factors:
-            pivots = np.concatenate([pivot for _, _, pivot in factors], axis=1)
-            if (pivots != pivots[:1]).any():
-                _, pattern = np.unique(pivots, axis=0, return_inverse=True)
-                parts = [np.flatnonzero(pattern.ravel() == g) for g in range(pattern.max() + 1)]
-        for sel in parts:
-            expansions = tuple((axis, _coefficients(rows[sel], pivot[sel][0]))
-                               for axis, rows, pivot in factors)
-            part = state if isinstance(sel, slice) else state.take(sel)
-            out.append((index[sel], Stack(part, expansions)))
-    return out
+    modes = [a for a, site in enumerate(state.sites) if site == MODE]
+    factors = [(axis, *_factor(gram_matrix(_family(forms, amps))))
+               for axis, forms, amps in zip(modes, state.forms, state.amps)]
+    parts = [slice(None)]
+    if state.points > 1 and factors:
+        pivots = np.concatenate([pivot for _, _, pivot in factors], axis=1)
+        if (pivots != pivots[:1]).any():
+            _, pattern = np.unique(pivots, axis=0, return_inverse=True)
+            parts = [np.flatnonzero(pattern.ravel() == g) for g in range(pattern.max() + 1)]
+    return [(np.arange(state.points)[sel],
+             Stack(state if isinstance(sel, slice) else state.take(sel),
+                   tuple((axis, _coefficients(rows[sel], pivot[sel][0]))
+                         for axis, rows, pivot in factors)))
+            for sel in parts]
 
 
 def _as_stack(state):
-    """The Stack of a state, and whether it is one state (whose results have no point axis)."""
+    """The Stack of a state, and whether it is one state (whose results have no point axis).
+
+    A HybridState stack whose points differ in Gram pivots raises ValueError.
+    """
     if isinstance(state, Stack):
         return state, False
-    [(_, stack)] = stacks(state)
-    return stack, state.single
+    groups = stacks(state)
+    if len(groups) > 1:
+        raise ValueError("the states differ in Gram pivots; compress each of compression.stacks")
+    return groups[0][1], state.single
 
 
 def _outer(factors):

@@ -179,6 +179,74 @@ def test_ket_keys_and_values_a_kind_cannot_hold_exit_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _cat_hybrid(params=None, term=None, branch=None, ket=None):
+    """Inline binary-coherent spec at alpha = 1 with extra keys at any level."""
+    c = 0.7071067811865476
+    branches = [{"c": c, "m": 0, "ket": {"kind": "coherent", "alpha": 1.0, **(ket or {})},
+                 **(branch or {})}, {"c": c, "m": 1, "ket": {"kind": "coherent", "alpha": -1.0}}]
+    return {"family": "hybrid", "params": {"qudit_dim": 2, "terms": [
+        {"p": 1.0, "branches": branches, **(term or {})}], **(params or {})}}
+
+
+@pytest.mark.parametrize("doc, shown", [
+    (_cat_hybrid(params={"alpha": 3}), "unknown params keys ['alpha']"),
+    (_cat_hybrid(term={"extra": 1}), "unknown terms[0] keys ['extra']"),
+    (_cat_hybrid(branch={"zzz": 4}), "unknown terms[0] branch keys ['zzz']"),
+    (_cat_hybrid(ket={"n": 2}), "unknown terms[0] coherent ket keys ['n']"),
+    ({**_cat_hybrid(), "extra": 1}, "unknown spec keys ['extra']")])
+def test_unknown_keys_at_every_level_of_an_inline_hybrid_exit_2(tmp_path, capsys, doc, shown):
+    assert main(["measure", write_spec(tmp_path, _cat_hybrid()), "--measure", "concurrence"]) == 0
+    capsys.readouterr()
+    assert main(["measure", write_spec(tmp_path, doc), "--measure", "concurrence"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and shown in line
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_sweep_axis_an_inline_hybrid_does_not_take_exits_2(tmp_path, capsys, workers):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", write_spec(tmp_path, _cat_hybrid()), "--axis", "alpha=0.1,0.9",
+                 "--output", "concurrence", "--out", str(out), "--workers", workers]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: invalid inline hybrid state: unknown params keys ['alpha']"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, code, shown", [
+    (["measure", "{cat}", "--measure", "foo"], 2, "unknown measure 'foo'"),
+    (["measure", "{list}", "--measure", "concurrence"], 2, "spec must be a JSON object"),
+    (["measure", "{params}", "--measure", "concurrence"], 2, "params must be an object"),
+    (["measure", "{ket}", "--measure", "concurrence"], 2, "ket must be an object"),
+    (["measure", "{missing}", "--measure", "concurrence"], 2, "cannot read spec"),
+    (["measure", "{no_phi}", "--measure", "concurrence"], 2, "bad parameters for two-mode-cat"),
+    (["sweep", "{cat}", "--axis", "alpha", "--output", "concurrence"], 2, "axis 'alpha'"),
+    (["sweep", "{cat}", "--axis", "alpha=0:1", "--output", "concurrence"], 2, "range form"),
+    (["sweep", "{cat}", "--axis", "alpha=0:1:0", "--output", "concurrence"], 2, "count must"),
+    (["sweep", "{cat}", "--axis", "phi=0", "--output", ","], 2, "needs at least one --output"),
+    (["sweep", "{cat}", "--axis", "phi=0", "--output", "foo"], 2, "unknown output 'foo'"),
+    (["reproduce", "det-24", "--out-dir", "{file}/figures"], 4, "cannot create")])
+def test_cli_input_errors_exit_with_one_error_line(tmp_path, capsys, args, code, shown):
+    paths = {
+        "cat": write_spec(tmp_path, {"family": "two-mode-cat",
+                                     "params": {"alpha": 1.0, "phi": 0.0}}, "cat.json"),
+        "list": write_spec(tmp_path, [1], "list.json"),
+        "params": write_spec(tmp_path, {"family": "binary-coherent", "params": [1]},
+                             "params.json"),
+        "ket": write_spec(tmp_path, _one_branch(5), "ket.json"),
+        "missing": str(tmp_path / "missing.json"),
+        "no_phi": write_spec(tmp_path, {"family": "two-mode-cat", "params": {"alpha": 1.0}},
+                             "no_phi.json"),
+        "file": write_spec(tmp_path, {}, "file")}
+    out = tmp_path / "sweep.csv"
+    args = [a.format(**paths) for a in args]
+    if args[0] == "sweep":
+        args += ["--out", str(out)]
+    assert main(args) == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and shown in line
+    assert not out.exists()
+
+
 def test_ket_specs_take_integral_floats_and_default_missing_keys():
     def ket(spec):
         return build_state("hybrid", _one_branch(spec)["params"]).payload.kets()[0]
@@ -550,10 +618,8 @@ def test_sweep_fallback_measures_the_states_the_stacked_build_made():
             expected.append(exc)
             break
     assert isinstance(expected[-1], Exception) and len(expected) == 5
-    cells = hyqent.cli._sweep_chunk(("two-mode-cat", {}, names, points, outputs))
-    got = [row[0] for row in cells[:len(expected)]]
-    assert np.array(got[:-1]).tobytes() == np.array(expected[:-1]).tobytes()
-    assert type(got[-1]) is type(expected[-1]) and str(got[-1]) == str(expected[-1])
+    got = hyqent.cli._sweep_chunk(("two-mode-cat", {}, names, points, outputs))
+    assert type(got) is type(expected[-1]) and str(got) == str(expected[-1])
     with pytest.raises(type(expected[-1])) as raised:
         hyqent.cli.run_sweep("two-mode-cat", {}, axes, outputs)
     assert str(raised.value) == str(expected[-1])

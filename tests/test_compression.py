@@ -148,6 +148,15 @@ def test_geometric_truncation_records_weight():
     assert classify(truncated).kind == Classification.MIXED
 
 
+def test_a_stack_whose_points_differ_in_pivots_does_not_compress_as_one():
+    # alpha = 1e-7 collapses the kets to one pivot, 0.5 and 0.9 keep two
+    [(_, state)] = binary_coherent(np.array([0.5, 1e-7, 0.9])).payload
+    for compress_fn in (compress, compress_vector):
+        with pytest.raises(ValueError, match=r"the states differ in Gram pivots; "
+                                             r"compress each of compression\.stacks"):
+            compress_fn(state)
+
+
 def test_compress_vector_two_mode_cat():
     v, dims = compress_vector(two_mode_cat(1.0, 0.0).payload)
     assert dims == (2, 2)
