@@ -139,16 +139,19 @@ def build_state(family, params):
     return _construct(family, params, {})
 
 
+def _check_parameter(family, key):
+    if key not in FAMILIES[family][1]:
+        raise SpecError(f"family {family} does not take parameter {key!r}")
+
+
 def _construct(family, params, axes):
     """The family's constructor on params, each parsed, and on axes (arrays by name) as they are."""
-    ctor, names = FAMILIES[family]
     kwargs = {}
     for key, value in [*params.items(), *axes.items()]:
-        if key not in names:
-            raise SpecError(f"family {family} does not take parameter {key!r}")
+        _check_parameter(family, key)
         kwargs[key] = value if key in axes else FAMILY_PARSERS.get(key, _as_real)(value, key)
     try:
-        return ctor(**kwargs)
+        return FAMILIES[family][0](**kwargs)
     except TypeError as exc:
         raise SpecError(f"bad parameters for {family}: {exc}") from exc
     except ValueError as exc:
@@ -344,8 +347,8 @@ def _closed_form(name, params, axes=None):
 
     An axis stands as it is; any other parameter must be a finite real number.
     numpy's overflow and invalid warnings are held: a nan value (an overflow,
-    or an undefined point) raises SpecError, and inf stands, as
-    thermal_threshold's at eta >= 1 is a value.
+    or an undefined point) raises SpecError, and so does an inf, naming the
+    first point that gives it, but thermal_threshold's, its value at eta >= 1.
     """
     fn, _ = CLOSED_FORMS[name]
 
@@ -360,6 +363,10 @@ def _closed_form(name, params, axes=None):
         value = fn(param)
     if np.isnan(value).any():
         raise SpecError(f"output {name!r} is nan: its arithmetic overflowed or is undefined")
+    inf = np.isinf(value) & (name != "thermal_threshold_closed")
+    if inf.any():
+        point = {**params, **{key: v[np.argmax(inf)] for key, v in (axes or {}).items()}}
+        raise SpecError(f"output {name!r} overflows to inf at {json.dumps(_jsonable(point))}")
     return value
 
 
@@ -582,6 +589,9 @@ def cmd_sweep(args):
     for out in outputs:
         if out not in CLOSED_FORMS and out not in MEASURES:
             raise SpecError(f"unknown output {out!r}")
+    # before any point, for closed forms alone too; an inline hybrid checks its own keys
+    for key in [*spec["params"], *(name for name, _ in axes)] if spec["family"] in FAMILIES else ():
+        _check_parameter(spec["family"], key)
     t0 = time.monotonic()
     columns, rows = run_sweep(spec["family"], spec["params"], axes, outputs,
                               workers=args.workers)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .channels import ThermalHybridState
 from .composite import DensityMatrix
-from .kets import MODE, HybridState, InfiniteHybridFamily, SymbolicKet, _family, gram_matrix
+from .kets import (MODE, HybridState, InfiniteHybridFamily, SymbolicKet, _family, _read_only_cache,
+                   gram_matrix)
 
 DEPENDENCE_TOL = 1e-12
 
@@ -191,25 +192,13 @@ def _outer(factors):
                   factors)
 
 
-def _term_vectors(stack):
-    """Compressed vectors of the terms of a Stack, (P, terms, D), and the effective dims.
-
-    Each mode site becomes its orthonormal basis, and each branch lands by
-    index: its qudit levels select one entry per qudit axis, and its
-    coefficient times the outer product of the rows of its kets fills the mode
-    axes.  Branches that land on one block add up in branch order.  Terms on a
-    layout of mode sites only are normalized through the ket overlaps and
-    renormalized here.
-    """
-    sites, counts, columns, _ = stack.state.template
+@_read_only_cache
+def _placement(sites, counts, columns):
+    """Where _term_vectors puts a template's branches: each mode site's slot column, per rank
+    among the branches of one term and levels the branches and their (term, levels) targets,
+    the work array's term and qudit axes, and the transpose that puts its axes in site order."""
     modes = [a for a, site in enumerate(sites) if site == MODE]
     qudits = [a for a, site in enumerate(sites) if site != MODE]
-    rows = [coeffs.matrix for _, coeffs in stack.expansions]
-    c = stack.state.c
-    blocks = _outer([m[:, columns[a]] for a, m in zip(modes, rows)])
-    blocks = c.reshape(c.shape + (1,) * len(modes)) * blocks
-    # work holds the qudit axes before the mode axes; a branch's rank among the
-    # branches with its term and levels orders the additions onto one block
     terms = [t for t, count in enumerate(counts) for _ in range(count)]
     rank, seen = [], {}
     for target in zip(terms, *[columns[a] for a in qudits]):
@@ -217,14 +206,34 @@ def _term_vectors(stack):
         seen[target] = rank[-1] + 1
     rank = np.array(rank)
     target = [np.array(terms)] + [np.array(columns[a]) for a in qudits]
-    work = np.zeros((len(c), len(counts)) + tuple(sites[a] for a in qudits) + blocks.shape[2:],
-                    dtype=complex)
-    for r in range(rank.max(initial=-1) + 1):
-        sel = np.flatnonzero(rank == r)
-        work[(slice(None),) + tuple(t[sel] for t in target)] += blocks[:, sel]
-    order = [0, 1] + [2 + (qudits + modes).index(a) for a in range(len(sites))]
-    vectors = work.transpose(order).reshape(len(c), len(counts), -1)
-    if not qudits:
+    adds = tuple((sel, tuple(t[sel] for t in target))
+                 for sel in (np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)))
+    return (tuple(np.array(columns[a], dtype=int) for a in modes), adds,
+            (len(counts),) + tuple(sites[a] for a in qudits),
+            (0, 1) + tuple(2 + (qudits + modes).index(a) for a in range(len(sites))))
+
+
+def _term_vectors(stack):
+    """Compressed vectors of the terms of a Stack, (P, terms, D), and the effective dims.
+
+    Each mode site becomes its orthonormal basis, and each branch lands by
+    index (_placement): its qudit levels select one entry per qudit axis, and its
+    coefficient times the outer product of the rows of its kets fills the mode
+    axes.  Branches that land on one block add up in branch order.  Terms on a
+    layout of mode sites only are normalized through the ket overlaps and
+    renormalized here.
+    """
+    slots, adds, axes, order = _placement(*stack.state.template[:3])
+    c = stack.state.c
+    blocks = _outer([coeffs.matrix[:, column]
+                     for column, (_, coeffs) in zip(slots, stack.expansions)])
+    blocks = c.reshape(c.shape + (1,) * len(slots)) * blocks
+    # work holds the term and qudit axes before the mode axes
+    work = np.zeros((len(c),) + axes + blocks.shape[2:], dtype=complex)
+    for sel, target in adds:
+        work[(slice(None),) + target] += blocks[:, sel]
+    vectors = work.transpose(order).reshape(len(c), axes[0], -1)
+    if len(axes) == 1:  # no qudit site
         vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
     return vectors, tuple(work.shape[i] for i in order[2:])
 

@@ -7,7 +7,7 @@ finite-dimensional description.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -301,29 +301,46 @@ def _template(sites, terms):
                 1, len(values)), tuple(amps))
 
 
-def _term_norms(sites, columns, forms, c, amps, sel):
-    """<psi|psi> of one pure term at each point, (P,).
+def _read_only_cache(fn):
+    """lru_cache(maxsize=32) of what a call derives from a template alone; arrays read-only."""
+    def frozen(x):  # x with every array in it (tuples nest) made read-only
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+        return tuple(map(frozen, x)) if isinstance(x, tuple) else x
+    return lru_cache(maxsize=32)(wraps(fn)(lambda *key: frozen(fn(*key))))
 
-    sel lists the term's branches (their columns), and c (P, len(sel)) holds
-    their coefficients: sum_b |c_b|^2 in branch order, plus c_b* c_b' times
-    the pair's per-site Gram entries for each pair b != b' that agrees on
-    every qudit level; on a layout of mode sites only every pair counts.
-    """
-    norm = sum(np.abs(c.T) ** 2, np.zeros(len(c)))  # in branch order, as a loop would add
-    qudits = [a for a, s in enumerate(sites) if s != MODE]
-    levels = [tuple(columns[a][b] for a in qudits) for b in sel]
+
+@_read_only_cache
+def _level_pairs(sites, columns):
+    """None if no two branches of a term (on its own columns) agree on every qudit level; else
+    the mask of those that do, their pair matrix, and per mode site their slots and index."""
+    qudits = [column for column, s in zip(columns, sites) if s != MODE]
+    levels = [tuple(column[b] for column in qudits) for b in range(len(columns[0]))]
     if len(set(levels)) == len(levels):
-        return norm
+        return None
     group = [levels.index(level) for level in levels]
     same = np.equal.outer(group, group) & ~np.eye(len(group), dtype=bool)
     keep = same.any(axis=0)
-    braket = same[np.ix_(keep, keep)].astype(complex)
-    kept = [b for b, k in zip(sel, keep) if k]
-    modes = [a for a, s in enumerate(sites) if s == MODE]
-    for site_forms, site_amps, a in zip(forms, amps, modes):
-        ids = [columns[a][b] for b in kept]
-        distinct = list(dict.fromkeys(ids))
-        index = np.array([distinct.index(i) for i in ids])
+    ids = [[i for i, k in zip(column, keep) if k] for column, s in zip(columns, sites) if s == MODE]
+    slots = [list(dict.fromkeys(site)) for site in ids]
+    return keep, same[np.ix_(keep, keep)].astype(complex), tuple(
+        (np.array(d), np.array([d.index(i) for i in site])) for d, site in zip(slots, ids))
+
+
+def _term_norms(sites, columns, forms, c, amps, sel):
+    """<psi|psi> of one pure term at each point, (P,).
+
+    sel lists the term's branches (a range of columns), and c (P, len(sel)) holds
+    their coefficients: sum_b |c_b|^2 in branch order, plus c_b* c_b' times
+    the pair's per-site Gram entries for each pair b != b' that agrees on
+    every qudit level (_level_pairs); on a layout of mode sites only every pair counts.
+    """
+    norm = sum(np.abs(c.T) ** 2, np.zeros(len(c)))  # in branch order, as a loop would add
+    pairs = _level_pairs(sites, tuple(column[sel.start:sel.stop] for column in columns))
+    if pairs is None:
+        return norm
+    keep, braket, slots = pairs
+    for site_forms, site_amps, (distinct, index) in zip(forms, amps, slots):
         gram = gram_matrix(_family([site_forms[i] for i in distinct], site_amps[:, distinct]))
         braket = braket * gram[:, index[:, None], index]
     ck = c[:, keep]
@@ -366,6 +383,37 @@ def _check(sites, counts, columns, forms, p, c, amps):
     bad = ~(abs(total - 1.0) <= 1e-12)
     if bad.any():
         raise ValueError(f"term probabilities sum to {total[bad][0]}, expected 1")
+
+
+@_read_only_cache
+def _site_masks(sites, columns, forms):
+    """Per mode site: its slot column, and which pairs of its branches share a slot or a form."""
+    slots = [np.array(column, dtype=int) for column, s in zip(columns, sites) if s == MODE]
+    first = [np.array([f.index(f[i]) for i in slot], dtype=int) for slot, f in zip(slots, forms)]
+    return tuple((s, s[:, None] == s, f[:, None] == f) for s, f in zip(slots, first))
+
+
+@_read_only_cache
+def _regroup(sites, counts, columns, forms, row):
+    """What a HybridState.stack signature row (its bytes) keeps: the terms, the branches, per
+    mode site the branches whose kets become the slots, and (counts, columns, forms)."""
+    row, n, i = np.frombuffer(row, dtype=int), sum(counts), 0
+    term_of = np.repeat(np.arange(len(counts)), counts)
+    kept = np.flatnonzero(row[:n])
+    terms = np.array(sorted(set(term_of[kept].tolist())), dtype=int)  # np.unique loads numpy.ma
+    new_columns, new_forms, slots = [], [], []
+    for a, site in enumerate(sites):
+        if site != MODE:
+            new_columns.append(tuple(columns[a][b] for b in kept))
+            continue
+        first = row[n * (i + 1):n * (i + 2)][kept].tolist()
+        distinct = list(dict.fromkeys(first))
+        new_columns.append(tuple(distinct.index(f) for f in first))
+        new_forms.append(tuple(forms[i][columns[a][b]] for b in distinct))
+        slots.append(np.array(distinct, dtype=int))
+        i += 1
+    new_counts = tuple(int((term_of[kept] == t).sum()) for t in terms)
+    return terms, kept, tuple(slots), (new_counts, tuple(new_columns), tuple(new_forms))
 
 
 class HybridState:
@@ -433,16 +481,12 @@ class HybridState:
         the stack of a one-point call as one state.
         """
         keep = np.ones(c.shape, dtype=bool) if keep is None else keep
-        modes = [a for a, s in enumerate(sites) if s == MODE]
         signature, values = [keep], []
-        for a, site_forms, site_amps in zip(modes, forms, amps):
-            column = columns[a]
-            v = site_amps[:, list(column)]
-            same_form = np.array([[site_forms[i] == site_forms[j] for j in column] for i in column])
+        for (column, same_slot, same_form), alphas in zip(_site_masks(sites, columns, forms), amps):
+            v = alphas[:, column]
             # each kept branch's first kept branch with an equal ket (the same slot, or an
             # equal amplitude and form); -1 if dropped
-            equal = ((np.equal.outer(column, column) | (v[:, :, None] == v[:, None, :]) & same_form)
-                     & keep[:, None, :])
+            equal = (same_slot | (v[:, :, None] == v[:, None, :]) & same_form) & keep[:, None, :]
             signature.append(np.where(keep, equal.argmax(axis=2), -1))
             values.append(v)
         signature = np.concatenate(signature, axis=1).astype(int)
@@ -451,25 +495,11 @@ class HybridState:
         else:
             rows, which = np.unique(signature, axis=0, return_inverse=True)
             groups = [(np.flatnonzero(which.ravel() == g), row) for g, row in enumerate(rows)]
-        out, n = [], c.shape[1]
-        term_of = np.repeat(np.arange(len(counts)), counts)
+        out = []
         for index, row in groups:
-            kept = np.flatnonzero(row[:n])
-            terms = sorted(set(term_of[kept].tolist()))
-            new_counts = tuple(int((term_of[kept] == t).sum()) for t in terms)
-            new_columns, new_forms, new_amps = [], [], []
-            for a in range(len(sites)):
-                if a not in modes:
-                    new_columns.append(tuple(columns[a][b] for b in kept))
-                    continue
-                i = modes.index(a)
-                first = row[n * (i + 1):n * (i + 2)][kept].tolist()
-                distinct = list(dict.fromkeys(first))
-                new_columns.append(tuple(distinct.index(f) for f in first))
-                new_forms.append(tuple(forms[i][columns[a][b]] for b in distinct))
-                new_amps.append(values[i][index][:, distinct])
-            args = (sites, new_counts, tuple(new_columns), tuple(new_forms),
-                    p[index][:, terms], c[index][:, kept], tuple(new_amps))
+            terms, kept, distinct, template = _regroup(sites, counts, columns, forms, row.tobytes())
+            args = (sites, *template, p[index][:, terms], c[index][:, kept],
+                    tuple(v[index][:, d] for v, d in zip(values, distinct)))
             _check(*args)
             out.append((index, cls._of(*args, single=single)))
         return out

@@ -7,7 +7,6 @@ minor is nonnegative.  Mode a is always the CV subsystem, mode b the qudit.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .channels import (ThermalChannelParams, ThermalHybridState, require_coheren
 from .composite import point_values
 from .errors import InconsistentMoments, NumericInconsistency
 from .fock import mode_operators
-from .kets import HybridState
+from .kets import HybridState, _read_only_cache
 
 INCONCLUSIVE_BAND = 1e-12
 MOMENT_HERM_TOL = 1e-8   # largest non-Hermitian moment deviation a provider may show
@@ -107,19 +106,17 @@ def moment_minor(provider, indices):
     return _minor(_moments(provider, tuple(indices)))
 
 
-@lru_cache(maxsize=16)
+@_read_only_cache
 def _index_set(max_total_degree, qudit_dim):
     return tuple(sv_multi_indices(max_total_degree, qudit_dim))
 
 
-@lru_cache(maxsize=16)
+@_read_only_cache
 def _words(indices):
     """Read-only (n, n, 4) a- and b-words of the moment matrix over the multi-indices."""
     rows, cols = np.broadcast_arrays(np.array(indices)[:, None], np.array(indices)[None, :])
-    a_words = np.concatenate([rows[..., [1, 0]], cols[..., [0, 1]]], axis=-1)
-    b_words = np.concatenate([cols[..., [3, 2]], rows[..., [2, 3]]], axis=-1)
-    a_words.flags.writeable = b_words.flags.writeable = False
-    return a_words, b_words
+    return (np.concatenate([rows[..., [1, 0]], cols[..., [0, 1]]], axis=-1),
+            np.concatenate([cols[..., [3, 2]], rows[..., [2, 3]]], axis=-1))
 
 
 def _first(bad):
@@ -191,13 +188,8 @@ def s2_minor(mm):
 
 def _by_words(fn):
     """fn(*ints, words) cached by the ints and the words' shape and bytes; results read-only."""
-    @lru_cache(maxsize=32)
-    def cached(*key):
-        *ints, shape, data = key
-        out = fn(*ints, np.frombuffer(data, dtype=np.int64).reshape(shape))
-        for x in out:
-            x.flags.writeable = False
-        return out
+    cached = _read_only_cache(lambda *key: fn(*key[:-2], np.frombuffer(
+        key[-1], dtype=np.int64).reshape(key[-2])))
     return lambda *args: cached(*args[:-1], np.shape(args[-1]),
                                 np.asarray(args[-1], dtype=np.int64).tobytes())
 
@@ -265,6 +257,16 @@ class MatrixMomentProvider:
         return np.einsum("...q,...q->...", traced, b_diagonals[ib])
 
 
+@_read_only_cache
+def _dyads(counts, columns):
+    """t, i, j, both levels as (1, D) rows and both slots of every branch pair (i, j) of
+    every term t of a (d, MODE) template, for |m_i><m_j| x Y(|alpha_i><alpha_j|)."""
+    term = np.repeat(np.arange(len(counts)), counts)
+    i, j = np.nonzero(term[:, None] == term)
+    levels, slots = np.array(columns[0]), np.array(columns[1])
+    return term[i], i, j, levels[None, i], levels[None, j], slots[i], slots[j]
+
+
 class SymbolicMomentProvider:
     """Exact moments of a coherent-family hybrid state or of its thermal-channel output.
 
@@ -293,15 +295,9 @@ class SymbolicMomentProvider:
             raise TypeError("SymbolicMomentProvider needs HybridStates or ThermalHybridStates")
         self._single = state.single
         self.qudit_dim = state.qudit_dim
-        levels = np.array(state.columns[0])
-        # every branch pair (i, j) of every term t, for |m_i><m_j| x Y(|alpha_i><alpha_j|)
-        term = np.repeat(np.arange(len(state.counts)), state.counts)
-        i, j = np.nonzero(term[:, None] == term)
-        t = term[i]
-        amps = state.amps[0][:, list(state.columns[1])]
+        t, i, j, self._m, self._mp, slot_i, slot_j = _dyads(state.counts, state.columns)
         self._weights = state.p[:, t] * state.c[:, i] * np.conj(state.c[:, j])
-        self._alpha, self._beta = amps[:, i], amps[:, j]
-        self._m, self._mp = levels[None, i], levels[None, j]  # (1, D), shared by every point
+        self._alpha, self._beta = state.amps[0][:, slot_i], state.amps[0][:, slot_j]
         self._channel = np.stack([np.broadcast_to(x, (state.points,))
                                   for x in (params.eta, params.n_th)])[..., None]  # (2, P, 1)
 

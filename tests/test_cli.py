@@ -70,6 +70,42 @@ def test_a_parameter_the_family_does_not_take_exits_2(tmp_path, capsys, workers)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, params, axes, error", [
+    ("thermal-output", {"eta": 0.7, "n_th": 0.1, "beta": 5}, ["alpha=0.5,1"],
+     "error: family thermal-output does not take parameter 'beta'"),
+    ("binary-coherent", {}, ["alpha=0.5,1", "eta=0.5", "n_th=0.1"],
+     "error: family binary-coherent does not take parameter 'eta'"),
+])
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_closed_form_sweep_checks_the_family_first(tmp_path, capsys, family, params, axes,
+                                                      error, workers):
+    spec = write_spec(tmp_path, {"family": family, "params": params})
+    out = tmp_path / "sweep.csv"
+    axis_args = [arg for axis in axes for arg in ("--axis", axis)]
+    assert main(["sweep", spec, *axis_args, "--output", "thermal_s1_closed", "--out", str(out),
+                 "--workers", workers]) == 2
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_closed_form_that_overflows_to_inf_exits_2(tmp_path, capsys, workers):
+    # |alpha|^2 leaves the double range at alpha = 1e200, and geom_s1_bound grows with it
+    spec = write_spec(tmp_path, {"family": "geometric-mixture", "params": {"x": 0.5}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--axis", "alpha=0.5,1e200", "--output", "geom_s1_bound",
+                 "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        """error: output 'geom_s1_bound' overflows to inf at {"x": 0.5, "alpha": 1e+200}"""]
+    assert not out.exists()
+    # thermal_threshold's inf at eta >= 1 is its value, and is written
+    spec = write_spec(tmp_path, {"family": "thermal-output", "params": {"n_th": 0.0}})
+    assert main(["sweep", spec, "--axis", "eta=0.5,1", "--axis", "alpha=0.5",
+                 "--output", "thermal_threshold_closed", "--out", str(out),
+                 "--workers", workers]) == 0
+    assert out.read_text().splitlines()[-1] == "1,0.5,inf"
+
+
 def test_classify_malformed_spec_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -662,7 +698,9 @@ def test_a_sweep_of_a_family_with_no_stacked_constructor_is_measured_stacked(
 ])
 @pytest.mark.parametrize("workers", ["1", "3"])
 def test_a_closed_form_that_yields_nan_exits_2(tmp_path, capsys, output, params, axis, workers):
-    spec = write_spec(tmp_path, {"family": "mixed-24", "params": params})
+    family = {"mixed24": "mixed-24", "cat": "two-mode-cat", "thermal": "thermal-output",
+              "squeezed": "squeezed-binary-coherent"}[output.split("_")[0]]
+    spec = write_spec(tmp_path, {"family": family, "params": params})
     out = tmp_path / "sweep.csv"
     assert main(["sweep", spec, "--axis", axis, "--output", output, "--out", str(out),
                  "--workers", workers]) == 2
