@@ -240,10 +240,8 @@ def _dv_measure(name, payload):
             return measures.concurrence(rho)
         except ValueError as exc:  # not an effective two-qubit state
             raise Inapplicable(str(exc)) from exc
-    if name == "negativity":
-        return measures.negativity(_bipartite(_to_density(payload)))
-    if name == "log_negativity":
-        return measures.log_negativity(_bipartite(_to_density(payload)))
+    if name in ("negativity", "log_negativity"):
+        return getattr(measures, name)(_bipartite(_to_density(payload)))
     if name == "purity":
         return composite.purity(_to_density(payload))
     if name == "entropy":
@@ -255,12 +253,6 @@ def _dv_measure(name, payload):
     if dims != (2, 2, 2):
         raise Inapplicable("residual tangle needs an effective three-qubit state")
     return measures.ckw(v).tau_res
-
-
-def _fidelity(named):
-    if named.id != "qubus":
-        raise Inapplicable("fidelity is defined for the qubus family")
-    return named.extra["fidelity"]
 
 
 def _measure_values(name, states, count):
@@ -276,7 +268,9 @@ def _measure_values(name, states, count):
     values = np.empty(count)
     for index, named in states:
         if name == "fidelity":
-            values[index] = _fidelity(named)
+            if named.id != "qubus":
+                raise Inapplicable("fidelity is defined for the qubus family")
+            values[index] = named.extra["fidelity"]
         elif isinstance(named.payload, tuple):
             for sub, payload in named.payload:
                 values[index[sub]] = _stack_measure(name, payload)
@@ -393,9 +387,7 @@ def _format_float(x):
 
 def _format_complex(z):
     z = complex(z)
-    if z.imag == 0:
-        return _format_float(z.real)
-    return f"{_format_float(z.real)}{z.imag:+.12g}j"
+    return _format_float(z.real) + (f"{z.imag:+.12g}j" if z.imag else "")
 
 
 def cmd_classify(args):

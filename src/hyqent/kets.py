@@ -106,6 +106,15 @@ MAX_ORDER = 166  # the one cap on ladder orders: it bounds the recurrence, and 1
 _INV_SQRT_FACTORIAL = np.array([math.factorial(n) ** -0.5 for n in range(MAX_ORDER + 1)])
 
 
+def _read_only_cache(fn):
+    """lru_cache(maxsize=32) of what a call derives from a template alone; arrays read-only."""
+    def frozen(x):  # x with every array in it (tuples nest) made read-only
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+        return tuple(map(frozen, x)) if isinstance(x, tuple) else x
+    return lru_cache(maxsize=32)(wraps(fn)(lambda *key: frozen(fn(*key))))
+
+
 @lru_cache(maxsize=16)
 def _ladder_plan(shape, dtype, lo_bytes, d_bytes, z_shape, normalized):
     """What ladder_sum takes from lo = min(k, l) and d = k - l alone; cached and shared.
@@ -144,8 +153,8 @@ def ladder_sum(k, l, x, y, c=1.0, normalized=False):
     """
     k, l, x, y = np.asarray(k), np.asarray(l), np.asarray(x), np.asarray(y)
     lo, d, z = np.minimum(k, l), k - l, x * y
-    # plans of at most 1024 orders (32-ket families, every dyad-moment grid) are cached;
-    # larger ones are rebuilt, which keeps the cache small
+    # plans of at most 1024 orders (a family's norms and ladder pairs up to that count, every
+    # dyad-moment grid) are cached; larger ones are rebuilt, which keeps the cache small
     plan = _ladder_plan if lo.size <= 1024 else _ladder_plan.__wrapped__
     rows, at, ge, a, weight = plan(lo.shape, lo.dtype.str, lo.tobytes(), d.tobytes(), z.shape,
                                    normalized)
@@ -163,7 +172,7 @@ def ladder_sum(k, l, x, y, c=1.0, normalized=False):
 
 
 class Family(NamedTuple):
-    """One closed-form family as arrays: ladder orders (n,) and amplitudes (..., n)."""
+    """One closed-form family as arrays: ladder orders (n,), dtype int, and amplitudes (..., n)."""
 
     orders: np.ndarray
     amps: np.ndarray
@@ -178,10 +187,10 @@ def _family(forms, amps):
     """
     if len({form[1:] for form in forms}) > 1:
         raise UnsupportedKet("squeezed kets have closed-form overlaps only at equal squeezing")
-    orders = np.array([form[0] for form in forms], dtype=int)
-    if orders.max(initial=0) > MAX_ORDER:
+    orders = [form[0] for form in forms]
+    if max(orders, default=0) > MAX_ORDER:
         raise UnsupportedKet(f"ladder orders above {MAX_ORDER} have no closed form here")
-    return Family(orders, amps)
+    return Family(np.array(orders, dtype=int), amps)
 
 
 def _ladder_forms(kets):
@@ -192,38 +201,52 @@ def _ladder_forms(kets):
                    np.array([ket.alpha for ket in kets], dtype=complex))
 
 
-def _family_overlaps(kets):
-    """<kets[i]|kets[j]> for every pair of one family, by the ladder closed form.
+@_read_only_cache
+def _pairs(orders):
+    """Pairs of a family with ladder orders orders (bytes): rows i < columns j, those with a
+    ladder ket first, their places i n + j and j n + i in a flat n x n matrix, and the bra and
+    ket indices and orders of its ladder_sum (each ket alone, then those pairs), if it has one."""
+    orders = np.frombuffer(orders, dtype=int)
+    n = len(orders)
+    i, j = np.triu_indices(n, 1)
+    held = (orders[i] > 0) | (orders[j] > 0)
+    i, j = np.concatenate([i[held], i[~held]]), np.concatenate([j[held], j[~held]])
+    own, count = np.arange(n if orders.any() else 0), int(held.sum())
+    bra, ket = np.concatenate([own, i[:count]]), np.concatenate([own, j[:count]])
+    return i, j, i * n + j, j * n + i, bra, ket, orders[bra], orders[ket]
 
-    <alpha| a^k a^dag^l |beta> = <alpha|beta> ladder_sum(k, l, conj(alpha), beta)
-    for bra order k and ket order l, so the overlap of normalized kets is
-    <alpha|beta> times the normalized sum over the square roots of both kets'
-    own, whose product is never formed.  A value beyond the double range
-    raises UnsupportedKet.  A Family with (P, n) amplitudes gives a (P, n, n)
-    stack, each matrix as its family alone would.
+
+def _family_overlaps(kets):
+    """<kets[i]|kets[j]> for the pairs i < j of one family, in the order of _pairs.
+
+    <alpha| a^k a^dag^l |beta> = <alpha|beta> ladder_sum(k, l, conj(alpha), beta) for bra
+    order k and ket order l, so the overlap of normalized kets is <alpha|beta> times the
+    normalized sum over the square roots of both kets' own.  One ladder_sum call holds each
+    ket's own sum and each pair with a ladder ket; other pairs have factor 1.  A value or
+    norm beyond the double range raises UnsupportedKet.  (P, n) amplitudes give (P, pairs).
     """
     orders, amps = _ladder_forms(kets)
-    bra, ket = amps[..., :, None], amps[..., None, :]
-    value = fock.overlap_coherent(ket, bra)
-    if orders.any():  # at order 0 the factor and the norms are 1
+    i, j, _, _, bra, ket, k, l = _pairs(orders.tobytes())
+    value = fock.overlap_coherent(amps.take(j, axis=-1), amps.take(i, axis=-1))
+    if bra.size:
+        n, x, y = len(orders), np.conj(amps.take(bra, axis=-1)), amps.take(ket, axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):
-            factor = ladder_sum(orders[:, None], orders, np.conj(bra), ket, normalized=True)
-            norm = factor.diagonal(axis1=-2, axis2=-1).real
-            value *= factor / norm[..., :, None] * np.sqrt(norm[..., :, None] / norm[..., None, :])
-        if not np.isfinite(value).all():
+            factor = ladder_sum(k, l, x, y, normalized=True)
+            norm = factor[..., :n].real
+            row, column = norm.take(bra[n:], axis=-1), norm.take(ket[n:], axis=-1)
+            held = value[..., :row.shape[-1]]  # not *=: numpy rounds a one-element *= otherwise
+            held[...] = held * (factor[..., n:] / row * np.sqrt(row / column))
+        if not (np.isfinite(value).all() and np.isfinite(norm).all()):
             raise UnsupportedKet("a ladder overlap of this family lies beyond the double range")
     return value
 
 
 def overlaps(bras, kets):
-    """Matrix of analytic overlaps <bras[i]|kets[j]>, by one normal-ordered closed form.
-
-    bras + kets is read as one family: unless all its kets share one squeezing
-    and every ladder order is at most MAX_ORDER, UnsupportedKet is raised
-    rather than silently falling back to truncation.
-    """
+    """Matrix of analytic overlaps <bras[i]|kets[j]>, the upper-right block of gram_matrix(bras
+    + kets): unless all those kets share one squeezing and every ladder order is at most
+    MAX_ORDER, UnsupportedKet is raised rather than silently falling back to truncation."""
     bras = list(bras)
-    return _family_overlaps(bras + list(kets))[:len(bras), len(bras):]
+    return gram_matrix(bras + list(kets))[:len(bras), len(bras):]
 
 
 def overlap(bra, ket):
@@ -232,15 +255,14 @@ def overlap(bra, ket):
 
 
 def gram_matrix(kets):
-    """Gram matrix <kets[i]|kets[j]>, exactly Hermitian with a unit diagonal.
-
-    A Family with (P, n) amplitudes gives a (P, n, n) stack.
-    """
-    upper = np.triu(_family_overlaps(kets), 1)
-    gram = upper + upper.conj().swapaxes(-1, -2)
-    diagonal = np.arange(gram.shape[-1])
-    gram[..., diagonal, diagonal] = 1.0
-    return gram
+    """Gram matrix <kets[i]|kets[j]>, exactly Hermitian with a unit diagonal: each pair
+    i < j is evaluated once.  A Family with (P, n) amplitudes gives a (P, n, n) stack."""
+    family = _ladder_forms(kets)
+    value, n = _family_overlaps(family), len(family.orders)
+    gram = np.empty(value.shape[:-1] + (n * n,), dtype=complex)
+    upper, lower = _pairs(family.orders.tobytes())[2:4]
+    gram[..., upper], gram[..., lower], gram[..., ::n + 1] = value, value.conj(), 1.0
+    return gram.reshape(value.shape[:-1] + (n, n))
 
 
 class Branch(NamedTuple):
@@ -301,15 +323,6 @@ def _template(sites, terms):
                 1, len(values)), tuple(amps))
 
 
-def _read_only_cache(fn):
-    """lru_cache(maxsize=32) of what a call derives from a template alone; arrays read-only."""
-    def frozen(x):  # x with every array in it (tuples nest) made read-only
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
-        return tuple(map(frozen, x)) if isinstance(x, tuple) else x
-    return lru_cache(maxsize=32)(wraps(fn)(lambda *key: frozen(fn(*key))))
-
-
 @_read_only_cache
 def _level_pairs(sites, columns):
     """None if no two branches of a term (on its own columns) agree on every qudit level; else
@@ -328,13 +341,8 @@ def _level_pairs(sites, columns):
 
 
 def _term_norms(sites, columns, forms, c, amps, sel):
-    """<psi|psi> of one pure term at each point, (P,).
-
-    sel lists the term's branches (a range of columns), and c (P, len(sel)) holds
-    their coefficients: sum_b |c_b|^2 in branch order, plus c_b* c_b' times
-    the pair's per-site Gram entries for each pair b != b' that agrees on
-    every qudit level (_level_pairs); on a layout of mode sites only every pair counts.
-    """
+    """term_norm of one term at each point, (P,): sel lists its branches (a range of columns),
+    c (P, len(sel)) their coefficients, and _level_pairs the pairs that meet a Gram entry."""
     norm = sum(np.abs(c.T) ** 2, np.zeros(len(c)))  # in branch order, as a loop would add
     pairs = _level_pairs(sites, tuple(column[sel.start:sel.stop] for column in columns))
     if pairs is None:

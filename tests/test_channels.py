@@ -13,6 +13,7 @@ from hyqent import (DensityMatrix, HybridState, SymbolicKet, ThermalChannelParam
                     concurrence, concurrence_evolution_check, identity_kraus,
                     make_kraus_set, negativity, negativity_evolution_check,
                     qubit_loss_kraus, thermal_dyad_moments, thermal_kraus)
+from hyqent import cli
 from hyqent.catalog import binary_coherent, squeezed_binary_coherent, thermal_output
 
 
@@ -134,6 +135,18 @@ def test_amplitude_damp_concurrence_monotone_in_loss():
     values = [concurrence(compress(amplitude_damp(binary_coherent(al).payload, eta)))
               for eta in np.linspace(1.0, 0.05, 12)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.05, 2.5),
+       st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8, unique=True).map(sorted))
+def test_damped_concurrence_does_not_fall_as_eta_rises(alpha, etas):
+    # the stacked path: one sweep row per eta at fixed alpha, in increasing eta
+    _, rows = cli.run_sweep("damped-binary-coherent", {}, [("alpha", np.array([alpha])),
+                                                            ("eta", np.array(etas))],
+                            ["concurrence"])
+    values = [row[-1] for row in rows]
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), (alpha, etas, values)
 
 
 def test_total_loss_concurrence_is_zero():

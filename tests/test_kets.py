@@ -9,8 +9,8 @@ from hyqent import (MODE, CutoffTooSmall, HybridState, SymbolicKet, SymbolicMome
                     ThermalChannelParams, UnsupportedKet,
                     amplitude_damp, apply_thermal, coherent_ket, displace, gram_matrix, overlap,
                     overlaps, squeeze)
-from hyqent import compression, kets
-from hyqent.kets import ladder_sum
+from hyqent import compression, fock, kets
+from hyqent.kets import Family, ladder_sum
 from hyqent.catalog import jcm_generate, project_to_cat, qubus_state, two_mode_cat
 
 
@@ -333,6 +333,63 @@ def test_gram_matrix_matches_pairwise_and_fock_overlaps(rng, family):
                 assert gram[i, j] == float(kets[i].k == kets[j].k)
 
 
+def _full_matrix_overlaps(family):
+    """Every <kets[i]|kets[j]> of a family, lower triangle and diagonal too: the full n x n
+    closed form that gram_matrix and overlaps were once read from."""
+    orders, amps = family
+    bra, ket = amps[..., :, None], amps[..., None, :]
+    value = fock.overlap_coherent(ket, bra)
+    if orders.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = ladder_sum(orders[:, None], orders, np.conj(bra), ket, normalized=True)
+            norm = factor.diagonal(axis1=-2, axis2=-1).real
+            value *= factor / norm[..., :, None] * np.sqrt(norm[..., :, None] / norm[..., None, :])
+    return value
+
+
+def _full_matrix_gram(family):
+    upper = np.triu(_full_matrix_overlaps(family), 1)
+    gram = upper + upper.conj().swapaxes(-1, -2)
+    diagonal = np.arange(gram.shape[-1])
+    gram[..., diagonal, diagonal] = 1.0
+    return gram
+
+
+def _random_kets(rng, kind, n):
+    alphas = 1.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    if kind == "squeezed":
+        r, theta = 0.4 * rng.random(), 2 * np.pi * rng.random()
+        return [SymbolicKet.displaced_squeezed(a, r, theta) for a in alphas]
+    orders = rng.integers(0, 6, size=n) if kind != "coherent" else np.zeros(n, dtype=int)
+    if kind == "fock":
+        alphas = np.where(rng.random(n) < 0.5, 0.0, alphas)  # Fock kets among coherent ones
+    return [SymbolicKet.photon_added(int(k), a) for k, a in zip(orders, alphas)]
+
+
+@pytest.mark.parametrize("points", [1, 6])
+@pytest.mark.parametrize("n", [1, 2, 40])
+@pytest.mark.parametrize("kind", ["coherent", "fock", "photon-added", "squeezed"])
+def test_gram_from_pairs_equals_full_matrix_formula(rng, kind, n, points):
+    """Each pair i < j is evaluated once, with the ladder factor only where a ladder ket is;
+    every entry equals the full-matrix formula's, and so does every overlaps block."""
+    for _ in range(3):
+        listed = _random_kets(rng, kind, n)
+        family = kets._ladder_forms(listed)
+        assert np.array_equal(gram_matrix(listed), _full_matrix_gram(family))
+        for split in sorted({0, 1, n // 2, n}):
+            assert np.array_equal(overlaps(listed[:split], listed[split:]),
+                                  _full_matrix_overlaps(family)[:split, split:])
+    # a stack of P families of one template, each matrix as its family alone gives it
+    orders = family.orders
+    amps = np.stack([family.amps * rng.uniform(0.2, 2.0) * np.exp(2j * np.pi * rng.random())
+                     for _ in range(points)])
+    stacked = gram_matrix(Family(orders, amps))
+    assert stacked.shape == (points, n, n)
+    assert np.array_equal(stacked, _full_matrix_gram(Family(orders, amps)))
+    for p in range(points):
+        assert np.array_equal(stacked[p], gram_matrix(Family(orders, amps[p])))
+
+
 @pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
 def test_ladder_sum_matches_explicit_double_loop(rng, c):
     def explicit(k, l, x, y):
@@ -428,6 +485,9 @@ def test_family_beyond_the_double_range_raises():
     # the self-norm L_166(-10^4) of a^dag^166 |100> exceeds the double range
     with pytest.raises(UnsupportedKet):
         gram_matrix([SymbolicKet.photon_added(166, 100.0), SymbolicKet.coherent(1.0)])
+    # a one-ket family has no pair: its norm alone must raise
+    with pytest.raises(UnsupportedKet):
+        gram_matrix([SymbolicKet.photon_added(166, 100.0)])
     with pytest.raises(UnsupportedKet):
         overlap(SymbolicKet.photon_added(166, 100.0), SymbolicKet.coherent(1.0))
 
