@@ -530,15 +530,52 @@ FAMILY_POINTS = {
     "qubus": {"alpha": 1.0, "theta": 0.2, "eta": 0.9},
 }
 
-# codes of the multi-site states (two qumodes; qumode bus and two qubits),
-# which the site layout decides
-PINNED_CODES = {
-    ("two-mode-cat", "s1"): 3, ("two-mode-cat", "s2"): 3,
-    ("two-mode-cat", "concurrence"): 0, ("two-mode-cat", "entropy"): 0,
-    ("two-mode-cat", "negativity"): 0,
-    ("qubus", "s1"): 3, ("qubus", "s2"): 3, ("qubus", "entropy"): 3,
-    ("qubus", "concurrence"): 3, ("qubus", "tau_res"): 3, ("qubus", "purity"): 0,
+# the first error line of every (family, measure) pair at FAMILY_POINTS that exits 3, by line;
+# every other pair exits 0 with a finite value
+_WITNESS_NEEDS = "moment witnesses need a coherent-family (possibly thermal) hybrid state: "
+INAPPLICABLE = {
+    "residual tangle needs an effective three-qubit state": [
+        "binary-coherent tau_res", "jcm tau_res", "qubit-qumode tau_res",
+        "qutrit-qumode tau_res", "squeezed-binary-coherent tau_res", "two-mode-cat tau_res"],
+    "fidelity is defined for the qubus family": [
+        f"{family} fidelity" for family in sorted(FAMILY_POINTS) if family != "qubus"],
+    "measure needs a pure state": [
+        f"{family} {measure}" for family in ("damped-binary-coherent", "geometric-mixture",
+                                             "mixed-23", "mixed-24", "qubus", "thermal-output")
+        for measure in ("entropy", "tau_res")],
+    "state has no finite density-matrix description": [
+        f"{family} {measure}" for family in ("geometric-mixture", "thermal-output")
+        for measure in ("concurrence", "negativity", "log_negativity", "purity")],
+    _WITNESS_NEEDS + "SymbolicMomentProvider needs HybridStates or ThermalHybridStates": [
+        f"{family} {measure}" for family in ("geometric-mixture", "ghz", "tripartite-qmm",
+                                             "tripartite-qqm", "w")
+        for measure in ("s1", "s2")],
+    "measure needs a bipartite state, got dims (2, 2, 2)": [
+        f"{family} {measure}" for family in ("ghz", "tripartite-qmm", "tripartite-qqm", "w")
+        for measure in ("concurrence", "negativity", "log_negativity")],
+    "entropy of entanglement needs a bipartite pure state": [
+        "ghz entropy", "tripartite-qmm entropy", "tripartite-qqm entropy", "w entropy"],
+    "concurrence needs dims (2, 2), got (2, 3)": ["mixed-23 concurrence"],
+    "concurrence needs dims (2, 2), got (2, 4)": ["mixed-24 concurrence"],
+    "concurrence needs dims (2, 2), got (3, 3)": ["qutrit-qumode concurrence"],
+    "measure needs a bipartite state, got dims (3, 2, 2)": [
+        "qubus concurrence", "qubus negativity", "qubus log_negativity"],
+    _WITNESS_NEEDS + "needs a qudit-qumode state on sites (d, 'mode'), got ('mode', 2, 2)": [
+        "qubus s1", "qubus s2"],
+    _WITNESS_NEEDS + "the exact moment route is implemented for coherent kets": [
+        "squeezed-binary-coherent s1", "squeezed-binary-coherent s2"],
+    _WITNESS_NEEDS + "needs a qudit-qumode state on sites (d, 'mode'), got ('mode', 'mode')": [
+        "two-mode-cat s1", "two-mode-cat s2"],
 }
+INAPPLICABLE_LINE = {pair: f"error: {line}" for line, pairs in INAPPLICABLE.items()
+                     for pair in pairs}
+
+
+def test_the_exit_map_covers_each_pair_once():
+    assert len(INAPPLICABLE) == 14
+    assert sum(map(len, INAPPLICABLE.values())) == len(INAPPLICABLE_LINE) == 79
+    assert set(INAPPLICABLE_LINE) <= {f"{family} {measure}" for family in FAMILIES
+                                      for measure in MEASURES}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -547,13 +584,13 @@ def test_family_measure_pair_exits_cleanly(tmp_path, capsys, family, measure):
     spec = write_spec(tmp_path, {"family": family, "params": FAMILY_POINTS[family]})
     code = main(["measure", spec, "--measure", measure])
     out, err = capsys.readouterr()
-    if code == 0:
+    line = INAPPLICABLE_LINE.get(f"{family} {measure}")
+    if line is None:
+        assert code == 0 and err == ""
         assert np.isfinite(float(out.splitlines()[0]))
     else:
-        assert code in (2, 3)
-        assert err.startswith("error: ")
-    if (family, measure) in PINNED_CODES:
-        assert code == PINNED_CODES[family, measure]
+        assert code == 3 and out == ""
+        assert err.splitlines()[0] == line
 
 
 @pytest.mark.parametrize("family", ["binary-coherent", "thermal-output"])
