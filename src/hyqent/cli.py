@@ -195,6 +195,13 @@ def _to_density(payload):
     raise Inapplicable("state has no finite density-matrix description")
 
 
+def _bipartite(payload):
+    rho = _to_density(payload)
+    if len(rho.dims) != 2:
+        raise Inapplicable(f"measure needs a bipartite state, got dims {rho.dims}")
+    return rho
+
+
 def _pure_vector(payload):
     if isinstance(payload, compression.Stack) and payload.is_pure:
         return compression.compress_vector(payload)
@@ -203,74 +210,42 @@ def _pure_vector(payload):
     raise Inapplicable("measure needs a pure state")
 
 
-def _bipartite(rho):
-    if len(rho.dims) != 2:
-        raise Inapplicable(f"measure needs a bipartite state, got dims {rho.dims}")
-    return rho
-
-
-def _witness_minor(name, payload):
-    """s1 or s2 at each state of a stack (or at one state), from one moment provider."""
+def _moments(payload):
     try:
-        provider = witness.SymbolicMomentProvider(payload)
+        return witness.SymbolicMomentProvider(payload)
     except (TypeError, UnsupportedKet) as exc:
         raise Inapplicable(f"moment witnesses need a coherent-family (possibly thermal) "
                            f"hybrid state: {exc}") from exc
-    return witness.moment_minor(provider, witness.S1_INDICES if name == "s1"
-                                else witness.S2_INDICES)
+
+
+# need -> its adapter, and whether the adapter takes each compression stack of a HybridState
+# rather than the whole payload; a "named" need's function takes the NamedState itself, so
+# _stack_measure raises KeyError on it as on a name not in MEASURES
+NEEDS = {"density": (_to_density, True), "bipartite": (_bipartite, True),
+         "pure": (_pure_vector, True), "moments": (_moments, False)}
 
 
 def _stack_measure(name, payload):
     """A measure at each state of a payload: a stack of one template, or one state."""
-    if name in WITNESSES:
-        return _witness_minor(name, payload)
-    if isinstance(payload, HybridState):
-        values = np.empty(payload.points)
-        for index, stack in compression.stacks(payload):
-            values[index] = _dv_measure(name, stack)
-        return values
-    return _dv_measure(name, payload)
-
-
-def _dv_measure(name, payload):
-    """A measure at each state of a compression Stack or a DiscreteKet (stack)."""
-    if name == "concurrence":
-        rho = _bipartite(_to_density(payload))
-        try:
-            return measures.concurrence(rho)
-        except ValueError as exc:  # not an effective two-qubit state
-            raise Inapplicable(str(exc)) from exc
-    if name in ("negativity", "log_negativity"):
-        return getattr(measures, name)(_bipartite(_to_density(payload)))
-    if name == "purity":
-        return composite.purity(_to_density(payload))
-    if name == "entropy":
-        v, dims = _pure_vector(payload)
-        if len(dims) != 2:
-            raise Inapplicable("entropy of entanglement needs a bipartite pure state")
-        return measures.entropy_of_entanglement(v, dims)
-    v, dims = _pure_vector(payload)  # tau_res
-    if dims != (2, 2, 2):
-        raise Inapplicable("residual tangle needs an effective three-qubit state")
-    return measures.ckw(v).tau_res
+    need, fn = MEASURES[name]
+    adapt, per_stack = NEEDS[need]
+    if not (per_stack and isinstance(payload, HybridState)):
+        return fn(adapt(payload))
+    values = np.empty(payload.points)
+    for index, stack in compression.stacks(payload):
+        values[index] = fn(adapt(stack))
+    return values
 
 
 def _measure_values(name, states, count):
-    """One measure at each point of [(indices, NamedState)], as an array of count floats.
-
-    A NamedState of P points is measured one template stack at a time: the
-    moment witnesses by one provider call and one batched determinant, the
-    other measures by compressing and measuring each stack's pivot groups at
-    once; the fidelity is read from the states.
-    """
+    """One measure at each point of [(indices, NamedState)], as an array of count floats."""
     if name not in MEASURES:
         raise SpecError(f"unknown measure {name!r}; valid: {', '.join(sorted(MEASURES))}")
+    need, fn = MEASURES[name]
     values = np.empty(count)
     for index, named in states:
-        if name == "fidelity":
-            if named.id != "qubus":
-                raise Inapplicable("fidelity is defined for the qubus family")
-            values[index] = named.extra["fidelity"]
+        if need == "named":
+            values[index] = fn(named)
         elif isinstance(named.payload, tuple):
             for sub, payload in named.payload:
                 values[index[sub]] = _stack_measure(name, payload)
@@ -283,9 +258,32 @@ def _measure_value(name, named):
     return _measure_values(name, [([0], named)], 1).tolist()[0]
 
 
-MEASURES = ("concurrence", "negativity", "log_negativity", "purity", "entropy",
-            "tau_res", "s1", "s2", "fidelity")
-WITNESSES = ("s1", "s2")
+def _inapplicable(message):
+    raise Inapplicable(message)
+
+
+def _concurrence(rho):
+    try:
+        return measures.concurrence(rho)
+    except ValueError as exc:  # not an effective two-qubit state
+        raise Inapplicable(str(exc)) from exc
+
+
+# measure name -> (need, fn): fn takes what NEEDS makes for need (the NamedState, if "named")
+MEASURES = {
+    "concurrence": ("bipartite", _concurrence),
+    "negativity": ("bipartite", measures.negativity),
+    "log_negativity": ("bipartite", measures.log_negativity),
+    "purity": ("density", composite.purity),
+    "entropy": ("pure", lambda pure: measures.entropy_of_entanglement(*pure) if len(pure[1]) == 2
+                else _inapplicable("entropy of entanglement needs a bipartite pure state")),
+    "tau_res": ("pure", lambda pure: measures.ckw(pure[0]).tau_res if pure[1] == (2, 2, 2)
+                else _inapplicable("residual tangle needs an effective three-qubit state")),
+    "s1": ("moments", lambda provider: witness.moment_minor(provider, witness.S1_INDICES)),
+    "s2": ("moments", lambda provider: witness.moment_minor(provider, witness.S2_INDICES)),
+    "fidelity": ("named", lambda named: named.extra["fidelity"] if "fidelity" in named.extra
+                 else _inapplicable("fidelity is defined for the qubus family")),
+}
 
 
 # closed-form outputs available to sweeps, keyed by (name) -> fn(p) and a

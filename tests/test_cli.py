@@ -593,6 +593,16 @@ def test_family_measure_pair_exits_cleanly(tmp_path, capsys, family, measure):
         assert err.splitlines()[0] == line
 
 
+@pytest.mark.parametrize("name", ["no-such", "fidelity"])
+def test_stack_measure_raises_on_a_name_with_no_payload_row(name):
+    # neither an unknown name nor one read from the named state falls through to a measure
+    import hyqent.cli
+
+    with pytest.raises(KeyError):
+        hyqent.cli._stack_measure(name, build_state("ghz", {}).payload)
+    assert hyqent.cli._stack_measure("tau_res", build_state("ghz", {}).payload) == 1.0
+
+
 @pytest.mark.parametrize("family", ["binary-coherent", "thermal-output"])
 @pytest.mark.parametrize("measure", ["s1", "s2"])
 def test_moment_witness_with_overflowing_moments_exits_2(tmp_path, capsys, family, measure):
