@@ -518,17 +518,20 @@ def _sweep_chunk(packed):
 def run_sweep(family, params, axes, outputs, workers=1):
     """Row-major sweep over the axes; deterministic regardless of worker count.
 
-    Workers must be at least 1, no axis name may repeat, and every axis
-    value must be finite; each is checked before any work.  With workers > 1
+    The family must take every parameter and axis (an inline hybrid checks
+    its own keys), workers must be at least 1, no axis name may repeat, and
+    every axis value must be finite; each is checked before any work.  With workers > 1
     each worker evaluates one contiguous chunk of the points (_sweep_chunk),
     and the rows are the axis columns and the chunks' values stacked once.
     The first output, in row-major order, that raises makes the sweep raise
     that exception, as a point-by-point loop would: each chunk returns its
     first, and the first chunk to return one decides.
     """
+    names = [n for n, _ in axes]
+    for key in [*params, *names] if family in FAMILIES else ():  # closed forms alone too
+        _check_parameter(family, key)
     if workers < 1:
         raise SpecError(f"--workers must be at least 1, got {workers}")
-    names = [n for n, _ in axes]
     if len(set(names)) < len(names):  # a repeated axis would overwrite the values of the first
         raise SpecError(f"axis {max(names, key=names.count)} is given more than once")
     axes = [(name, _finite_axis(name, values)) for name, values in axes]
@@ -579,9 +582,6 @@ def cmd_sweep(args):
     for out in outputs:
         if out not in CLOSED_FORMS and out not in MEASURES:
             raise SpecError(f"unknown output {out!r}")
-    # before any point, for closed forms alone too; an inline hybrid checks its own keys
-    for key in [*spec["params"], *(name for name, _ in axes)] if spec["family"] in FAMILIES else ():
-        _check_parameter(spec["family"], key)
     t0 = time.monotonic()
     columns, rows = run_sweep(spec["family"], spec["params"], axes, outputs,
                               workers=args.workers)

@@ -86,6 +86,13 @@ def test_a_closed_form_sweep_checks_the_family_first(tmp_path, capsys, family, p
                  "--workers", workers]) == 2
     assert capsys.readouterr().err.splitlines() == [error]
     assert not out.exists()
+    # and so does run_sweep called as a library, before any point
+    import hyqent.cli
+
+    with pytest.raises(SpecError) as raised:
+        hyqent.cli.run_sweep(family, params, [hyqent.cli._parse_axis(axis) for axis in axes],
+                             ["thermal_s1_closed"], workers=int(workers))
+    assert f"error: {raised.value}" == error
 
 
 @pytest.mark.parametrize("workers", ["1", "3"])
