@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .channels import (KrausSet, ThermalChannelParams, ThermalHybridState,
                        amplitude_damp, apply_kraus, apply_thermal, choi_state,
-                       concurrence_evolution_check, identity_kraus,
+                       concurrence_evolution_check,
                        make_kraus_set, negativity_evolution_check,
                        qubit_loss_kraus, thermal_dyad_moments, thermal_kraus)
 from .composite import DensityMatrix, partial_trace, partial_transpose, purity, tensor
@@ -19,9 +19,9 @@ from .compression import (Classification, GramCoefficients, classify, compress,
 from .errors import (CutoffTooSmall, DegenerateNormalization, InconsistentMoments,
                      NumericInconsistency, UnsupportedKet)
 from .fock import (WignerField, beamsplit, coherent_ket, coherent_tail_weight,
-                   default_cutoff, displace, fock_wavefunction, hermite,
+                   default_cutoff, displace, fock_wavefunction,
                    mode_operators, overlap_coherent, phase_shifter,
-                   position_density, squeeze, wigner, wigner_marginal_x)
+                   squeeze, wigner)
 from .gaussian import (GaussianState, beamsplitter_symplectic, gaussian_entropy,
                        gaussian_log_negativity, phase_symplectic, ppt_condition,
                        squeezer_symplectic, symplectic_eigenvalues,
@@ -35,5 +35,4 @@ from .witness import (MatrixMomentProvider, MomentMatrix, SymbolicMomentProvider
                       WitnessRegion, cat_witness_determinants, geometric_mixture_s1,
                       geometric_s1_bound, heaviside_half, mixed24_s1, moment_minor,
                       optimal_alpha, principal_minor, qudit_mode_operators, s1_minor,
-                      s2_minor, squeezed_s1, sv_moment_matrix, sv_multi_indices, swap_operator,
-                      swap_witness, thermal_s1, thermal_threshold, witness_region)
+                      s2_minor, squeezed_s1, sv_moment_matrix, sv_multi_indices, thermal_s1, thermal_threshold, witness_region)

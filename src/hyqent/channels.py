@@ -71,10 +71,6 @@ def make_kraus_set(operators):
     return KrausSet(shifts[which], diags[owners, which], owners, n_out, residual)
 
 
-def identity_kraus(dim):
-    return make_kraus_set((np.eye(dim),))
-
-
 def qubit_loss_kraus(eta):
     """Photon-number-encoded qubit loss: K0 = |0><0| + sqrt(eta)|1><1|, K1 = sqrt(1-eta)|0><1|."""
     k0 = np.diag([1.0, np.sqrt(eta)]).astype(complex)

@@ -230,24 +230,6 @@ def _unitary_exp(g):
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
-def hermite(n, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recursion.
-
-    The recursion H_{n+1} = 2x H_n - 2n H_{n-1} is used instead of the
-    derivative definition for numerical stability.
-    """
-    if n < 0:
-        raise ValueError("Hermite degree must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h0 = np.ones_like(x)
-    if n == 0:
-        return h0 if h0.ndim else float(h0)
-    h1 = 2.0 * x
-    for k in range(1, n):
-        h0, h1 = h1, 2.0 * x * h1 - 2.0 * k * h0
-    return h1 if h1.ndim else float(h1)
-
-
 def fock_wavefunction(n, x):
     """Position wavefunction psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)).
 
@@ -345,18 +327,3 @@ def wigner(rho, grid_x, grid_p):
     w = values.reshape(x2.shape) / np.pi
     mass = float(np.trapezoid(np.trapezoid(w, ps, axis=1), xs))
     return WignerField(xs, ps, w, mass, bool(mass >= 0.999))
-
-
-def wigner_marginal_x(field):
-    """Position marginal int W(x, p) dp on the field's x grid."""
-    return np.trapezoid(field.values, field.grid_p, axis=1)
-
-
-def position_density(rho, x):
-    """<x|rho|x> evaluated from the Fock representation."""
-    matrix = getattr(rho, "matrix", rho)
-    matrix = np.asarray(matrix, dtype=complex)
-    dim = matrix.shape[0]
-    x = np.asarray(x, dtype=float)
-    waves = np.stack([fock_wavefunction(n, x) for n in range(dim)])
-    return np.einsum("mn,m...,n...->...", matrix, waves, waves).real

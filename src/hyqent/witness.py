@@ -474,19 +474,7 @@ def geometric_mixture_s1(x, alpha):
 
 
 # ---------------------------------------------------------------------------
-# swap witness and region sweeps
-
-
-def swap_operator(d):
-    """V with V |i>|j> = |j>|i> on two d-level factors."""
-    return np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, -1)
-
-
-def swap_witness(rho):
-    """tr[V rho] with the swap V on a d x d DensityMatrix; nonnegative on every separable state."""
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise ValueError("swap witness needs equal subsystem dimensions")
-    return float(np.einsum("ij,ji->", swap_operator(rho.dims[0]), rho.matrix).real)
+# region sweeps
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from conftest import random_density, random_ket, shared_level_qubit
 from hyqent import (DensityMatrix, HybridState, SymbolicKet, ThermalChannelParams,
                     ThermalHybridState, UnsupportedKet, amplitude_damp, apply_kraus, apply_thermal,
                     beamsplit, choi_state, coherent_ket, compress,
-                    concurrence, concurrence_evolution_check, identity_kraus,
+                    concurrence, concurrence_evolution_check,
                     make_kraus_set, negativity, negativity_evolution_check,
                     qubit_loss_kraus, thermal_dyad_moments, thermal_kraus)
 from hyqent import cli
@@ -313,7 +313,7 @@ KRAUS_SETS = {
     "amplitude-damping": lambda: thermal_kraus(ThermalChannelParams(0.6, 0.0), 4),
     "thermal": lambda: thermal_kraus(ThermalChannelParams(0.45, 0.8), 4),
     "qubit-loss": lambda: qubit_loss_kraus(0.35),
-    "identity": lambda: identity_kraus(3),
+    "identity": lambda: make_kraus_set((np.eye(3),)),
     "pauli-depolarizer": _pauli_depolarizer,
     "random-isometry": _random_isometry_set,
 }
@@ -485,7 +485,7 @@ def test_thermal_reduces_to_amplitude_damping_at_zero_noise():
 
 def test_apply_kraus_identity_and_qubit_loss():
     rho = DensityMatrix.from_ket(np.array([0, 0, 0, 1.0]), (2, 2))
-    out = apply_kraus(rho, identity_kraus(2), 1)
+    out = apply_kraus(rho, make_kraus_set((np.eye(2),)), 1)
     assert np.abs(out.matrix - rho.matrix).max() < 1e-14
     eta = 0.35
     out = apply_kraus(rho, qubit_loss_kraus(eta), 1)
@@ -499,7 +499,7 @@ def test_apply_kraus_identity_and_qubit_loss():
 
 
 def test_choi_states():
-    choi_id = choi_state(identity_kraus(2), 2)
+    choi_id = choi_state(make_kraus_set((np.eye(2),)), 2)
     bell = np.zeros(4)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     assert np.abs(choi_id.matrix - np.outer(bell, bell)).max() < 1e-12

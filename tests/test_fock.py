@@ -12,20 +12,26 @@ from hypothesis import strategies as st
 
 from conftest import random_density
 from hyqent import (CutoffTooSmall, SymbolicKet, beamsplit, coherent_ket, coherent_tail_weight,
-                    default_cutoff, displace, fock_wavefunction, hermite,
+                    default_cutoff, displace, fock_wavefunction,
                     mode_operators, overlap_coherent, phase_shifter,
-                    position_density, squeeze, wigner, wigner_marginal_x)
+                    squeeze, wigner)
 from hyqent.cli import FIGURES, MEASURES
 from hyqent.composite import DensityMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def hermite_explicit(n, x):
-    # explicit sum H_n(x) = n! sum_i (-1)^i / (i! (n-2i)!) (2x)^(n-2i)
-    from math import factorial
-    return factorial(n) * sum((-1) ** i / (factorial(i) * factorial(n - 2 * i))
-                              * (2 * x) ** (n - 2 * i) for i in range(n // 2 + 1))
+def wigner_marginal_x(field):
+    """Position marginal int W(x, p) dp on the field's x grid."""
+    return np.trapezoid(field.values, field.grid_p, axis=1)
+
+
+def position_density(rho, x):
+    """<x|rho|x> of a Fock-basis density matrix, from the position wavefunctions."""
+    matrix = np.asarray(rho, dtype=complex)
+    waves = np.stack([fock_wavefunction(n, np.asarray(x, dtype=float))
+                      for n in range(matrix.shape[0])])
+    return np.einsum("mn,m...,n...->...", matrix, waves, waves).real
 
 
 def test_mode_operator_matrix_elements():
@@ -276,20 +282,6 @@ def test_fock_unitaries_match_expm_of_the_truncated_generator(name, args):
 def test_squeeze_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
         squeeze(0.0, 1.5, 10)
-
-
-def test_hermite_basics_and_explicit_sum():
-    assert hermite(0, 0.37) == 1.0
-    assert hermite(1, 0.37) == pytest.approx(0.74)
-    assert hermite(3, 0.0) == 0.0
-    assert hermite(4, 1.0) == pytest.approx(-20.0)  # from the explicit sum
-    for n in range(21):
-        for x in np.linspace(-5, 5, 11):
-            ref = hermite_explicit(n, x)
-            scale = max(1.0, abs(ref))
-            assert abs(hermite(n, x) - ref) / scale < 1e-6
-    with pytest.raises(ValueError):
-        hermite(-1, 0.0)
 
 
 def test_fock_wavefunction_values_and_norm():

@@ -18,7 +18,7 @@ from hyqent import (HybridState, InconsistentMoments, MatrixMomentProvider, Mome
                     cat_witness_determinants, default_cutoff, geometric_mixture_s1,
                     geometric_s1_bound, heaviside_half, mixed24_s1, moment_minor, optimal_alpha,
                     principal_minor, qudit_mode_operators, s1_minor, s2_minor,
-                    squeezed_s1, sv_moment_matrix, sv_multi_indices, swap_witness,
+                    squeezed_s1, sv_moment_matrix, sv_multi_indices,
                     thermal_s1, thermal_threshold, witness_region)
 from hyqent.catalog import (binary_coherent, mixed24, qutrit_qumode,
                             squeezed_binary_coherent)
@@ -589,24 +589,6 @@ def test_geometric_series_s1_matches_truncated_oracle():
         assert neglected < 1e-12  # x^220 up to float rounding of the partial sum
         mm = sv_moment_matrix(SymbolicMomentProvider(deep), 2, qudit_dim=2)
         assert s1_minor(mm) == pytest.approx(s1, abs=1e-10)
-
-
-def test_swap_witness_values(rng):
-    from conftest import random_density
-    from hyqent import tensor
-
-    ra = DensityMatrix(random_density(rng, 3), (3,))
-    rb = DensityMatrix(random_density(rng, 3), (3,))
-    prod = tensor(ra, rb)
-    assert swap_witness(prod) == pytest.approx(
-        np.trace(ra.matrix @ rb.matrix).real, abs=1e-12)
-    assert swap_witness(prod) >= 0.0
-    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-    assert swap_witness(DensityMatrix.from_ket(singlet, (2, 2))) == pytest.approx(-1.0)
-    mixed = DensityMatrix(np.eye(9, dtype=complex) / 9, (3, 3))
-    assert swap_witness(mixed) == pytest.approx(1 / 3, abs=1e-12)
-    with pytest.raises(ValueError):
-        swap_witness(DensityMatrix(np.eye(6, dtype=complex) / 6, (2, 3)))
 
 
 def _loop_bisect(f, lo, hi, xtol):
