@@ -520,9 +520,10 @@ def run_sweep(family, params, axes, outputs, workers=1):
 
     The family must take every parameter and axis (an inline hybrid checks
     its own keys), workers must be at least 1, no axis name may repeat, and
-    every axis value must be finite; each is checked before any work.  With workers > 1
-    each worker evaluates one contiguous chunk of the points (_sweep_chunk),
-    and the rows are the axis columns and the chunks' values stacked once.
+    every axis value must be finite; each is checked before any work.  With
+    workers > 1 each worker evaluates one contiguous chunk of the points
+    (_sweep_chunk), and the rows are the axis columns and the chunks' values
+    stacked once.
     The first output, in row-major order, that raises makes the sweep raise
     that exception, as a point-by-point loop would: each chunk returns its
     first, and the first chunk to return one decides.
